@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import math
@@ -160,10 +161,10 @@ def _representatives(n_max: int) -> Iterable[tuple[int, CycleType, Permutation]]
             yield n, t, t.representative()
 
 
-def _check_formula_matrix(n_max, jobs, max_n) -> list[str]:
+def _check_formula_matrix(n_max, hist) -> list[str]:
     bad = []
     for n, t, beta in _representatives(n_max):
-        dist = oracle.distribution(beta, jobs=jobs, max_degree=max_n)
+        dist = hist(beta)
         if formulas.count_k0(t) != dist[0]:
             bad.append(f"c(0) n={n} type={t.parts()}: {formulas.count_k0(t)} != {dist[0]}")
         if dist[1] or dist[2]:
@@ -177,25 +178,24 @@ def _check_formula_matrix(n_max, jobs, max_n) -> list[str]:
     return bad
 
 
-def _check_profile_components(n_max, max_n) -> list[str]:
+def _check_profile_components(n_max, hist) -> list[str]:
     bad = []
     for n, t, beta in _representatives(min(n_max, 7)):
-        split = oracle.count_by_profile(beta, 4, max_degree=max_n)
+        dist = hist(beta)
         parts = formulas.count_k4_parts(t)
         for prof, want in parts.items():
-            got = split.get(prof, 0)
+            got = dist.profiles[prof]
             if want != got:
                 bad.append(f"c(4) profile {prof} n={n} type={t.parts()}: {want} != {got}")
-        if sum(split.values()) != sum(parts.values()):
+        if dist[4] != sum(parts.values()):
             bad.append(f"c(4) profile totals n={n} type={t.parts()}")
     return bad
 
 
-def _check_ncycle(n_max, jobs, max_n, tkn) -> list[str]:
+def _check_ncycle(n_max, hist, tkn) -> list[str]:
     bad = []
     for n in range(1, n_max + 1):
-        beta = Permutation.from_cycles([tuple(range(1, n + 1))], n)
-        dist = oracle.distribution(beta, jobs=jobs, max_degree=max_n)
+        dist = hist(Permutation.from_cycles([tuple(range(1, n + 1))], n))
         for k in range(n + 1):
             if tkn(k, n) != dist[k]:
                 bad.append(f"T({k},{n}) = {tkn(k, n)} != brute {dist[k]}")
@@ -205,11 +205,10 @@ def _check_ncycle(n_max, jobs, max_n, tkn) -> list[str]:
     return bad
 
 
-def _check_transposition(n_max, jobs, max_n) -> list[str]:
+def _check_transposition(n_max, hist) -> list[str]:
     bad = []
     for n in range(2, n_max + 1):
-        beta = Permutation.from_cycles([(1, 2)], n)
-        dist = oracle.distribution(beta, jobs=jobs, max_degree=max_n)
+        dist = hist(Permutation.from_cycles([(1, 2)], n))
         for k in range(n + 1):
             want = formulas.transposition_count(k, n)
             if want != dist[k]:
@@ -217,11 +216,10 @@ def _check_transposition(n_max, jobs, max_n) -> list[str]:
     return bad
 
 
-def _check_fpf(n_max, jobs, max_n) -> list[str]:
+def _check_fpf(n_max, hist) -> list[str]:
     bad = []
     for m in range(2, n_max // 2 + 1):
-        beta = CycleType.from_parts([2] * m).representative()
-        dist = oracle.distribution(beta, jobs=jobs, max_degree=max_n)
+        dist = hist(CycleType.from_parts([2] * m).representative())
         for k in range(2 * m + 1):
             want = formulas.fpf_involution_count(k, m)
             if want != dist[k]:
@@ -276,40 +274,38 @@ def _check_image_census(n_max, max_n) -> list[str]:
     return bad
 
 
-def _check_centralizer_divisibility(n_max, jobs, max_n) -> list[str]:
+def _check_centralizer_divisibility(n_max, hist) -> list[str]:
     bad = []
     for n, t, beta in _representatives(n_max):
         order = t.centralizer_order()
-        dist = oracle.distribution(beta, jobs=jobs, max_degree=max_n)
-        for k, c in dist.counts.items():
+        for k, c in hist(beta).counts.items():
             if c % order:
                 bad.append(f"count not divisible n={n} type={t.parts()} k={k}")
     return bad
 
 
-def _check_conjugation_invariance(n_max, jobs, max_n, taus=5, seed=2024) -> list[str]:
+def _check_conjugation_invariance(n_max, hist, taus=5, seed=2024) -> list[str]:
     bad = []
     rng = random.Random(seed)
     for n, t, beta in _representatives(min(n_max, 6)):
-        want = oracle.distribution(beta, jobs=jobs, max_degree=max_n).counts
+        want = hist(beta).counts
         for _ in range(taus):
             images = list(range(1, n + 1))
             rng.shuffle(images)
             tau = Permutation(images)
             conj = beta.conjugate_by(tau)
-            got = oracle.distribution(conj, jobs=jobs, max_degree=max_n).counts
+            got = hist(conj).counts
             if got != want:
                 bad.append(f"conjugation changes counts: beta={beta} tau={tau}")
     return bad
 
 
-def _check_parity_split(n_max, max_n) -> list[str]:
+def _check_parity_split(n_max, max_n, hist) -> list[str]:
     bad = []
     for n, t, beta in _representatives(min(n_max, 6)):
         if t.has_distinct_odd_parts():
             continue
-        dist = oracle.distribution(beta, max_degree=max_n)
-        for k, total in dist.counts.items():
+        for k, total in hist(beta).counts.items():
             if not total:
                 continue
             even, odd = oracle.even_odd_split(beta, k, max_degree=max_n)
@@ -401,22 +397,27 @@ def verification_checks(
 ) -> list[tuple[str, list[str]]]:
     """All identity checks as (name, failures) pairs, empty failures = pass."""
 
+    # one exhaustive scan per distinct beta, shared by every histogram check
+    @functools.lru_cache(maxsize=None)
+    def hist(beta: Permutation) -> oracle.KDistribution:
+        return oracle.distribution(beta, jobs=jobs, max_degree=max_n)
+
     def tkn(k: int, n: int) -> int:
         if f_override and k in f_override:
             return n * math.comb(n, k) * f_override[k]
         return formulas.count_for_ncycle(k, n)
 
     return [
-        ("closed forms k<=4 vs brute force", _check_formula_matrix(n_max, jobs, max_n)),
-        ("distance-4 profile components vs brute force", _check_profile_components(n_max, max_n)),
-        ("n-cycle counts T(k,n) vs brute force", _check_ncycle(n_max, jobs, max_n, tkn)),
-        ("transposition counts vs brute force", _check_transposition(n_max, jobs, max_n)),
-        ("fixed-point-free involution counts vs brute force", _check_fpf(n_max, jobs, max_n)),
+        ("closed forms k<=4 vs brute force", _check_formula_matrix(n_max, hist)),
+        ("distance-4 profile components vs brute force", _check_profile_components(n_max, hist)),
+        ("n-cycle counts T(k,n) vs brute force", _check_ncycle(n_max, hist, tkn)),
+        ("transposition counts vs brute force", _check_transposition(n_max, hist)),
+        ("fixed-point-free involution counts vs brute force", _check_fpf(n_max, hist)),
         ("block characterization and profile invariants", _check_blocks(n_max, max_n)),
         ("image cycle census", _check_image_census(n_max, max_n)),
-        ("counts divisible by centralizer order", _check_centralizer_divisibility(n_max, jobs, max_n)),
-        ("conjugation invariance of counts", _check_conjugation_invariance(n_max, jobs, max_n)),
-        ("even/odd split", _check_parity_split(n_max, max_n)),
+        ("counts divisible by centralizer order", _check_centralizer_divisibility(n_max, hist)),
+        ("conjugation invariance of counts", _check_conjugation_invariance(n_max, hist)),
+        ("even/odd split", _check_parity_split(n_max, max_n, hist)),
         ("single-cycle enumerator vs brute filter", _check_single_cycle_enumerator(max_n)),
         ("fpf enumerator vs brute filter", _check_fpf_enumerator(max_n)),
         ("generating function coefficients", _check_egfs(n_max, tkn)),

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Collection, Iterator, Mapping, Sequence
 
 from .perm import Permutation
 
@@ -97,26 +97,29 @@ class SingleCycleChoice:
 
 
 def outer_assignments(
-    beta: Permutation, source: int, target: int
+    beta: Permutation, sources: Collection[int], targets: Collection[int]
 ) -> Iterator[dict[int, int]]:
     """
-    All bijections from the complement of the source cycle onto the
-    complement of the target cycle that commute with beta there: cycles
+    All bijections from the points outside the source cycles onto the
+    points outside the target cycles that commute with beta there: cycles
     map onto cycles of the same length, each with a free rotation.
-    Deterministic order (lengths ascending, then cycle order, rotations
-    last).
+    ``sources`` and ``targets`` index cycles of beta in canonical cycle
+    order and must have the same multiset of lengths.  Deterministic order
+    (lengths ascending, then cycle order, rotations last).
     """
     cycles = beta.cycles()
-    if not (0 <= source < len(cycles) and 0 <= target < len(cycles)):
+    if not all(0 <= i < len(cycles) for i in (*sources, *targets)):
         raise ValueError("cycle index out of range")
-    if len(cycles[source]) != len(cycles[target]):
-        raise ValueError("source and target cycles must have equal length")
+    if sorted(len(cycles[i]) for i in sources) != sorted(
+        len(cycles[i]) for i in targets
+    ):
+        raise ValueError("source and target cycles must have equal lengths")
     dom: dict[int, list[tuple[int, ...]]] = {}
     cod: dict[int, list[tuple[int, ...]]] = {}
     for i, cycle in enumerate(cycles):
-        if i != source:
+        if i not in sources:
             dom.setdefault(len(cycle), []).append(cycle)
-        if i != target:
+        if i not in targets:
             cod.setdefault(len(cycle), []).append(cycle)
     lengths = sorted(dom)
 
@@ -223,7 +226,7 @@ def build_single_cycle(beta: Permutation, choice: SingleCycleChoice) -> Permutat
     )
     outer = next(
         itertools.islice(
-            outer_assignments(beta, choice.source, choice.target),
+            outer_assignments(beta, (choice.source,), (choice.target,)),
             choice.outer,
             None,
         )
@@ -251,7 +254,7 @@ def single_cycle_pairs(
         for target, cycle_to in enumerate(cycles):
             if len(cycle_to) != m:
                 continue
-            outers = list(outer_assignments(beta, source, target))
+            outers = list(outer_assignments(beta, (source,), (target,)))
             for points in itertools.combinations(sorted(cycle_to), k):
                 for tau in taus:
                     for start in cycle_from:
@@ -311,11 +314,10 @@ def fpf_pairs(
     n = beta.degree
     for sources in itertools.combinations(range(m), j):
         source_couples = [cycles[i] for i in sources]
-        untouched = [cycles[i] for i in range(m) if i not in sources]
         for targets in itertools.combinations(range(m), j):
             target_couples = {cycles[i] for i in targets}
-            spare = [cycles[i] for i in range(m) if i not in targets]
             target_points = sorted(p for c in target_couples for p in c)
+            outers = list(outer_assignments(beta, sources, targets))
             for matching in perfect_matchings(target_points):
                 if any(pair in target_couples for pair in matching):
                     continue
@@ -326,25 +328,9 @@ def fpf_pairs(
                             source_couples, assigned, orient
                         ):
                             inner[x], inner[y] = (v, u) if flip else (u, v)
-                        for sigma in itertools.permutations(range(m - j)):
-                            for rots in itertools.product((0, 1), repeat=m - j):
-                                outer: dict[int, int] = {}
-                                for d, (ci, rot) in zip(
-                                    untouched, zip(sigma, rots)
-                                ):
-                                    c = spare[ci]
-                                    outer[d[0]] = c[rot]
-                                    outer[d[1]] = c[1 - rot]
-                                choice = (
-                                    sources,
-                                    targets,
-                                    matching,
-                                    assigned,
-                                    orient,
-                                    sigma,
-                                    rots,
-                                )
-                                yield choice, _assemble(n, inner, outer)
+                        for oi, outer in enumerate(outers):
+                            choice = (sources, targets, matching, assigned, orient, oi)
+                            yield choice, _assemble(n, inner, outer)
 
 
 def enumerate_fpf(beta: Permutation, j: int) -> set[Permutation]:

@@ -3,9 +3,12 @@ Exhaustive ground truth at small degree.
 
 Everything here counts by brute force over all n! permutations, so the
 results are exact and independent of any closed formula in
-:mod:`kommute.formulas`.  The enumeration order is the lexicographic order
-of one-line words, and all counting can be sharded over contiguous index
-ranges of that order: partial counts merge by addition, so the totals are
+:mod:`kommute.formulas`.  One scan, ``_scan``, walks S_n in the
+lexicographic order of one-line words and yields each alpha with its bad
+points; every function below reduces over it.  ``distribution`` shards
+that order into contiguous index ranges and counts each shard into a
+census of bad-point sets.  Censuses merge by addition, so the distance
+histogram and the profile counts derived from the merged census are
 identical for any shard or worker count.
 
 Degrees are capped (default 8, so 40320 permutations per reference
@@ -19,11 +22,14 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .perm import Permutation
+from .blocks import as_profile
+from .construct import perfect_matchings, successor_free_kcycles
+from .perm import Permutation, all_permutations
 
 DEFAULT_MAX_DEGREE = 8
 
@@ -60,18 +66,44 @@ def enumerate_sn(
     if n < 1:
         raise ValueError("degree must be at least 1")
     _check_degree(n, max_degree)
-    words = itertools.permutations(range(n))
-    for word in itertools.islice(words, start, stop):
-        yield Permutation._from_word(word)
+    yield from itertools.islice(all_permutations(n), start, stop)
+
+
+def _scan(
+    beta_word: tuple[int, ...], start: int, stop: int | None
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    # (zero-based bad points, one-line word) for each alpha in [start, stop)
+    b = beta_word
+    rng = range(len(b))
+    for a in itertools.islice(itertools.permutations(rng), start, stop):
+        yield tuple([i for i in rng if a[b[i]] != b[a[i]]]), a
+
+
+def _census(task: tuple) -> Counter:
+    # one shard: how many alpha have each bad-point set; pure, merged by addition
+    return Counter(bad for bad, _ in _scan(*task))
+
+
+def _cycle_of(beta: Permutation) -> dict[int, int]:
+    # zero-based point -> index of its cycle in beta
+    return {p - 1: c for c, cycle in enumerate(beta.cycles()) for p in cycle}
+
+
+def _profile(bad: tuple[int, ...], cycle_of: dict[int, int]) -> tuple[int, ...]:
+    return as_profile(Counter(cycle_of[i] for i in bad).values())
 
 
 @dataclass(frozen=True)
 class KDistribution:
-    """Exact counts of permutations at each commutation distance from beta."""
+    """
+    Exact counts of permutations at each commutation distance from beta,
+    and of permutations with each bad-point profile (all distances).
+    """
 
     n: int
     beta: Permutation
     counts: dict[int, int]
+    profiles: Counter[tuple[int, ...]]
 
     def total(self) -> int:
         return sum(self.counts.values())
@@ -87,19 +119,6 @@ class KDistribution:
         }
 
 
-def _distance_counts(
-    n: int, beta_word: tuple[int, ...], start: int, stop: int | None
-) -> list[int]:
-    # one shard of the distance histogram; pure, merged by addition
-    counts = [0] * (n + 1)
-    b = beta_word
-    rng = range(n)
-    words = itertools.islice(itertools.permutations(rng), start, stop)
-    for a in words:
-        counts[sum(a[b[i]] != b[a[i]] for i in rng)] += 1
-    return counts
-
-
 def distribution(
     beta: Permutation,
     jobs: int = 1,
@@ -107,9 +126,16 @@ def distribution(
     max_degree: int | None = None,
 ) -> KDistribution:
     """
-    The full histogram {k: #alpha at commutation distance k from beta},
-    computed exhaustively.  ``jobs`` > 1 fans the shards out over a process
-    pool; the result does not depend on jobs or shard count.
+    The full histogram {k: #alpha at commutation distance k from beta} and
+    the profile counts {profile: #alpha}, computed exhaustively.  ``jobs``
+    > 1 fans the shards out over a process pool of at most ``jobs``
+    workers, capped by the CPU and shard counts; the result does not
+    depend on jobs or shard count.
+
+    >>> {p: c for p, c in distribution(
+    ...     Permutation.from_cycles([(1, 2, 3), (4, 5)], 5)
+    ... ).profiles.items() if sum(p) == 3}
+    {(3,): 6, (2, 1): 36}
     """
     n = beta.degree
     _check_degree(n, max_degree)
@@ -118,55 +144,24 @@ def distribution(
         shards = jobs if jobs > 1 else 1
     bounds = [(total * i) // shards for i in range(shards + 1)]
     tasks = [
-        (n, beta.word, bounds[i], bounds[i + 1])
+        (beta.word, bounds[i], bounds[i + 1])
         for i in range(shards)
         if bounds[i] < bounds[i + 1]
     ]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            partials = list(pool.map(_distance_counts_star, tasks))
+        workers = min(jobs, os.cpu_count() or 1, len(tasks))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            partials = list(pool.map(_census, tasks))
     else:
-        partials = [_distance_counts(*t) for t in tasks]
-    counts = [0] * (n + 1)
-    for part in partials:
-        for k, c in enumerate(part):
-            counts[k] += c
-    return KDistribution(n, beta, {k: c for k, c in enumerate(counts)})
-
-
-def _distance_counts_star(args: tuple) -> list[int]:
-    return _distance_counts(*args)
-
-
-def _cycle_ids(beta_word: tuple[int, ...]) -> tuple[list[int], int]:
-    # map each zero-based point to the index of its cycle in beta
-    n = len(beta_word)
-    ids = [-1] * n
-    count = 0
-    for i in range(n):
-        if ids[i] >= 0:
-            continue
-        j = i
-        while ids[j] < 0:
-            ids[j] = count
-            j = beta_word[j]
-        count += 1
-    return ids, count
-
-
-def _word_is_even(word: Sequence[int]) -> bool:
-    n = len(word)
-    seen = [False] * n
-    cycles = 0
-    for i in range(n):
-        if seen[i]:
-            continue
-        cycles += 1
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = word[j]
-    return (n - cycles) % 2 == 0
+        partials = [_census(t) for t in tasks]
+    census: Counter = sum(partials, Counter())
+    counts = dict.fromkeys(range(n + 1), 0)
+    profiles: Counter = Counter()
+    cycle_of = _cycle_of(beta)
+    for bad, c in census.items():
+        counts[len(bad)] += c
+        profiles[_profile(bad, cycle_of)] += c
+    return KDistribution(n, beta, counts, profiles)
 
 
 def count_by_profile(
@@ -176,60 +171,33 @@ def count_by_profile(
     Exhaustive counts at distance k, split by the multiset of per-cycle
     bad-point counts (keys are decreasing tuples summing to k).
     """
-    n = beta.degree
-    _check_degree(n, max_degree)
-    b = beta.word
-    ids, ncycles = _cycle_ids(b)
-    rng = range(n)
-    out: dict[tuple[int, ...], int] = {}
-    for a in itertools.permutations(rng):
-        per_cycle = [0] * ncycles
-        bad = 0
-        for i in rng:
-            if a[b[i]] != b[a[i]]:
-                per_cycle[ids[i]] += 1
-                bad += 1
-        if bad != k:
-            continue
-        key = tuple(sorted((c for c in per_cycle if c), reverse=True))
-        out[key] = out.get(key, 0) + 1
-    return out
+    profiles = distribution(beta, max_degree=max_degree).profiles
+    return {p: c for p, c in profiles.items() if sum(p) == k}
 
 
 def filter_by_profile(
     beta: Permutation, profile: Sequence[int], max_degree: int | None = None
 ) -> set[Permutation]:
     """All alpha whose per-cycle bad-point multiset equals ``profile``."""
-    n = beta.degree
-    _check_degree(n, max_degree)
-    b = beta.word
-    ids, ncycles = _cycle_ids(b)
-    rng = range(n)
+    _check_degree(beta.degree, max_degree)
     want = tuple(sorted(profile, reverse=True))
-    out: set[Permutation] = set()
-    for a in itertools.permutations(rng):
-        per_cycle = [0] * ncycles
-        for i in rng:
-            if a[b[i]] != b[a[i]]:
-                per_cycle[ids[i]] += 1
-        key = tuple(sorted((c for c in per_cycle if c), reverse=True))
-        if key == want:
-            out.add(Permutation._from_word(a))
-    return out
+    cycle_of = _cycle_of(beta)
+    return {
+        Permutation._from_word(a)
+        for bad, a in _scan(beta.word, 0, None)
+        if _profile(bad, cycle_of) == want
+    }
 
 
 def filter_by_distance(
     beta: Permutation, k: int, max_degree: int | None = None
 ) -> set[Permutation]:
     """All alpha at commutation distance exactly k from beta."""
-    n = beta.degree
-    _check_degree(n, max_degree)
-    b = beta.word
-    rng = range(n)
+    _check_degree(beta.degree, max_degree)
     return {
         Permutation._from_word(a)
-        for a in itertools.permutations(rng)
-        if sum(a[b[i]] != b[a[i]] for i in rng) == k
+        for bad, a in _scan(beta.word, 0, None)
+        if len(bad) == k
     }
 
 
@@ -237,19 +205,14 @@ def even_odd_split(
     beta: Permutation, k: int, max_degree: int | None = None
 ) -> tuple[int, int]:
     """(even, odd) counts among the permutations at distance k from beta."""
-    n = beta.degree
-    _check_degree(n, max_degree)
-    b = beta.word
-    rng = range(n)
-    even = odd = 0
-    for a in itertools.permutations(rng):
-        if sum(a[b[i]] != b[a[i]] for i in rng) != k:
-            continue
-        if _word_is_even(a):
-            even += 1
-        else:
-            odd += 1
-    return even, odd
+    _check_degree(beta.degree, max_degree)
+    parities = [
+        Permutation._from_word(a).is_even()
+        for bad, a in _scan(beta.word, 0, None)
+        if len(bad) == k
+    ]
+    even = sum(parities)
+    return even, len(parities) - even
 
 
 # -- auxiliary sequences, by direct enumeration -------------------------------
@@ -263,31 +226,7 @@ def successor_free_cycles(k: int) -> int:
     """
     if not 1 <= k <= 9:
         raise ValueError("brute-force count supported for 1 <= k <= 9")
-    count = 0
-    for rest in itertools.permutations(range(1, k)):
-        # the k-cycle sending 0 -> rest[0] -> ... -> rest[-1] -> 0
-        word = [0] * k
-        prev = 0
-        for x in rest:
-            word[prev] = x
-            prev = x
-        word[prev] = 0
-        if all(word[i] != (i + 1) % k for i in range(k)):
-            count += 1
-    return count
-
-
-def _matchings(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
-    # perfect matchings of an even-sized point set, smallest point first
-    if not points:
-        yield ()
-        return
-    first, rest = points[0], points[1:]
-    for i, partner in enumerate(rest):
-        pair = (first, partner)
-        remaining = rest[:i] + rest[i + 1 :]
-        for sub in _matchings(remaining):
-            yield (pair,) + sub
+    return sum(1 for _ in successor_free_kcycles(k))
 
 
 def deranged_matchings(j: int) -> int:
@@ -300,5 +239,5 @@ def deranged_matchings(j: int) -> int:
         raise ValueError("brute-force count supported for 0 <= j <= 7")
     forbidden = {(2 * i, 2 * i + 1) for i in range(j)}
     return sum(
-        not (set(m) & forbidden) for m in _matchings(tuple(range(2 * j)))
+        not (set(m) & forbidden) for m in perfect_matchings(range(2 * j))
     )

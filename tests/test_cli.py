@@ -1,8 +1,9 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 
-from kommute import cli, formulas
+from kommute import cli, formulas, oracle
 from kommute.perm import parse_permutation
 
 
@@ -141,6 +142,67 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--n-max", "9")
         assert code == 1
         assert "cap" in err
+
+    def test_golden_output(self, capsys):
+        assert run_cli(capsys, "verify", "--n-max", "6") == (0, VERIFY_6, "")
+        got = run_cli(capsys, "verify", "--n-max", "4", "--corrupt-f")
+        assert got == (3, VERIFY_4_CORRUPT, "")
+
+    def test_each_beta_scanned_once(self, monkeypatch):
+        scans: Counter = Counter()
+        exhaustive = oracle.distribution
+
+        def counting(beta, *args, **kwargs):
+            scans[beta] += 1
+            return exhaustive(beta, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "distribution", counting)
+        results = cli.verification_checks(7, max_n=7)
+        assert not any(failures for _, failures in results)
+        assert scans and set(scans.values()) == {1}
+
+
+VERIFY_6 = """\
+PASS closed forms k<=4 vs brute force
+PASS distance-4 profile components vs brute force
+PASS n-cycle counts T(k,n) vs brute force
+PASS transposition counts vs brute force
+PASS fixed-point-free involution counts vs brute force
+PASS block characterization and profile invariants
+PASS image cycle census
+PASS counts divisible by centralizer order
+PASS conjugation invariance of counts
+PASS even/odd split
+PASS single-cycle enumerator vs brute filter
+PASS fpf enumerator vs brute filter
+PASS generating function coefficients
+13/13 checks passed (n_max=6)
+"""
+
+VERIFY_4_CORRUPT = """\
+PASS closed forms k<=4 vs brute force
+PASS distance-4 profile components vs brute force
+FAIL n-cycle counts T(k,n) vs brute force (8 case(s))
+     sum_k T(k,5) != 5!
+     sum_k T(k,6) != 6!
+     sum_k T(k,7) != 7!
+     sum_k T(k,8) != 8!
+     sum_k T(k,9) != 9!
+     ... and 3 more
+PASS transposition counts vs brute force
+PASS fixed-point-free involution counts vs brute force
+PASS block characterization and profile invariants
+PASS image cycle census
+PASS counts divisible by centralizer order
+PASS conjugation invariance of counts
+PASS even/odd split
+PASS single-cycle enumerator vs brute filter
+PASS fpf enumerator vs brute filter
+FAIL generating function coefficients (2 case(s))
+     T(5,5) EGF coefficient 40 != 45
+     T(5,6) EGF coefficient 288 != 324
+11/13 checks passed (n_max=4)
+"""
 
 
 class TestTable:

@@ -137,7 +137,7 @@ class TestEndpointCanonicalization:
         cycle = beta.cycles()[0]
         k = 3
         taus = list(construct.successor_free_kcycles(k))
-        outers = list(construct.outer_assignments(beta, 0, 0))
+        outers = list(construct.outer_assignments(beta, [0], [0]))
         hits: Counter = Counter()
         for points in itertools.combinations(sorted(cycle), k):
             for endpoint in points:

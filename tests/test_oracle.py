@@ -1,9 +1,10 @@
 import math
+from collections import Counter
 
 import pytest
 
-from kommute import oracle
-from kommute.perm import CycleType, Permutation, parse_permutation
+from kommute import blocks, oracle
+from kommute.perm import CycleType, Permutation, all_permutations, parse_permutation
 
 
 class TestEnumerateSn:
@@ -64,6 +65,44 @@ class TestDistribution:
     def test_worker_pool_smoke(self):
         beta = parse_permutation("(1 2 3 4)", 5)
         assert oracle.distribution(beta, jobs=2).counts == oracle.distribution(beta).counts
+
+    def test_worker_pool_is_capped(self, monkeypatch):
+        # a serial stand-in for the pool: no worker process is ever started
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
+        beta = parse_permutation("(1 2 3)(4 5)", 5)
+        want = oracle.distribution(beta)
+        # 1000 shards of S_5 leave 120 non-empty ones
+        assert oracle.distribution(beta, jobs=1000) == want
+        assert oracle.distribution(beta, jobs=3, shards=2) == want
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)
+        assert oracle.distribution(beta, jobs=8) == want
+        assert started == [4, 2, 1]
+
+    def test_census_matches_per_alpha_slow_path(self):
+        for n in range(1, 7):
+            alphas = list(all_permutations(n))
+            for t in CycleType.all_types(n):
+                beta = t.representative()
+                d = oracle.distribution(beta)
+                assert d.profiles == Counter(blocks.profile(a, beta) for a in alphas)
+                slow = Counter(a.commute_distance(beta) for a in alphas)
+                assert d.counts == {k: slow[k] for k in range(n + 1)}
 
     def test_bound(self):
         with pytest.raises(ValueError, match="exhaustive bound"):
