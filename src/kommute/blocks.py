@@ -21,10 +21,28 @@ back to 1 inside a length-m cycle.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .perm import Permutation
+
+
+class _Frame(NamedTuple):
+    """What every check against one beta needs of beta, computed once."""
+
+    cycles: tuple[tuple[int, ...], ...]  # beta.cycles(), canonical order
+    host: tuple[int, ...]  # host[p - 1]: length of the cycle through p
+
+
+@functools.lru_cache(maxsize=64)
+def _frame(word: tuple[int, ...]) -> _Frame:
+    cycles = Permutation._from_word(word).cycles()
+    host = [0] * len(word)
+    for cycle in cycles:
+        for p in cycle:
+            host[p - 1] = len(cycle)
+    return _Frame(cycles, tuple(host))
 
 
 def bad_points(alpha: Permutation, beta: Permutation) -> frozenset[int]:
@@ -51,12 +69,8 @@ def profile(alpha: Permutation, beta: Permutation) -> tuple[int, ...]:
     (4, 1)
     """
     bad = bad_points(alpha, beta)
-    parts = []
-    for cycle in beta.cycles():
-        c = sum(p in bad for p in cycle)
-        if c:
-            parts.append(c)
-    return as_profile(parts)
+    parts = [sum(p in bad for p in cycle) for cycle in _frame(beta.word).cycles]
+    return as_profile([c for c in parts if c])
 
 
 def as_profile(parts: Sequence[int]) -> tuple[int, ...]:
@@ -66,15 +80,12 @@ def as_profile(parts: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(parts, reverse=True))
 
 
-def _host_cycle(point: int, beta: Permutation) -> tuple[int, ...]:
-    # the cycle of beta through `point`, starting there
-    w = beta.word
-    cycle = [point]
-    j = w[point - 1] + 1
-    while j != point:
-        cycle.append(j)
-        j = w[j - 1] + 1
-    return tuple(cycle)
+def _is_block(points: list[int], word: tuple[int, ...], host: tuple[int, ...]) -> bool:
+    # a nonempty list, each point followed by its beta-image and no longer
+    # than the host cycle; such a string cannot repeat a point
+    return len(points) <= host[points[0] - 1] and [
+        word[a - 1] + 1 for a in points[:-1]
+    ] == points[1:]
 
 
 def is_block(points: Sequence[int], beta: Permutation) -> bool:
@@ -92,16 +103,31 @@ def is_block(points: Sequence[int], beta: Permutation) -> bool:
     False
     """
     points = list(points)
-    if not points or len(set(points)) != len(points):
+    n = beta.degree
+    if not points or not all(1 <= p <= n for p in points):
         return False
-    if len(points) > len(_host_cycle(points[0], beta)):
-        return False
-    w = beta.word
-    return all(w[a - 1] + 1 == b for a, b in zip(points, points[1:]))
+    return _is_block(points, beta.word, _frame(beta.word).host)
 
 
 def _is_proper_block(points: Sequence[int], beta: Permutation) -> bool:
-    return is_block(points, beta) and len(points) < len(_host_cycle(points[0], beta))
+    return is_block(points, beta) and len(points) < _frame(beta.word).host[points[0] - 1]
+
+
+def _cut(cycle: tuple[int, ...], bad: frozenset[int], start: int) -> list[list[int]]:
+    # the cycle read from position `start` (mod its length) in runs, each
+    # ending at a bad point; `start` must follow a bad point
+    m = len(cycle)
+    runs: list[list[int]] = []
+    run: list[int] = []
+    for step in range(m):
+        p = cycle[(start + step) % m]
+        run.append(p)
+        if p in bad:
+            runs.append(run)
+            run = []
+    if run:
+        raise ValueError(f"cycle walk from position {start} of {cycle} ends off a bad point")
+    return runs
 
 
 @dataclass(frozen=True)
@@ -140,7 +166,7 @@ def block_decomposition(
     Raises ValueError when alpha commutes with beta on that cycle: with no
     bad points there is nothing to cut.
     """
-    cycles = beta.cycles()
+    cycles = _frame(beta.word).cycles
     if not 0 <= cycle_index < len(cycles):
         raise ValueError(f"cycle index {cycle_index} out of range")
     cycle = cycles[cycle_index]
@@ -148,27 +174,15 @@ def block_decomposition(
     bad_pos = [i for i, p in enumerate(cycle) if p in bad]
     if not bad_pos:
         raise ValueError(f"cycle {cycle} commutes; no block decomposition")
-    m = len(cycle)
-    anchor = min(bad_pos, key=lambda i: cycle[i])
-    # previous bad position cyclically before the anchor (itself when alone)
-    prev = max(
-        bad_pos, key=lambda i: (i - anchor) % m if i != anchor else 0
+    anchor = bad_pos.index(min(bad_pos, key=lambda i: cycle[i]))
+    # start after the bad position cyclically before the anchor (itself when alone)
+    runs = _cut(cycle, bad, bad_pos[anchor - 1] + 1)
+    return BlockDecomposition(
+        cycle_index,
+        tuple(p for run in runs for p in run),
+        tuple(tuple(alpha(q) for q in run) for run in runs),
+        tuple(run[-1] for run in runs),
     )
-    start = (prev + 1) % m
-    domain: list[int] = []
-    blocks: list[tuple[int, ...]] = []
-    ends: list[int] = []
-    run: list[int] = []
-    for step in range(m):
-        p = cycle[(start + step) % m]
-        domain.append(p)
-        run.append(p)
-        if p in bad:
-            blocks.append(tuple(alpha(q) for q in run))
-            ends.append(p)
-            run = []
-    assert not run, "cycle walk must end at a bad point"
-    return BlockDecomposition(cycle_index, tuple(domain), tuple(blocks), tuple(ends))
 
 
 def verify_characterization(alpha: Permutation, beta: Permutation) -> bool:
@@ -189,33 +203,37 @@ def verify_characterization(alpha: Permutation, beta: Permutation) -> bool:
     alpha._check_degree(beta)
     k = alpha.commute_distance(beta)
     bad = bad_points(alpha, beta)
+    a, w = alpha.word, beta.word
+    cycles, host = _frame(w)
     total = 0
     all_points: list[int] = []
-    for idx, cycle in enumerate(beta.cycles()):
-        in_cycle = sum(p in bad for p in cycle)
-        if in_cycle == 0:
-            image = tuple(alpha(p) for p in cycle)
-            if not is_block(image, beta):
-                return False
-            if len(image) != len(_host_cycle(image[0], beta)):
+    for cycle in cycles:
+        ends = [i for i, p in enumerate(cycle) if p in bad]
+        if not ends:
+            image = [a[p - 1] + 1 for p in cycle]
+            if len(image) != host[image[0] - 1] or not _is_block(image, w, host):
                 return False
             continue
-        dec = block_decomposition(alpha, beta, idx)
-        ki = len(dec.blocks)
-        if ki != in_cycle:
+        # any rotation will do: every condition below is cyclic
+        try:
+            runs = _cut(cycle, bad, ends[-1] + 1)
+        except ValueError:
+            return False
+        ki = len(runs)
+        if ki != len(ends):
             return False
         total += ki
+        images = [[a[p - 1] + 1 for p in run] for run in runs]
         if ki == 1:
-            if not _is_proper_block(dec.blocks[0], beta):
+            first = images[0]
+            if len(first) >= host[first[0] - 1] or not _is_block(first, w, host):
                 return False
         else:
-            if not all(is_block(b, beta) for b in dec.blocks):
+            if not all(_is_block(b, w, host) for b in images):
                 return False
-            for i in range(ki):
-                merged = dec.blocks[i] + dec.blocks[(i + 1) % ki]
-                if is_block(merged, beta):
-                    return False
-        for b in dec.blocks:
+            if any(_is_block(images[i - 1] + images[i], w, host) for i in range(ki)):
+                return False
+        for b in images:
             all_points.extend(b)
     if len(all_points) != len(set(all_points)):
         return False

@@ -305,10 +305,11 @@ def _check_parity_split(n_max, max_n, hist) -> list[str]:
     for n, t, beta in _representatives(min(n_max, 6)):
         if t.has_distinct_odd_parts():
             continue
+        split = oracle.parity_split(beta, max_degree=max_n)
         for k, total in hist(beta).counts.items():
             if not total:
                 continue
-            even, odd = oracle.even_odd_split(beta, k, max_degree=max_n)
+            even, odd = split[k]
             if even != odd or even + odd != total:
                 bad.append(f"parity split n={n} type={t.parts()} k={k}: {even}/{odd}")
     return bad

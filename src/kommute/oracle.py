@@ -1,15 +1,32 @@
 """
 Exhaustive ground truth at small degree.
 
-Everything here counts by brute force over all n! permutations, so the
-results are exact and independent of any closed formula in
-:mod:`kommute.formulas`.  One scan, ``_scan``, walks S_n in the
-lexicographic order of one-line words and yields each alpha with its bad
-points; every function below reduces over it.  ``distribution`` shards
-that order into contiguous index ranges and counts each shard into a
-census of bad-point sets.  Censuses merge by addition, so the distance
-histogram and the profile counts derived from the merged census are
+Everything here counts every permutation alpha of S_n, so the results are
+exact and independent of any closed formula in :mod:`kommute.formulas`.
+
+``distribution`` walks beta's conjugacy class instead of S_n.  Write
+gamma = alpha*beta*alpha^{-1} and D(gamma) = {y : gamma(y) != beta(y)}.  The
+bad points of the pair are the alpha-preimages of D(gamma), so
+
+* the commutation distance is d(alpha, beta) = H(alpha*beta*alpha^{-1},
+  beta) = |D(gamma)|;
+* alpha's profile is the multiset of |D(gamma) & c| over the cycles c of
+  gamma;
+* each gamma comes from exactly |C(beta)| values of alpha, C(beta) being
+  the centralizer of beta.
+
+So the histogram and the profile counts over S_n are |C(beta)| times those
+over the n!/|C(beta)| elements of the class.  ``_class_walk`` generates
+each element once, with its cycles, by choosing the cycle through the
+smallest unused point at every step.  ``distribution`` shards the class on
+the first choice, the cycle through point 1, and counts each shard into a
+census of profiles; censuses merge by addition, so the result is
 identical for any shard or worker count.
+
+The filters and ``parity_split`` need the actual alpha, so they reduce
+over ``_scan``, which walks S_n in the lexicographic order of one-line
+words and yields each alpha with its bad points.  ``_census`` over that
+scan is the independent reference the class walk is tested against.
 
 Degrees are capped (default 8, so 40320 permutations per reference
 permutation) to keep full verification in the seconds range; raise the cap
@@ -21,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -70,18 +88,75 @@ def enumerate_sn(
 
 
 def _scan(
-    beta_word: tuple[int, ...], start: int, stop: int | None
+    beta_word: tuple[int, ...]
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    # (zero-based bad points, one-line word) for each alpha in [start, stop)
+    # (zero-based bad points, one-line word) for each alpha in S_n
     b = beta_word
     rng = range(len(b))
-    for a in itertools.islice(itertools.permutations(rng), start, stop):
+    for a in itertools.permutations(rng):
         yield tuple([i for i in rng if a[b[i]] != b[a[i]]]), a
 
 
-def _census(task: tuple) -> Counter:
-    # one shard: how many alpha have each bad-point set; pure, merged by addition
-    return Counter(bad for bad, _ in _scan(*task))
+def _census(beta_word: tuple[int, ...]) -> Counter:
+    # how many alpha in S_n have each bad-point set
+    return Counter(bad for bad, _ in _scan(beta_word))
+
+
+def _choices(
+    lengths: tuple[int, ...], points: tuple[int, ...]
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
+    # each cycle through points[0] with a length in `lengths`, with the
+    # lengths and the points it leaves
+    first, rest = points[0], points[1:]
+    for length in sorted(set(lengths), reverse=True):
+        i = lengths.index(length)
+        others = lengths[:i] + lengths[i + 1 :]
+        for tail in itertools.permutations(rest, length - 1):
+            left = tuple([p for p in rest if p not in tail]) if others else ()
+            yield (first,) + tail, others, left
+
+
+def _class_walk(
+    lengths: tuple[int, ...],
+    points: tuple[int, ...],
+    start: int = 0,
+    stop: int | None = None,
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """
+    Every permutation of ``points`` whose cycle lengths are the multiset
+    ``lengths``, once each, as its tuple of cycles.  The cycle through the
+    smallest unused point is chosen first, so each element has one path;
+    ``start`` and ``stop`` keep the first choices in that index range.
+
+    >>> sum(1 for _ in _class_walk((2, 1), (0, 1, 2)))
+    3
+    >>> next(_class_walk((2, 1), (0, 1, 2)))
+    ((0, 1), (2,))
+    """
+    for cycle, others, left in itertools.islice(_choices(lengths, points), start, stop):
+        if others.count(1) == len(others):
+            # what is left are fixed points: one way to finish
+            yield (cycle,) + tuple([(p,) for p in left])
+            continue
+        for more in _class_walk(others, left):
+            yield (cycle,) + more
+
+
+def _class_census(task: tuple) -> Counter:
+    # one shard of beta's class: how many gamma have each profile; pure,
+    # merged by addition
+    b, lengths, start, stop = task
+    image = b.__getitem__
+    walked: Counter = Counter()
+    for cycles in _class_walk(lengths, tuple(range(len(b))), start, stop):
+        # |D(gamma) & c| per cycle c, in walk order; gamma maps each point
+        # of c to the next one
+        walked[tuple([sum(map(operator.ne, map(image, c), c[1:] + c[:1])) for c in cycles])] += 1
+    # sorted into profiles once per distinct tuple, not once per gamma
+    census: Counter = Counter()
+    for parts, c in walked.items():
+        census[tuple(sorted([p for p in parts if p], reverse=True))] += c
+    return census
 
 
 def _cycle_of(beta: Permutation) -> dict[int, int]:
@@ -127,10 +202,10 @@ def distribution(
 ) -> KDistribution:
     """
     The full histogram {k: #alpha at commutation distance k from beta} and
-    the profile counts {profile: #alpha}, computed exhaustively.  ``jobs``
-    > 1 fans the shards out over a process pool of at most ``jobs``
-    workers, capped by the CPU and shard counts; the result does not
-    depend on jobs or shard count.
+    the profile counts {profile: #alpha}, computed exhaustively from beta's
+    conjugacy class.  ``jobs`` > 1 fans the shards out over a process pool
+    of at most ``jobs`` workers, capped by the CPU and shard counts; the
+    result does not depend on jobs or shard count.
 
     >>> {p: c for p, c in distribution(
     ...     Permutation.from_cycles([(1, 2, 3), (4, 5)], 5)
@@ -139,28 +214,30 @@ def distribution(
     """
     n = beta.degree
     _check_degree(n, max_degree)
-    total = math.factorial(n)
+    ctype = beta.cycle_type()
+    lengths = ctype.parts()
+    firsts = sum(math.perm(n - 1, length - 1) for length in set(lengths))
     if shards is None:
         shards = jobs if jobs > 1 else 1
-    bounds = [(total * i) // shards for i in range(shards + 1)]
+    bounds = [(firsts * i) // shards for i in range(shards + 1)]
     tasks = [
-        (beta.word, bounds[i], bounds[i + 1])
+        (beta.word, lengths, bounds[i], bounds[i + 1])
         for i in range(shards)
         if bounds[i] < bounds[i + 1]
     ]
     if jobs > 1:
         workers = min(jobs, os.cpu_count() or 1, len(tasks))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_census, tasks))
+            partials = list(pool.map(_class_census, tasks))
     else:
-        partials = [_census(t) for t in tasks]
+        partials = [_class_census(t) for t in tasks]
     census: Counter = sum(partials, Counter())
+    order = ctype.centralizer_order()
     counts = dict.fromkeys(range(n + 1), 0)
     profiles: Counter = Counter()
-    cycle_of = _cycle_of(beta)
-    for bad, c in census.items():
-        counts[len(bad)] += c
-        profiles[_profile(bad, cycle_of)] += c
+    for prof, c in census.items():
+        counts[sum(prof)] += c * order
+        profiles[prof] = c * order
     return KDistribution(n, beta, counts, profiles)
 
 
@@ -184,7 +261,7 @@ def filter_by_profile(
     cycle_of = _cycle_of(beta)
     return {
         Permutation._from_word(a)
-        for bad, a in _scan(beta.word, 0, None)
+        for bad, a in _scan(beta.word)
         if _profile(bad, cycle_of) == want
     }
 
@@ -196,23 +273,34 @@ def filter_by_distance(
     _check_degree(beta.degree, max_degree)
     return {
         Permutation._from_word(a)
-        for bad, a in _scan(beta.word, 0, None)
+        for bad, a in _scan(beta.word)
         if len(bad) == k
     }
+
+
+def parity_split(
+    beta: Permutation, max_degree: int | None = None
+) -> dict[int, tuple[int, int]]:
+    """
+    {k: (even, odd)} counts among the permutations at each distance k =
+    0..n from beta, from one scan of S_n.
+    """
+    n = beta.degree
+    _check_degree(n, max_degree)
+    even, odd = [0] * (n + 1), [0] * (n + 1)
+    for bad, a in _scan(beta.word):
+        if Permutation._from_word(a).is_even():
+            even[len(bad)] += 1
+        else:
+            odd[len(bad)] += 1
+    return {k: (even[k], odd[k]) for k in range(n + 1)}
 
 
 def even_odd_split(
     beta: Permutation, k: int, max_degree: int | None = None
 ) -> tuple[int, int]:
     """(even, odd) counts among the permutations at distance k from beta."""
-    _check_degree(beta.degree, max_degree)
-    parities = [
-        Permutation._from_word(a).is_even()
-        for bad, a in _scan(beta.word, 0, None)
-        if len(bad) == k
-    ]
-    even = sum(parities)
-    return even, len(parities) - even
+    return parity_split(beta, max_degree).get(k, (0, 0))
 
 
 # -- auxiliary sequences, by direct enumeration -------------------------------

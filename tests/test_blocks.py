@@ -9,6 +9,54 @@ BETA7 = parse_permutation("(1 2 4 5 3)(7 6)", 7)
 ALPHA7 = parse_permutation("(2 7)(3 6 4 5)", 7)
 
 
+def naive_characterization(alpha, beta, bad=None):
+    """
+    The block characterization restated from beta.cycles() and the one-line
+    words alone; ``bad`` replaces the bad points when given.
+    """
+    a, b = alpha.word, beta.word
+    n = len(a)
+    distance = sum(a[b[i]] != b[a[i]] for i in range(n))
+    if bad is None:
+        bad = {i + 1 for i in range(n) if a[b[i]] != b[a[i]]}
+    cycles = beta.cycles()
+    length_of = {p: len(c) for c in cycles for p in c}
+
+    def block(points):
+        return len(points) <= length_of[points[0]] and all(
+            b[p - 1] + 1 == q for p, q in zip(points, points[1:])
+        )
+
+    total = 0
+    images = []
+    for cycle in cycles:
+        marks = [i for i, p in enumerate(cycle) if p in bad]
+        if not marks:
+            image = [a[p - 1] + 1 for p in cycle]
+            if not (block(image) and len(image) == length_of[image[0]]):
+                return False
+            continue
+        m = len(cycle)
+        runs, run = [], []
+        for j in range(m):
+            p = cycle[(marks[0] + 1 + j) % m]
+            run.append(a[p - 1] + 1)
+            if p in bad:
+                runs.append(run)
+                run = []
+        total += len(runs)
+        if len(runs) == 1:
+            if not (block(runs[0]) and len(runs[0]) < length_of[runs[0][0]]):
+                return False
+        elif not all(block(r) for r in runs) or any(
+            block(runs[i] + runs[(i + 1) % len(runs)]) for i in range(len(runs))
+        ):
+            return False
+        for r in runs:
+            images.extend(r)
+    return len(images) == len(set(images)) and total == distance
+
+
 class TestBadPoints:
     def test_commuting_pair(self):
         b = parse_permutation("(1 2 3)", 5)
@@ -71,6 +119,11 @@ class TestIsBlock:
         assert blocks.is_block([2, 4], pi)
         assert not blocks.is_block([2, 5], pi)
 
+    def test_points_out_of_range(self):
+        pi = parse_permutation("(1 2 3)", 4)
+        assert not blocks.is_block([0], pi)
+        assert not blocks.is_block([3, 5], pi)
+
 
 class TestBlockDecomposition:
     def test_worked_example_big_cycle(self):
@@ -107,6 +160,12 @@ class TestBlockDecomposition:
                 assert sorted(dec.domain) == sorted(cycle)
                 assert set(dec.bad_points) == {p for p in cycle if p in bad}
 
+    def test_walk_ending_off_a_bad_point_raises(self):
+        # a raise, not an assert, so that python -O keeps the check
+        with pytest.raises(ValueError, match="bad point"):
+            blocks._cut((1, 2, 3), frozenset({2}), 0)
+        assert blocks._cut((1, 2, 3), frozenset({2}), 2) == [[3, 1, 2]]
+
     def test_json_shape(self):
         d = blocks.block_decomposition(ALPHA7, BETA7, 1).to_json_dict()
         assert d == {"cycle": [7, 6], "blocks": [[2, 4]], "bad_points": [6]}
@@ -126,6 +185,36 @@ class TestVerifyCharacterization:
         b = parse_permutation("(1 2 3 4 5 6)", 6)
         for a in all_permutations(6):
             assert blocks.verify_characterization(a, b)
+
+    def test_matches_naive_restatement(self):
+        for n in range(1, 6):
+            perms = list(all_permutations(n))
+            for b in perms:
+                for a in perms:
+                    assert blocks.verify_characterization(a, b) == naive_characterization(a, b)
+
+    def test_fails_when_a_bad_point_is_dropped(self, monkeypatch):
+        # a check drifting to always-True cannot pass this
+        exact = blocks.bad_points
+        for n in range(3, 5):
+            perms = list(all_permutations(n))
+            for b in perms:
+                for a in perms:
+                    for drop in exact(a, b):
+                        dropped = exact(a, b) - {drop}
+                        monkeypatch.setattr(blocks, "bad_points", lambda *_: dropped)
+                        assert not blocks.verify_characterization(a, b)
+                        assert not naive_characterization(a, b, dropped)
+                        monkeypatch.setattr(blocks, "bad_points", exact)
+
+    def test_broken_walk_is_a_failure(self, monkeypatch):
+        def broken(cycle, bad, start):
+            raise ValueError("walk broken")
+
+        monkeypatch.setattr(blocks, "_cut", broken)
+        assert blocks.verify_characterization(ALPHA7, BETA7) is False
+        with pytest.raises(ValueError, match="walk broken"):
+            blocks.block_decomposition(ALPHA7, BETA7, 0)
 
 
 class TestStructuralInvariants:

@@ -1,9 +1,10 @@
+import functools
 import json
 import subprocess
 import sys
 from collections import Counter
 
-from kommute import cli, formulas, oracle
+from kommute import blocks, cli, formulas, oracle
 from kommute.perm import parse_permutation
 
 
@@ -71,6 +72,16 @@ class TestCount:
         _, out1, _ = run_cli(capsys, *argv, "--jobs", "1")
         _, out2, _ = run_cli(capsys, *argv, "--jobs", "2")
         assert out1 == out2
+
+    def test_brute_golden_output(self, capsys):
+        for beta, want in COUNT_BRUTE_S7.items():
+            for jobs in ("1", "2"):
+                got = [
+                    run_cli(capsys, "count", "--beta", beta, "--n", "7", "--k", str(k),
+                            "--method", "brute", "--jobs", jobs)
+                    for k in range(8)
+                ]
+                assert got == [(0, line + "\n", "") for line in want.splitlines()], (beta, jobs)
 
 
 class TestEnumerate:
@@ -161,6 +172,28 @@ class TestVerify:
         assert not any(failures for _, failures in results)
         assert scans and set(scans.values()) == {1}
 
+    def test_parity_split_scans_each_beta_once(self, monkeypatch):
+        scans: Counter = Counter()
+        scan = oracle._scan
+
+        def counting(beta_word):
+            scans[beta_word] += 1
+            return scan(beta_word)
+
+        monkeypatch.setattr(oracle, "_scan", counting)
+        hist = functools.lru_cache(maxsize=None)(oracle.distribution)
+        assert cli._check_parity_split(7, 7, hist) == []
+        assert scans and set(scans.values()) == {1}
+
+    def test_broken_block_walk_fails_verify(self, capsys, monkeypatch):
+        def broken(cycle, bad, start):
+            raise ValueError("walk broken")
+
+        monkeypatch.setattr(blocks, "_cut", broken)
+        code, out, _ = run_cli(capsys, "verify", "--n-max", "4")
+        assert code == 3
+        assert "FAIL block characterization and profile invariants" in out
+
 
 VERIFY_6 = """\
 PASS closed forms k<=4 vs brute force
@@ -203,6 +236,41 @@ FAIL generating function coefficients (2 case(s))
      T(5,6) EGF coefficient 288 != 324
 11/13 checks passed (n_max=4)
 """
+
+
+# count --method brute for k = 0..7, the same for any --jobs
+COUNT_BRUTE_S7 = {
+    "(1 2 3 4 5 6 7)": """\
+{"beta": "(1 2 3 4 5 6 7)", "count": "7", "k": 0, "method": "brute", "n": 7, "provenance": "exhaustive"}
+{"beta": "(1 2 3 4 5 6 7)", "count": "0", "k": 1, "method": "brute", "n": 7, "provenance": "exhaustive"}
+{"beta": "(1 2 3 4 5 6 7)", "count": "0", "k": 2, "method": "brute", "n": 7, "provenance": "exhaustive"}
+{"beta": "(1 2 3 4 5 6 7)", "count": "245", "k": 3, "method": "brute", "n": 7, "provenance": "exhaustive"}
+{"beta": "(1 2 3 4 5 6 7)", "count": "245", "k": 4, "method": "brute", "n": 7, "provenance": "exhaustive"}
+{"beta": "(1 2 3 4 5 6 7)", "count": "1176", "k": 5, "method": "brute", "n": 7, "provenance": "exhaustive"}
+{"beta": "(1 2 3 4 5 6 7)", "count": "1764", "k": 6, "method": "brute", "n": 7, "provenance": "exhaustive"}
+{"beta": "(1 2 3 4 5 6 7)", "count": "1603", "k": 7, "method": "brute", "n": 7, "provenance": "exhaustive"}
+""",
+    "(1 2 3 4)(5 6 7)": """\
+{"beta": "(1 2 3 4)(5 6 7)", "count": "12", "k": 0, "method": "brute", "n": 7, "provenance": "exhaustive"}
+{"beta": "(1 2 3 4)(5 6 7)", "count": "0", "k": 1, "method": "brute", "n": 7, "provenance": "exhaustive"}
+{"beta": "(1 2 3 4)(5 6 7)", "count": "0", "k": 2, "method": "brute", "n": 7, "provenance": "exhaustive"}
+{"beta": "(1 2 3 4)(5 6 7)", "count": "204", "k": 3, "method": "brute", "n": 7, "provenance": "exhaustive"}
+{"beta": "(1 2 3 4)(5 6 7)", "count": "300", "k": 4, "method": "brute", "n": 7, "provenance": "exhaustive"}
+{"beta": "(1 2 3 4)(5 6 7)", "count": "1152", "k": 5, "method": "brute", "n": 7, "provenance": "exhaustive"}
+{"beta": "(1 2 3 4)(5 6 7)", "count": "1776", "k": 6, "method": "brute", "n": 7, "provenance": "exhaustive"}
+{"beta": "(1 2 3 4)(5 6 7)", "count": "1596", "k": 7, "method": "brute", "n": 7, "provenance": "exhaustive"}
+""",
+    "(1 2 3)(4 5)(6 7)": """\
+{"beta": "(1 2 3)(4 5)(6 7)", "count": "24", "k": 0, "method": "brute", "n": 7, "provenance": "exhaustive"}
+{"beta": "(1 2 3)(4 5)(6 7)", "count": "0", "k": 1, "method": "brute", "n": 7, "provenance": "exhaustive"}
+{"beta": "(1 2 3)(4 5)(6 7)", "count": "0", "k": 2, "method": "brute", "n": 7, "provenance": "exhaustive"}
+{"beta": "(1 2 3)(4 5)(6 7)", "count": "312", "k": 3, "method": "brute", "n": 7, "provenance": "exhaustive"}
+{"beta": "(1 2 3)(4 5)(6 7)", "count": "336", "k": 4, "method": "brute", "n": 7, "provenance": "exhaustive"}
+{"beta": "(1 2 3)(4 5)(6 7)", "count": "864", "k": 5, "method": "brute", "n": 7, "provenance": "exhaustive"}
+{"beta": "(1 2 3)(4 5)(6 7)", "count": "1728", "k": 6, "method": "brute", "n": 7, "provenance": "exhaustive"}
+{"beta": "(1 2 3)(4 5)(6 7)", "count": "1776", "k": 7, "method": "brute", "n": 7, "provenance": "exhaustive"}
+""",
+}
 
 
 class TestTable:

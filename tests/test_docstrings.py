@@ -7,7 +7,7 @@ from kommute import blocks, construct, formulas, oracle, perm, series
 
 @pytest.mark.parametrize(
     "module,examples",
-    [(perm, 10), (blocks, 6), (construct, 1), (formulas, 2), (oracle, 1), (series, 0)],
+    [(perm, 10), (blocks, 6), (construct, 1), (formulas, 2), (oracle, 3), (series, 0)],
 )
 def test_docstring_examples(module, examples):
     failures, attempted = doctest.testmod(module)

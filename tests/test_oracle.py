@@ -1,10 +1,27 @@
+import json
 import math
+import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from kommute import blocks, oracle
 from kommute.perm import CycleType, Permutation, all_permutations, parse_permutation
+
+# brute-force histograms computed without kommute, read-only here
+REFERENCE_HISTOGRAMS = Path(__file__).resolve().parents[1] / "perfbench" / "reference_histograms.json"
+
+
+def sn_reduction(beta):
+    """counts and profiles from the census of the plain S_n scan."""
+    counts = dict.fromkeys(range(beta.degree + 1), 0)
+    profiles: Counter = Counter()
+    cycle_of = oracle._cycle_of(beta)
+    for bad, c in oracle._census(beta.word).items():
+        counts[len(bad)] += c
+        profiles[oracle._profile(bad, cycle_of)] += c
+    return counts, profiles
 
 
 class TestEnumerateSn:
@@ -57,10 +74,11 @@ class TestDistribution:
         assert {k: c for k, c in d.counts.items() if c} == {0: 5, 3: 50, 4: 25, 5: 40}
 
     def test_shard_count_does_not_matter(self):
-        beta = parse_permutation("(1 2 3)(4 5)", 5)
-        one = oracle.distribution(beta, shards=1)
-        many = oracle.distribution(beta, shards=7)
-        assert one.counts == many.counts
+        for text, n in [("(1 2 3)(4 5)", 5), ("(1 2 3 4 5 6)", 6), ("(1 2)(3 4)", 6), ("()", 4)]:
+            beta = parse_permutation(text, n)
+            one = oracle.distribution(beta, shards=1)
+            assert oracle.distribution(beta, shards=7) == one
+            assert oracle.distribution(beta, shards=1000) == one
 
     def test_worker_pool_smoke(self):
         beta = parse_permutation("(1 2 3 4)", 5)
@@ -103,6 +121,37 @@ class TestDistribution:
                 assert d.profiles == Counter(blocks.profile(a, beta) for a in alphas)
                 slow = Counter(a.commute_distance(beta) for a in alphas)
                 assert d.counts == {k: slow[k] for k in range(n + 1)}
+
+    def test_class_walk_matches_sn_census(self):
+        rng = random.Random(7)
+        for n in range(1, 9):
+            for t in CycleType.all_types(n):
+                betas = [t.representative()]
+                if n <= 7:
+                    images = list(range(1, n + 1))
+                    rng.shuffle(images)
+                    betas.append(betas[0].conjugate_by(Permutation(images)))
+                for beta in betas:
+                    d = oracle.distribution(beta)
+                    assert (d.counts, d.profiles) == sn_reduction(beta), beta
+
+    def test_counts_match_reference_table(self):
+        table = json.loads(REFERENCE_HISTOGRAMS.read_text(encoding="utf-8"))
+        for n in range(1, 9):
+            for t in CycleType.all_types(n):
+                d = oracle.distribution(t.representative())
+                key = ".".join(map(str, t.parts()))
+                assert [d[k] for k in range(n + 1)] == table[key], key
+
+    def test_class_walk_visits_each_element_once(self):
+        for n in range(1, 8):
+            for t in CycleType.all_types(n):
+                walked = [
+                    Permutation.from_cycles([[p + 1 for p in c] for c in cycles], n)
+                    for cycles in oracle._class_walk(t.parts(), tuple(range(n)))
+                ]
+                assert len(set(walked)) == len(walked) == math.factorial(n) // t.centralizer_order()
+                assert {g.cycle_type() for g in walked} == {t}
 
     def test_bound(self):
         with pytest.raises(ValueError, match="exhaustive bound"):
@@ -153,6 +202,18 @@ class TestEvenOddSplit:
         for n in (2, 3, 4):
             half = math.factorial(n) // 2
             assert oracle.even_odd_split(Permutation.identity(n), 0) == (half, half)
+
+    def test_parity_split_matches_per_alpha_slow_path(self):
+        for text, n in [("(1 2)", 4), ("(1 2 3)", 4), ("(1 2)(3 4 5)", 5)]:
+            beta = parse_permutation(text, n)
+            want = {k: [0, 0] for k in range(n + 1)}
+            for a in all_permutations(n):
+                want[a.commute_distance(beta)][0 if a.is_even() else 1] += 1
+            split = oracle.parity_split(beta)
+            assert split == {k: tuple(v) for k, v in want.items()}
+            assert [oracle.even_odd_split(beta, k) for k in range(n + 2)] == [
+                split[k] for k in range(n + 1)
+            ] + [(0, 0)]
 
     def test_distinct_odd_type_recorded_not_equal(self):
         # (1 2 3) in S_4 has distinct odd parts; only totals are guaranteed
