@@ -278,3 +278,11 @@ def deranged_matching_egf_ok(
     )
     product = series_a * exp(x) * sqrt_one_plus(x.scale(-2))
     return product == one(order, 0)
+
+
+def successor_free_egf_ok(order: int) -> bool:
+    """Check sum_k f(k) x**k / k! == e**(-x) * (1 - log(1 - x)) to the given order."""
+    f = formulas.successor_free_cycles
+    lhs = {(k, 0): Fraction(f(k), math.factorial(k)) for k in range(order + 1)}
+    x = monomial(1, 0, order, 0)
+    return BivariateSeries(order, 0, lhs) == exp(-x) * (one(order, 0) - log_one_plus(-x))

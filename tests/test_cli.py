@@ -1,11 +1,13 @@
 import functools
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
 
-from kommute import blocks, cli, formulas, oracle
-from kommute.perm import parse_permutation
+import kommute
+from kommute import blocks, cli, formulas, oracle, verify
+from kommute.perm import CycleType, parse_permutation
 
 
 def run_cli(capsys, *argv):
@@ -154,6 +156,13 @@ class TestVerify:
         assert code == 1
         assert "cap" in err
 
+    def test_n_max_below_two_rejected(self, capsys):
+        # below degree 2 there is nothing to compare against brute force
+        for n_max in ("1", "0", "-3"):
+            code, out, err = run_cli(capsys, "verify", "--n-max", n_max)
+            assert (code, out) == (1, "")
+            assert "--n-max must be between 2 and" in err
+
     def test_golden_output(self, capsys):
         assert run_cli(capsys, "verify", "--n-max", "6") == (0, VERIFY_6, "")
         got = run_cli(capsys, "verify", "--n-max", "4", "--corrupt-f")
@@ -168,7 +177,7 @@ class TestVerify:
             return exhaustive(beta, *args, **kwargs)
 
         monkeypatch.setattr(oracle, "distribution", counting)
-        results = cli.verification_checks(7, max_n=7)
+        results = verify.verification_checks(7, max_n=7)
         assert not any(failures for _, failures in results)
         assert scans and set(scans.values()) == {1}
 
@@ -182,8 +191,22 @@ class TestVerify:
 
         monkeypatch.setattr(oracle, "_scan", counting)
         hist = functools.lru_cache(maxsize=None)(oracle.distribution)
-        assert cli._check_parity_split(7, 7, hist) == []
+        assert verify._check_parity_split(7, 7, hist) == []
         assert scans and set(scans.values()) == {1}
+
+    def test_one_sn_walk_per_beta(self, monkeypatch):
+        walks: Counter = Counter()
+        walk = oracle.enumerate_sn
+
+        def counting(n, *args, **kwargs):
+            walks[n] += 1
+            return walk(n, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "enumerate_sn", counting)
+        results = verify.verification_checks(6, max_n=6)
+        assert not any(failures for _, failures in results)
+        assert walks == {n: sum(1 for _ in CycleType.all_types(n)) for n in range(2, 7)}
+        assert sum(walks.values()) == 28
 
     def test_broken_block_walk_fails_verify(self, capsys, monkeypatch):
         def broken(cycle, bad, start):
@@ -346,6 +369,13 @@ class TestOeis:
         assert run_cli(capsys, "oeis", "--sequence", "A000757", "--count", "501")[0] == 1
 
 
+def child_env(**extra):
+    # a child interpreter imports the kommute this process imported, also
+    # when pytest found it through its own pythonpath setting
+    path = [os.path.dirname(os.path.dirname(kommute.__file__)), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), **extra)
+
+
 class TestSubprocess:
     # end-to-end through the real interpreter, including a worker pool
 
@@ -354,6 +384,7 @@ class TestSubprocess:
             [sys.executable, "-m", "kommute.cli", *argv],
             capture_output=True,
             text=True,
+            env=child_env(),
             timeout=300,
         )
 
@@ -372,9 +403,7 @@ class TestSubprocess:
         assert one.stdout == two.stdout
 
     def test_env_var_raises_bound(self):
-        import os
-
-        env = dict(os.environ, KOMMUTE_MAX_BRUTE_N="4")
+        env = child_env(KOMMUTE_MAX_BRUTE_N="4")
         proc = subprocess.run(
             [sys.executable, "-m", "kommute.cli", *"count --beta (1,2) --n 5 --k 3 --method brute".split()],
             capture_output=True,

@@ -105,7 +105,8 @@ class TestDistribution:
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
         beta = parse_permutation("(1 2 3)(4 5)", 5)
         want = oracle.distribution(beta)
-        # 1000 shards of S_5 leave 120 non-empty ones
+        # 1000 first-choice shards leave 16 non-empty ones: the 12 three-cycles
+        # and 4 two-cycles of the class of (1 2 3)(4 5) through point 1
         assert oracle.distribution(beta, jobs=1000) == want
         assert oracle.distribution(beta, jobs=3, shards=2) == want
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)

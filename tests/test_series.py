@@ -169,3 +169,13 @@ class TestSuccessorFreeEgfIdentity:
         )
         rhs = series.exp(-x) * (one(order, 0) - series.log_one_plus(-x))
         assert lhs == rhs
+
+    def test_library_check_holds_to_order_nine(self):
+        assert series.successor_free_egf_ok(9)
+
+    def test_perturbation_detected(self, monkeypatch):
+        exact = formulas.successor_free_cycles
+        monkeypatch.setattr(
+            formulas, "successor_free_cycles", lambda k: exact(k) + (k == 5)
+        )
+        assert not series.successor_free_egf_ok(9)
