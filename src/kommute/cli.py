@@ -22,6 +22,7 @@ import argparse
 import csv
 import itertools
 import json
+import operator
 import sys
 from typing import Callable, Iterable, Sequence
 
@@ -137,7 +138,8 @@ def run_enumerate(args) -> int:
         if args.k % 2:
             raise ValueError("fpf distances are even; got odd k")
         found = construct.enumerate_fpf(beta, args.k // 2)
-    for alpha in sorted(found, key=lambda a: a.images):
+    # words sort as the one-line images do (images = word + 1)
+    for alpha in sorted(found, key=operator.attrgetter("word")):
         if args.json:
             record = {
                 "alpha": alpha.cycle_string(),

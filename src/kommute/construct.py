@@ -19,8 +19,10 @@ degree (both facts are exercised by the test suite).
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
-from typing import Collection, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterator, Mapping, Sequence
 
 from .perm import Permutation
 
@@ -105,8 +107,26 @@ def outer_assignments(
     map onto cycles of the same length, each with a free rotation.
     ``sources`` and ``targets`` index cycles of beta in canonical cycle
     order and must have the same multiset of lengths.  Deterministic order
-    (lengths ascending, then cycle order, rotations last).
+    (lengths ascending, then cycle order, rotations last), decoded from the
+    index of each map, so ``build_single_cycle`` can jump to one.
     """
+    layout = _outer_layout(beta, sources, targets)
+    total = math.prod(
+        length ** len(dcycles) * math.factorial(len(dcycles))
+        for length, dcycles, _ in layout
+    )
+    for index in range(total):
+        yield _outer_map(layout, index)
+
+
+# (length, domain cycles, codomain cycles) outside the source and the target
+# cycles, lengths ascending
+_OuterLayout = list[tuple[int, list[tuple[int, ...]], list[tuple[int, ...]]]]
+
+
+def _outer_layout(
+    beta: Permutation, sources: Collection[int], targets: Collection[int]
+) -> _OuterLayout:
     cycles = beta.cycles()
     if not all(0 <= i < len(cycles) for i in (*sources, *targets)):
         raise ValueError("cycle index out of range")
@@ -121,52 +141,40 @@ def outer_assignments(
             dom.setdefault(len(cycle), []).append(cycle)
         if i not in targets:
             cod.setdefault(len(cycle), []).append(cycle)
-    lengths = sorted(dom)
-
-    def expand(idx: int) -> Iterator[dict[int, int]]:
-        if idx == len(lengths):
-            yield {}
-            return
-        length = lengths[idx]
-        dcycles, ccycles = dom[length], cod[length]
-        for rest in expand(idx + 1):
-            for perm in itertools.permutations(range(len(ccycles))):
-                for rots in itertools.product(range(length), repeat=len(dcycles)):
-                    mapping = dict(rest)
-                    for d, (ci, rot) in zip(dcycles, zip(perm, rots)):
-                        c = ccycles[ci]
-                        for pos, point in enumerate(d):
-                            mapping[point] = c[(pos + rot) % length]
-                    yield mapping
-
-    yield from expand(0)
+    return [(length, dom[length], cod[length]) for length in sorted(dom)]
 
 
-def _core_row_mapping(
+def _outer_map(layout: _OuterLayout, index: int) -> dict[int, int]:
+    # mixed-radix decode; per length, shortest first: the rotations of the
+    # domain cycles (the last one fastest), then the lexicographic rank of
+    # the permutation that picks each domain cycle's target cycle
+    mapping: dict[int, int] = {}
+    for length, dcycles, ccycles in layout:
+        c = len(dcycles)
+        index, rots = divmod(index, length**c)
+        index, rank = divmod(index, math.factorial(c))
+        free = list(ccycles)
+        for i, d in enumerate(dcycles):
+            pick, rank = divmod(rank, math.factorial(c - 1 - i))
+            target = free.pop(pick)
+            rot = rots // length ** (c - 1 - i) % length
+            for pos, point in enumerate(d):
+                mapping[point] = target[(pos + rot) % length]
+    if index:
+        raise ValueError("outer index out of range")
+    return mapping
+
+
+def _cut(
     cycle_from: tuple[int, ...],
     cycle_to: tuple[int, ...],
     points: Sequence[int],
-    tau: Permutation,
-    start: int,
-) -> dict[int, int]:
-    # canonical form: the improper block ends at the largest selected point,
-    # which is what makes the parameterization duplicate-free
-    return _core_row_mapping_any_end(
-        cycle_from, cycle_to, points, tau, start, max(points)
-    )
-
-
-def _core_row_mapping_any_end(
-    cycle_from: tuple[int, ...],
-    cycle_to: tuple[int, ...],
-    points: Sequence[int],
-    tau: Permutation,
-    start: int,
     endpoint: int,
-) -> dict[int, int]:
-    # map the source cycle onto the block permutation of the target cycle;
-    # with a free endpoint every witness is produced k times (once per
-    # selected point), with the canonical endpoint exactly once
+) -> list[list[int]]:
+    # cut the target cycle into k blocks, each ending at a selected point,
+    # the improper one at endpoint; with a free endpoint every witness is
+    # produced k times (once per selected point), with the canonical
+    # endpoint (the largest selected point) exactly once
     m = len(cycle_from)
     k = len(points)
     selected = set(points)
@@ -178,27 +186,48 @@ def _core_row_mapping_any_end(
         raise ValueError("the construction needs k >= 3")
     if m < k:
         raise ValueError(f"cycle length {m} is below k={k}")
-    if tau.degree != k or len(tau.cycles()) != 1 or not _successor_free(tau):
-        raise ValueError("tau must be a successor-free k-cycle")
-    if start not in cycle_from:
-        raise ValueError("start must lie in the source cycle")
     if endpoint not in selected:
         raise ValueError("the improper block must end at a selected point")
-    pos = cycle_to.index(endpoint)
-    improper = [cycle_to[(pos + 1 + t) % m] for t in range(m)]
-    blocks: list[tuple[int, ...]] = []
+    pos = cycle_to.index(endpoint) + 1
+    blocks: list[list[int]] = []
     run: list[int] = []
-    for p in improper:
+    for p in cycle_to[pos:] + cycle_to[:pos]:
         run.append(p)
         if p in selected:
-            blocks.append(tuple(run))
+            blocks.append(run)
             run = []
-    image_row = [
-        p for label in canonical_cycle_word(tau) for p in blocks[label - 1]
-    ]
+    return blocks
+
+
+def _tau_order(tau: Permutation, k: int) -> tuple[int, ...]:
+    # the order in which tau arranges the blocks
+    if tau.degree != k or len(tau.cycles()) != 1 or not _successor_free(tau):
+        raise ValueError("tau must be a successor-free k-cycle")
+    return canonical_cycle_word(tau)
+
+
+def _image_row(blocks: list[list[int]], order: Sequence[int]) -> list[int]:
+    # the images of the source cycle read from its start: the blocks in
+    # tau's order
+    return [p for label in order for p in blocks[label - 1]]
+
+
+def _core_row_mapping_any_end(
+    cycle_from: tuple[int, ...],
+    cycle_to: tuple[int, ...],
+    points: Sequence[int],
+    tau: Permutation,
+    start: int,
+    endpoint: int,
+) -> dict[int, int]:
+    # map the source cycle, read from start, onto the block permutation of
+    # the target cycle
+    blocks = _cut(cycle_from, cycle_to, points, endpoint)
+    order = _tau_order(tau, len(points))
+    if start not in cycle_from:
+        raise ValueError("start must lie in the source cycle")
     s = cycle_from.index(start)
-    domain_row = [cycle_from[(s + t) % m] for t in range(m)]
-    return dict(zip(domain_row, image_row))
+    return dict(zip(cycle_from[s:] + cycle_from[:s], _image_row(blocks, order)))
 
 
 def _assemble(n: int, *mappings: Mapping[int, int]) -> Permutation:
@@ -209,6 +238,27 @@ def _assemble(n: int, *mappings: Mapping[int, int]) -> Permutation:
     return Permutation(images)
 
 
+def _layout(
+    n: int, inner_points: Sequence[int]
+) -> tuple[Callable[[list[int]], tuple[int, ...]], list[int]]:
+    # a gather that turns the zero-based images of inner_points (in that
+    # order) followed by those of the other points (ascending) into a
+    # zero-based one-line word, and the other points; n >= 2 here, so the
+    # gather returns a tuple
+    inner = set(inner_points)
+    outer_points = [p for p in range(1, n + 1) if p not in inner]
+    slot = {p: i for i, p in enumerate([*inner_points, *outer_points])}
+    return operator.itemgetter(*(slot[p] for p in range(1, n + 1))), outer_points
+
+
+def _witness(word: tuple[int, ...], identity: list[int]) -> Permutation:
+    # the bijection check of Permutation.__init__ on a zero-based word
+    if sorted(word) != identity:
+        images = tuple(x + 1 for x in word)
+        raise ValueError(f"images {images} are not a bijection of 1..{len(word)}")
+    return Permutation._from_word(word)
+
+
 def build_single_cycle(beta: Permutation, choice: SingleCycleChoice) -> Permutation:
     """
     Realize one choice tuple as a permutation alpha.  The result is at
@@ -217,21 +267,18 @@ def build_single_cycle(beta: Permutation, choice: SingleCycleChoice) -> Permutat
     source cycle.
     """
     cycles = beta.cycles()
-    core = _core_row_mapping(
+    # canonical form: the improper block ends at the largest selected point,
+    # which is what makes the parameterization duplicate-free
+    core = _core_row_mapping_any_end(
         cycles[choice.source],
         cycles[choice.target],
         choice.points,
         choice.tau,
         choice.start,
+        max(choice.points),
     )
-    outer = next(
-        itertools.islice(
-            outer_assignments(beta, (choice.source,), (choice.target,)),
-            choice.outer,
-            None,
-        )
-    )
-    return _assemble(beta.degree, core, outer)
+    layout = _outer_layout(beta, (choice.source,), (choice.target,))
+    return _assemble(beta.degree, core, _outer_map(layout, choice.outer))
 
 
 def single_cycle_pairs(
@@ -246,26 +293,33 @@ def single_cycle_pairs(
         raise ValueError("the construction needs k >= 3")
     cycles = beta.cycles()
     n = beta.degree
+    identity = list(range(n))
     taus = list(successor_free_kcycles(k)) if k <= n else []
+    orders = [_tau_order(tau, k) for tau in taus]
     for source, cycle_from in enumerate(cycles):
         m = len(cycle_from)
         if m < k:
             continue
+        gather, outer_points = _layout(n, cycle_from)
         for target, cycle_to in enumerate(cycles):
             if len(cycle_to) != m:
                 continue
-            outers = list(outer_assignments(beta, (source,), (target,)))
+            outers = [
+                [outer[p] - 1 for p in outer_points]
+                for outer in outer_assignments(beta, (source,), (target,))
+            ]
             for points in itertools.combinations(sorted(cycle_to), k):
-                for tau in taus:
-                    for start in cycle_from:
-                        core = _core_row_mapping(
-                            cycle_from, cycle_to, points, tau, start
-                        )
+                blocks = _cut(cycle_from, cycle_to, points, max(points))
+                for tau, order in zip(taus, orders):
+                    row = [p - 1 for p in _image_row(blocks, order)]
+                    for s, start in enumerate(cycle_from):
+                        # the source cycle read from start maps onto row
+                        core = row[m - s :] + row[: m - s]
                         for oi, outer in enumerate(outers):
                             choice = SingleCycleChoice(
                                 source, target, points, tau, start, oi
                             )
-                            yield choice, _assemble(n, core, outer)
+                            yield choice, _witness(gather(core + outer), identity)
 
 
 def enumerate_single_cycle(beta: Permutation, k: int) -> set[Permutation]:
@@ -312,25 +366,32 @@ def fpf_pairs(
     if not 0 <= j <= m:
         raise ValueError(f"j={j} out of range 0..{m}")
     n = beta.degree
+    identity = list(range(n))
     for sources in itertools.combinations(range(m), j):
         source_couples = [cycles[i] for i in sources]
+        gather, outer_points = _layout(n, [p for c in source_couples for p in c])
         for targets in itertools.combinations(range(m), j):
             target_couples = {cycles[i] for i in targets}
             target_points = sorted(p for c in target_couples for p in c)
-            outers = list(outer_assignments(beta, sources, targets))
+            outers = [
+                [outer[p] - 1 for p in outer_points]
+                for outer in outer_assignments(beta, sources, targets)
+            ]
             for matching in perfect_matchings(target_points):
                 if any(pair in target_couples for pair in matching):
                     continue
                 for assigned in itertools.permutations(matching):
                     for orient in itertools.product((0, 1), repeat=j):
-                        inner: dict[int, int] = {}
-                        for (x, y), (u, v), flip in zip(
-                            source_couples, assigned, orient
-                        ):
-                            inner[x], inner[y] = (v, u) if flip else (u, v)
+                        # source couple (x, y) goes to (u, v), or to (v, u)
+                        # when flipped
+                        inner = [
+                            p - 1
+                            for (u, v), flip in zip(assigned, orient)
+                            for p in ((v, u) if flip else (u, v))
+                        ]
                         for oi, outer in enumerate(outers):
                             choice = (sources, targets, matching, assigned, orient, oi)
-                            yield choice, _assemble(n, inner, outer)
+                            yield choice, _witness(gather(inner + outer), identity)
 
 
 def enumerate_fpf(beta: Permutation, j: int) -> set[Permutation]:

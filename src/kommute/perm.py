@@ -228,9 +228,19 @@ class Permutation:
 
     def cycle_string(self) -> str:
         """Cycle notation, fixed points omitted; identity prints as '()'."""
-        parts = [
-            "(" + " ".join(map(str, c)) + ")" for c in self.cycles() if len(c) > 1
-        ]
+        # the cycles of cycles() without its 1-cycles, read off the word
+        w = self.word
+        seen = [False] * len(w)
+        parts = []
+        for i, j in enumerate(w):
+            if j == i or seen[i]:
+                continue
+            cycle = [str(i + 1)]
+            while j != i:
+                seen[j] = True
+                cycle.append(str(j + 1))
+                j = w[j]
+            parts.append("(" + " ".join(cycle) + ")")
         return "".join(parts) if parts else "()"
 
     def one_line_string(self) -> str:

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -131,6 +132,27 @@ class TestEnumerate:
         _, out1, _ = run_cli(capsys, *argv)
         _, out2, _ = run_cli(capsys, *argv)
         assert out1 == out2
+
+    def test_golden_output(self, capsys):
+        for argv, (lines, digest) in ENUMERATE_GOLDEN.items():
+            code, out, err = run_cli(capsys, *argv.split())
+            got = (code, len(out.splitlines()), hashlib.sha256(out.encode()).hexdigest(), err)
+            assert got == (0, lines, digest, ""), argv
+
+
+# enumerate stdout: line count and SHA-256 of the bytes.  The single-mode beta
+# has two 3-cycles and two fixed points, so each (source, target) pair has six
+# outer maps.
+ENUMERATE_GOLDEN = {
+    "enumerate --beta (1,2,3)(4,5,6) --n 8 --k 3": (
+        72, "2499e241634293366d4ae15810e4900fce368d2fd453b43031bc06292dbabcd6"),
+    "enumerate --beta (1,2,3)(4,5,6) --n 8 --k 3 --json": (
+        72, "9dbf904fe5629c811f7b0b140545c8497cb62ce61e08164e2875d02967dd789f"),
+    "enumerate --beta (1,2)(3,4)(5,6)(7,8) --n 8 --k 4 --mode fpf": (
+        4608, "edc11f7697bc820e44ddd62d229629dfcb030182af2d5d4fbbb029dc8a5fb47f"),
+    "enumerate --beta (1,2)(3,4)(5,6)(7,8) --n 8 --k 4 --mode fpf --json": (
+        4608, "ad31a9678a2051f3e2da2cf9b1836a17d51eb0c719ad7060478b29a4b6d664e0"),
+}
 
 
 class TestVerify:

@@ -1,8 +1,13 @@
+import hashlib
 import itertools
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
+import kommute
 from kommute import blocks, construct, formulas, oracle
 from kommute.construct import SingleCycleChoice
 from kommute.perm import Permutation, all_permutations, parse_permutation
@@ -92,9 +97,128 @@ class TestBuildSingleCycle:
             construct.build_single_cycle(beta, choice)
 
     def test_matches_pair_stream(self):
-        beta = parse_permutation("(1 2 3 4 5)", 5)
-        for choice, alpha in construct.single_cycle_pairs(beta, 4):
-            assert construct.build_single_cycle(beta, choice) == alpha
+        # (beta, n, k, outer maps per (source, target) pair)
+        cases = [("(1 2 3 4 5)", 5, 4, 1), ("(1 2 3 4)(5 6)(7 8)", 8, 3, 8), ("(1 2 3)(4 5 6)", 8, 3, 6)]
+        for text, n, k, outers in cases:
+            beta = parse_permutation(text, n)
+            seen = set()
+            for choice, alpha in construct.single_cycle_pairs(beta, k):
+                assert construct.build_single_cycle(beta, choice) == alpha
+                seen.add(choice.outer)
+            assert seen == set(range(outers))
+
+    def test_outer_index_out_of_range(self):
+        beta = parse_permutation("(1 2 3 4)(5 6)(7 8)", 8)
+        tau = Permutation.from_cycles([(1, 3, 2)], 3)
+        for outer in (8, -1):
+            choice = SingleCycleChoice(0, 0, (1, 2, 3), tau, 1, outer)
+            with pytest.raises(ValueError, match="outer index out of range"):
+                construct.build_single_cycle(beta, choice)
+
+
+class TestBijectionCheck:
+    # a core row and an outer map that send two points to the same image
+    CHECK = (
+        "from kommute import construct\n"
+        "gather, rest = construct._layout(4, [1, 2])\n"
+        "assert rest == [3, 4]\n"
+        "try:\n"
+        "    construct._witness(gather([1, 0] + [2, 2]), [0, 1, 2, 3])\n"
+        "except ValueError as e:\n"
+        "    print(e)\n"
+    )
+
+    def test_collision_raises(self):
+        gather, rest = construct._layout(4, [1, 2])
+        assert construct._witness(gather([1, 0] + [3, 2]), [0, 1, 2, 3]) == Permutation(
+            [2, 1, 4, 3]
+        )
+        with pytest.raises(ValueError, match="not a bijection"):
+            construct._witness(gather([1, 0] + [2, 2]), [0, 1, 2, 3])
+        with pytest.raises(ValueError, match="not a bijection"):
+            construct._assemble(4, {1: 2, 2: 1}, {3: 3, 4: 3})
+
+    def test_collision_raises_under_optimize(self):
+        # python -O strips assert statements; the check must survive it
+        src = os.path.dirname(os.path.dirname(kommute.__file__))
+        env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+        env["PYTHONPATH"] = src
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", self.CHECK],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "not a bijection" in proc.stdout
+
+
+def reference_outer_assignments(beta, sources, targets):
+    # the nested-loop generator that defined the order of outer_assignments
+    # before it became a mixed-radix decode
+    cycles = beta.cycles()
+    dom, cod = {}, {}
+    for i, cycle in enumerate(cycles):
+        if i not in sources:
+            dom.setdefault(len(cycle), []).append(cycle)
+        if i not in targets:
+            cod.setdefault(len(cycle), []).append(cycle)
+    lengths = sorted(dom)
+
+    def expand(idx):
+        if idx == len(lengths):
+            yield {}
+            return
+        length = lengths[idx]
+        dcycles, ccycles = dom[length], cod[length]
+        for rest in expand(idx + 1):
+            for perm in itertools.permutations(range(len(ccycles))):
+                for rots in itertools.product(range(length), repeat=len(dcycles)):
+                    mapping = dict(rest)
+                    for d, ci, rot in zip(dcycles, perm, rots):
+                        c = ccycles[ci]
+                        for pos, point in enumerate(d):
+                            mapping[point] = c[(pos + rot) % length]
+                    yield mapping
+
+    return expand(0)
+
+
+class TestOuterAssignments:
+    @pytest.mark.parametrize(
+        "text,n",
+        [("(1 2 3 4)(5 6)(7 8)", 8), ("(1 2 3)(4 5 6)(7 8 9)(10 11)", 12), ("(1 2)(3 4)(5 6)(7 8)", 9)],
+    )
+    def test_order_matches_reference(self, text, n):
+        beta = parse_permutation(text, n)
+        cycles = beta.cycles()
+        for r in range(3):
+            for sources in itertools.combinations(range(len(cycles)), r):
+                for targets in itertools.combinations(range(len(cycles)), r):
+                    lengths = sorted(len(cycles[i]) for i in sources)
+                    if lengths != sorted(len(cycles[i]) for i in targets):
+                        continue
+                    got = list(construct.outer_assignments(beta, sources, targets))
+                    assert got == list(reference_outer_assignments(beta, sources, targets))
+
+    def test_commuting_bijections_brute_force(self):
+        # every bijection between the complements that commutes with beta there
+        beta = parse_permutation("(1 2 3)(4 5 6)(7 8)(9 10)", 10)
+        got = list(construct.outer_assignments(beta, [0], [1]))
+        dom = [4, 5, 6, 7, 8, 9, 10]
+        cod = [1, 2, 3, 7, 8, 9, 10]
+        want = []
+        for images in itertools.permutations(cod):
+            f = dict(zip(dom, images))
+            if all(f[beta(x)] == beta(f[x]) for x in dom):
+                want.append(f)
+        assert len(got) == len(want) == 3 * 2 * 2 * 2
+        assert sorted(map(sorted, map(dict.items, got))) == sorted(
+            map(sorted, map(dict.items, want))
+        )
+
+    def test_rejects_unequal_lengths(self):
+        beta = parse_permutation("(1 2 3)(4 5)", 5)
+        with pytest.raises(ValueError, match="equal lengths"):
+            list(construct.outer_assignments(beta, [0], [1]))
 
 
 class TestEnumerateSingleCycle:
@@ -203,3 +327,48 @@ class TestPerfectMatchings:
     def test_odd_rejected(self):
         with pytest.raises(ValueError):
             list(construct.perfect_matchings([1, 2, 3]))
+
+
+class TestPairStreamOrder:
+    # (count, SHA-256) of the full (choice, alpha) sequence; build_single_cycle
+    # indexes into this order, so it must not drift
+    SINGLE = {
+        ("(1 2 3 4)(5 6)(7 8)", 8, 3): (
+            128, "f838b35d050119a146ba0bdfdd7ac9bad8c20b166c20fd7af799100caef2aaaf"),
+        ("(1 2 3)(4 5 6)", 8, 3): (
+            72, "9707ea85518cc1c701e439e6c0527e92d7cd955844fd41397fd0eef21db39ff9"),
+        ("(1 2 3 4 5 6)", 7, 4): (
+            90, "172c8ebf72a65c195bc4fac9a9e37e009b8a3b4fae38ca64089cc33b01f25a9b"),
+    }
+    FPF = {
+        ("(1 2)(3 4)(5 6)", 6, 2): (
+            288, "03d891a3a19c16c1618a5ea9d1115f6617abe704b7d22c5a4d383b8e2f9b5d3c"),
+        ("(1 2)(3 4)(5 6)(7 8)", 8, 2): (
+            4608, "73e39181cad528ad676a43f9c1ad7a8be7fc4e1d6e4f0d9c0f0d996e1fe6bf14"),
+        ("(1 2)(3 4)(5 6)(7 8)", 8, 3): (
+            12288, "415ecbcf9b6933bf5ba8669d3265562334662cd717d17fec5faff9d82063e37e"),
+    }
+
+    @staticmethod
+    def digest(records):
+        h = hashlib.sha256()
+        count = 0
+        for record in records:
+            h.update(repr(record).encode() + b"\n")
+            count += 1
+        return count, h.hexdigest()
+
+    @pytest.mark.parametrize("text,n,k", list(SINGLE))
+    def test_single_cycle_pairs(self, text, n, k):
+        pairs = construct.single_cycle_pairs(parse_permutation(text, n), k)
+        got = self.digest(
+            (c.source, c.target, c.points, c.tau.word, c.start, c.outer, alpha.word)
+            for c, alpha in pairs
+        )
+        assert got == self.SINGLE[text, n, k]
+
+    @pytest.mark.parametrize("text,n,j", list(FPF))
+    def test_fpf_pairs(self, text, n, j):
+        pairs = construct.fpf_pairs(parse_permutation(text, n), j)
+        got = self.digest((choice, alpha.word) for choice, alpha in pairs)
+        assert got == self.FPF[text, n, j]

@@ -145,6 +145,15 @@ class TestCycles:
             p = Permutation(imgs)
             assert Permutation.from_cycles(p.cycles(), 7) == p
 
+    def test_cycle_string_matches_cycles(self):
+        # cycle_string reads the word directly; its definition is cycles()
+        # without the 1-cycles, and '()' for the identity
+        for n in range(1, 7):
+            for p in all_permutations(n):
+                parts = ["(" + " ".join(map(str, c)) + ")" for c in p.cycles() if len(c) > 1]
+                assert p.cycle_string() == ("".join(parts) or "()")
+        assert Permutation.identity(5).cycle_string() == "()"
+
 
 class TestCycleType:
     def test_identity(self):
