@@ -11,9 +11,10 @@ Subcommands:
 * ``oeis``       terms of the related OEIS sequences, one per line
 
 Exit codes: 0 success, 1 usage or parse error, 2 no closed form applies,
-3 a verification or internal invariant failed.  All counts in JSON are
-decimal strings, CSV uses a header row and LF line endings, and output is
-byte-identical for any worker count.
+3 a verification or internal invariant failed.  A reader that closes the
+pipe early (``kommute enumerate ... | head``) gets exit 0 and nothing on
+stderr.  All counts in JSON are decimal strings, CSV uses a header row and
+LF line endings, and output is byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import csv
 import itertools
 import json
 import operator
+import os
 import sys
 from typing import Callable, Iterable, Sequence
 
@@ -133,13 +135,15 @@ def run_count(args) -> int:
 def run_enumerate(args) -> int:
     beta = parse_permutation(args.beta, args.n)
     if args.mode == "single":
-        found = construct.enumerate_single_cycle(beta, args.k)
+        pairs = construct.single_cycle_pairs(beta, args.k)
     else:
         if args.k % 2:
             raise ValueError("fpf distances are even; got odd k")
-        found = construct.enumerate_fpf(beta, args.k // 2)
-    # words sort as the one-line images do (images = word + 1)
-    for alpha in sorted(found, key=operator.attrgetter("word")):
+        pairs = construct.fpf_pairs(beta, args.k // 2)
+    # the pair streams are injective, so no set is needed; words sort as the
+    # one-line images do (images = word + 1)
+    witnesses = (alpha for _, alpha in pairs)
+    for alpha in sorted(witnesses, key=operator.attrgetter("word")):
         if args.json:
             record = {
                 "alpha": alpha.cycle_string(),
@@ -294,7 +298,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return _RUNNERS[args.command](args)
+        code = _RUNNERS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe early (`| head`), which is not an error;
+        # point stdout at devnull so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except formulas.NoClosedFormError as e:
         print(f"kommute: {e}", file=sys.stderr)
         return EXIT_NO_CLOSED_FORM

@@ -22,7 +22,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterator, Sequence
 
 from .perm import Permutation
 
@@ -207,35 +207,16 @@ def _tau_order(tau: Permutation, k: int) -> tuple[int, ...]:
 
 
 def _image_row(blocks: list[list[int]], order: Sequence[int]) -> list[int]:
-    # the images of the source cycle read from its start: the blocks in
-    # tau's order
-    return [p for label in order for p in blocks[label - 1]]
+    # the zero-based images of the source cycle read from its start: the
+    # blocks in tau's order
+    return [p - 1 for label in order for p in blocks[label - 1]]
 
 
-def _core_row_mapping_any_end(
-    cycle_from: tuple[int, ...],
-    cycle_to: tuple[int, ...],
-    points: Sequence[int],
-    tau: Permutation,
-    start: int,
-    endpoint: int,
-) -> dict[int, int]:
-    # map the source cycle, read from start, onto the block permutation of
-    # the target cycle
-    blocks = _cut(cycle_from, cycle_to, points, endpoint)
-    order = _tau_order(tau, len(points))
-    if start not in cycle_from:
-        raise ValueError("start must lie in the source cycle")
-    s = cycle_from.index(start)
-    return dict(zip(cycle_from[s:] + cycle_from[:s], _image_row(blocks, order)))
-
-
-def _assemble(n: int, *mappings: Mapping[int, int]) -> Permutation:
-    images = [0] * n
-    for mapping in mappings:
-        for a, b in mapping.items():
-            images[a - 1] = b
-    return Permutation(images)
+def _rotate(row: list[int], s: int) -> list[int]:
+    # the images of the source cycle read from its first point, when row
+    # holds them read from position s
+    m = len(row)
+    return row[m - s :] + row[: m - s]
 
 
 def _layout(
@@ -267,18 +248,19 @@ def build_single_cycle(beta: Permutation, choice: SingleCycleChoice) -> Permutat
     source cycle.
     """
     cycles = beta.cycles()
+    cycle_from = cycles[choice.source]
     # canonical form: the improper block ends at the largest selected point,
     # which is what makes the parameterization duplicate-free
-    core = _core_row_mapping_any_end(
-        cycles[choice.source],
-        cycles[choice.target],
-        choice.points,
-        choice.tau,
-        choice.start,
-        max(choice.points),
-    )
+    blocks = _cut(cycle_from, cycles[choice.target], choice.points, max(choice.points))
+    row = _image_row(blocks, _tau_order(choice.tau, len(choice.points)))
+    if choice.start not in cycle_from:
+        raise ValueError("start must lie in the source cycle")
+    core = _rotate(row, cycle_from.index(choice.start))
     layout = _outer_layout(beta, (choice.source,), (choice.target,))
-    return _assemble(beta.degree, core, _outer_map(layout, choice.outer))
+    outer = _outer_map(layout, choice.outer)
+    gather, outer_points = _layout(beta.degree, cycle_from)
+    word = gather(core + [outer[p] - 1 for p in outer_points])
+    return _witness(word, list(range(beta.degree)))
 
 
 def single_cycle_pairs(
@@ -311,10 +293,9 @@ def single_cycle_pairs(
             for points in itertools.combinations(sorted(cycle_to), k):
                 blocks = _cut(cycle_from, cycle_to, points, max(points))
                 for tau, order in zip(taus, orders):
-                    row = [p - 1 for p in _image_row(blocks, order)]
+                    row = _image_row(blocks, order)
                     for s, start in enumerate(cycle_from):
-                        # the source cycle read from start maps onto row
-                        core = row[m - s :] + row[: m - s]
+                        core = _rotate(row, s)
                         for oi, outer in enumerate(outers):
                             choice = SingleCycleChoice(
                                 source, target, points, tau, start, oi

@@ -71,20 +71,12 @@ def _check_degree(n: int, max_degree: int | None) -> None:
         )
 
 
-def enumerate_sn(
-    n: int,
-    start: int = 0,
-    stop: int | None = None,
-    max_degree: int | None = None,
-) -> Iterator[Permutation]:
-    """
-    Stream S_n in lexicographic one-line order, optionally restricted to
-    the index range [start, stop) for sharded work.
-    """
+def enumerate_sn(n: int, max_degree: int | None = None) -> Iterator[Permutation]:
+    """Stream S_n in lexicographic one-line order."""
     if n < 1:
         raise ValueError("degree must be at least 1")
     _check_degree(n, max_degree)
-    yield from itertools.islice(all_permutations(n), start, stop)
+    yield from all_permutations(n)
 
 
 def _scan(

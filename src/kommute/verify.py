@@ -190,7 +190,10 @@ def _check_fpf_enumerator(max_n) -> list[str]:
     for m in (2, 3):
         beta = CycleType.from_parts([2] * m).representative()
         for j in range(m + 1):
-            got = construct.enumerate_fpf(beta, j)
+            pairs = list(construct.fpf_pairs(beta, j))
+            got = {alpha for _, alpha in pairs}
+            if len(pairs) != len(got):
+                bad.append(f"duplicate choices: m={m} j={j}")
             want = oracle.filter_by_distance(beta, 2 * j, max_degree=max_n)
             if got != want:
                 bad.append(f"fpf set mismatch: m={m} j={j}")

@@ -7,8 +7,8 @@ import sys
 from collections import Counter
 
 import kommute
-from kommute import blocks, cli, formulas, oracle, verify
-from kommute.perm import CycleType, parse_permutation
+from kommute import blocks, cli, construct, formulas, oracle, verify
+from kommute.perm import CycleType, Permutation, parse_permutation
 
 
 def run_cli(capsys, *argv):
@@ -139,6 +139,14 @@ class TestEnumerate:
             got = (code, len(out.splitlines()), hashlib.sha256(out.encode()).hexdigest(), err)
             assert got == (0, lines, digest, ""), argv
 
+    def test_golden_output_hashes_no_witness(self, capsys, monkeypatch):
+        # the pair streams are injective, so the CLI sorts them without a set
+        def unhashable(self):
+            raise TypeError("enumerate hashed a witness")
+
+        monkeypatch.setattr(Permutation, "__hash__", unhashable)
+        self.test_golden_output(capsys)
+
 
 # enumerate stdout: line count and SHA-256 of the bytes.  The single-mode beta
 # has two 3-cycles and two fixed points, so each (source, target) pair has six
@@ -238,6 +246,11 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--n-max", "4")
         assert code == 3
         assert "FAIL block characterization and profile invariants" in out
+
+    def test_repeating_fpf_stream_fails_verify(self, monkeypatch):
+        pairs = construct.fpf_pairs
+        monkeypatch.setattr(construct, "fpf_pairs", lambda beta, j: [*pairs(beta, j)] * 2)
+        assert "duplicate choices: m=2 j=2" in verify._check_fpf_enumerator(None)
 
 
 VERIFY_6 = """\
@@ -423,6 +436,22 @@ class TestSubprocess:
         two = self.run(*argv, "--jobs", "3")
         assert one.returncode == two.returncode == 0
         assert one.stdout == two.stdout
+
+    def test_closed_pipe_exits_0(self):
+        # a reader that stops after one line (`| head -1`) is not an error
+        argv = ["enumerate", "--beta", "(1 2 3 4 5 6 7 8 9)", "--n", "9", "--k", "5"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "kommute.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=child_env(),
+        ) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=300)
+        assert first.startswith(b"(")
+        assert (code, err) == (0, b"")
 
     def test_env_var_raises_bound(self):
         env = child_env(KOMMUTE_MAX_BRUTE_N="4")

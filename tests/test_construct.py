@@ -135,8 +135,6 @@ class TestBijectionCheck:
         )
         with pytest.raises(ValueError, match="not a bijection"):
             construct._witness(gather([1, 0] + [2, 2]), [0, 1, 2, 3])
-        with pytest.raises(ValueError, match="not a bijection"):
-            construct._assemble(4, {1: 2, 2: 1}, {3: 3, 4: 3})
 
     def test_collision_raises_under_optimize(self):
         # python -O strips assert statements; the check must survive it
@@ -260,18 +258,24 @@ class TestEndpointCanonicalization:
         beta = parse_permutation("(1 2 3 4 5)", 5)
         cycle = beta.cycles()[0]
         k = 3
-        taus = list(construct.successor_free_kcycles(k))
-        outers = list(construct.outer_assignments(beta, [0], [0]))
+        taus = construct.successor_free_kcycles(k)
+        orders = [construct._tau_order(tau, k) for tau in taus]
+        gather, rest = construct._layout(5, cycle)
+        outers = [
+            [outer[p] - 1 for p in rest]
+            for outer in construct.outer_assignments(beta, [0], [0])
+        ]
+        identity = list(range(5))
         hits: Counter = Counter()
         for points in itertools.combinations(sorted(cycle), k):
             for endpoint in points:
-                for tau in taus:
-                    for start in cycle:
+                cut = construct._cut(cycle, cycle, points, endpoint)
+                for order in orders:
+                    row = construct._image_row(cut, order)
+                    for s in range(len(cycle)):
                         for outer in outers:
-                            core = construct._core_row_mapping_any_end(
-                                cycle, cycle, points, tau, start, endpoint
-                            )
-                            hits[construct._assemble(5, core, outer)] += 1
+                            word = gather(construct._rotate(row, s) + outer)
+                            hits[construct._witness(word, identity)] += 1
         canonical = construct.enumerate_single_cycle(beta, k)
         assert set(hits) == canonical
         assert set(hits.values()) == {k}
