@@ -15,12 +15,15 @@ Exit codes: 0 success, 1 usage or parse error, 2 no closed form applies,
 pipe early (``kommute enumerate ... | head``) gets exit 0 and nothing on
 stderr.  All counts in JSON are decimal strings, CSV uses a header row and
 LF line endings, and output is byte-identical for any worker count.
+
+Each runner imports the modules it uses when it runs, so a closed-form
+request loads neither the oracle nor the enumerators, and only ``--jobs``
+> 1 loads the worker pool.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import operator
@@ -28,7 +31,7 @@ import os
 import sys
 from typing import Callable, Iterable, Sequence
 
-from . import blocks, construct, formulas, oracle, series, verify
+from . import formulas
 from .perm import ParseError, parse_permutation
 
 EXIT_OK = 0
@@ -111,6 +114,8 @@ def run_count(args) -> int:
         result = formulas.count(beta.cycle_type(), args.k)
         value, provenance = result.value, result.provenance
     else:
+        from . import oracle
+
         dist = oracle.distribution(beta, jobs=args.jobs, max_degree=args.max_brute_n)
         value, provenance = dist[args.k], "exhaustive"
     print(
@@ -133,6 +138,8 @@ def run_count(args) -> int:
 
 
 def run_enumerate(args) -> int:
+    from . import blocks, construct
+
     beta = parse_permutation(args.beta, args.n)
     if args.mode == "single":
         pairs = construct.single_cycle_pairs(beta, args.k)
@@ -159,6 +166,8 @@ def run_enumerate(args) -> int:
 
 
 def run_verify(args) -> int:
+    from . import verify
+
     f_override = {5: formulas.successor_free_cycles(5) + 1} if args.corrupt_f else None
     results = verify.verification_checks(
         args.n_max, jobs=args.jobs, max_n=args.max_brute_n, f_override=f_override
@@ -182,6 +191,8 @@ def run_verify(args) -> int:
 
 
 def _write_csv(header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    import csv
+
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
@@ -220,6 +231,8 @@ def run_table(args) -> int:
 
 
 def run_gf(args) -> int:
+    from . import series
+
     n_max = args.n_max
     if not 1 <= n_max <= 20:
         raise ValueError("--n-max must be between 1 and 20")

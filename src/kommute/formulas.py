@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
-from typing import Mapping
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .perm import CycleType
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class NoClosedFormError(ValueError):
@@ -39,27 +40,50 @@ class FormulaResult:
             raise ValueError("counts cannot be negative")
 
 
+# Terms kept per recurrence (under a megabyte each); later terms are rolled
+# forward from the last three kept ones and not stored.
+_KEPT_TERMS = 1024
+
+
+def _term(
+    terms: list[int], k: int, step: Callable[[int, Sequence[int]], int]
+) -> int:
+    # term k of the recurrence a(n) = step(n, [..., a(n-2), a(n-1)]) whose
+    # first terms are `terms`; extends `terms` in place, without recursion
+    while len(terms) <= min(k, _KEPT_TERMS):
+        terms.append(step(len(terms), terms))
+    if k < len(terms):
+        return terms[k]
+    window = terms[-3:]
+    for n in range(len(terms), k + 1):
+        window = window[1:] + [step(n, window)]
+    return window[-1]
+
+
+_SUCCESSOR_FREE = [1, 0, 0, 1]
+
+
 def successor_free_cycles(k: int) -> int:
     """
     Number of k-cycles of {1..k} avoiding every i -> i+1 cyclically
-    (A000757), by inclusion-exclusion over the forbidden successions:
-
-        sum_{i=0}^{k-1} (-1)^i C(k,i) (k-i-1)!  +  (-1)^k
-
-    Agrees with the brute-force enumeration for k <= 9.
+    (A000757), via a(n) = (n-3) a(n-1) + (n-2) (2 a(n-2) + a(n-3)) from
+    1, 0, 0, 1.  The tests hold it equal to the inclusion-exclusion sum
+    over the forbidden successions for k <= 300 and to the brute-force
+    enumeration for k <= 9.
 
     >>> [successor_free_cycles(k) for k in range(8)]
     [1, 0, 0, 1, 1, 8, 36, 229]
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    total = sum(
-        (-1) ** i * math.comb(k, i) * math.factorial(k - i - 1) for i in range(k)
+    return _term(
+        _SUCCESSOR_FREE, k, lambda n, a: (n - 3) * a[-1] + (n - 2) * (2 * a[-2] + a[-3])
     )
-    return total + (-1) ** k
 
 
-@lru_cache(maxsize=None)
+_DERANGED_MATCHINGS = [1, 0, 2]
+
+
 def deranged_matchings(j: int) -> int:
     """
     Number of perfect matchings of 2j points avoiding j disjoint forbidden
@@ -72,11 +96,7 @@ def deranged_matchings(j: int) -> int:
     """
     if j < 0:
         raise ValueError("j must be nonnegative")
-    if j == 0:
-        return 1
-    if j == 1:
-        return 0
-    return 2 * (j - 1) * (deranged_matchings(j - 1) + deranged_matchings(j - 2))
+    return _term(_DERANGED_MATCHINGS, j, lambda n, a: 2 * (n - 1) * (a[-1] + a[-2]))
 
 
 # -- small fixed distances ----------------------------------------------------
@@ -287,6 +307,8 @@ def tail_ratio(n: int, m: int) -> Fraction:
     """
     T(n-m, n) / n! as an exact rational; approaches exp(-1)/m! for large n.
     """
+    from fractions import Fraction
+
     if not 0 <= m < n:
         raise ValueError("need 0 <= m < n")
     return Fraction(count_for_ncycle(n - m, n), math.factorial(n))
@@ -297,6 +319,8 @@ def inv_e(terms: int = 60) -> Fraction:
     exp(-1) as the alternating partial sum of 1/k!, k <= terms; the error
     is below 1/(terms+1)!, far beyond 50 digits at the default.
     """
+    from fractions import Fraction
+
     return sum(Fraction((-1) ** k, math.factorial(k)) for k in range(terms + 1))
 
 

@@ -41,7 +41,6 @@ import math
 import operator
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -218,6 +217,10 @@ def distribution(
         if bounds[i] < bounds[i + 1]
     ]
     if jobs > 1:
+        # imported here, so that serial runs skip the pool's tens of
+        # milliseconds of imports
+        from concurrent.futures import ProcessPoolExecutor
+
         workers = min(jobs, os.cpu_count() or 1, len(tasks))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(_class_census, tasks))

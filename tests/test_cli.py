@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -464,3 +465,64 @@ class TestSubprocess:
         )
         assert proc.returncode == 1
         assert "bound 4" in proc.stderr
+
+    def test_fpf_count_at_m_600(self):
+        # 600 pairs: the deranged-matching count once recursed past the stack
+        m = 600
+        beta = "".join(f"({2 * i + 1},{2 * i + 2})" for i in range(m))
+        proc = self.run("count", "--beta", beta, "--n", str(2 * m), "--k", str(2 * m))
+        assert proc.returncode == 0, proc.stderr
+        a, b = 1, 0  # A053871 at j - 2 and j - 1
+        for j in range(2, m + 1):
+            a, b = b, 2 * (j - 1) * (a + b)
+        assert json.loads(proc.stdout)["count"] == str(2**m * math.factorial(m) * b)
+
+
+# runs cli.main in a fresh interpreter, then prints its loaded modules
+MODULES_PROBE = """
+import json, sys
+from kommute import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps(sorted(sys.modules)))
+sys.exit(code)
+"""
+
+POOL_MODULES = {"multiprocessing", "concurrent.futures.process"}
+HEAVY_MODULES = {
+    "kommute.oracle", "kommute.construct", "kommute.series", "kommute.verify", "fractions",
+}
+
+
+class TestColdStart:
+    # a request imports only the modules its subcommand runs
+
+    def loaded(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-c", MODULES_PROBE, *argv.split()],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return set(json.loads(proc.stdout.splitlines()[-1]))
+
+    def test_closed_forms_load_no_oracle_enumerator_or_series(self):
+        for argv in [
+            "count --beta (1,2,3)(4,5) --n 5 --k 3",
+            "table --kind fpf --n-max 6",
+            "oeis --sequence A000757 --count 10",
+        ]:
+            loaded = self.loaded(argv)
+            assert not loaded & (POOL_MODULES | HEAVY_MODULES), argv
+
+    def test_no_serial_request_loads_the_worker_pool(self):
+        for argv in [
+            "count --beta (1,2,3)(4,5) --n 5 --k 3 --method brute --jobs 1",
+            "enumerate --beta (1,2,3,4,5) --n 5 --k 3",
+            "verify --n-max 4",
+            "gf --kind tkn --n-max 5",
+        ]:
+            loaded = self.loaded(argv)
+            assert "kommute.cli" in loaded
+            assert not loaded & POOL_MODULES, argv

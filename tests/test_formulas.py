@@ -11,7 +11,22 @@ def T(*parts):
     return CycleType.from_parts(parts)
 
 
+def successor_free_sum(k):
+    # inclusion-exclusion over the k forbidden successions
+    total = sum((-1) ** i * math.comb(k, i) * math.factorial(k - i - 1) for i in range(k))
+    return total + (-1) ** k
+
+
 class TestSuccessorFreeCycles:
+    def test_recurrence_matches_inclusion_exclusion(self):
+        for k in range(301):
+            assert formulas.successor_free_cycles(k) == successor_free_sum(k)
+
+    def test_terms_past_the_kept_table(self):
+        k = formulas._KEPT_TERMS + 5
+        assert formulas.successor_free_cycles(k) == successor_free_sum(k)
+        assert len(formulas._SUCCESSOR_FREE) == formulas._KEPT_TERMS + 1
+
     def test_matches_brute_force(self):
         for k in range(1, 10):
             assert formulas.successor_free_cycles(k) == oracle.successor_free_cycles(k)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import json
 import math
@@ -94,7 +95,7 @@ class TestDistribution:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(oracle, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
         beta = parse_permutation("(1 2 3)(4 5)", 5)
         want = oracle.distribution(beta)
