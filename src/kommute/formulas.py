@@ -40,24 +40,14 @@ class FormulaResult:
             raise ValueError("counts cannot be negative")
 
 
-# Terms kept per recurrence (under a megabyte each); later terms are rolled
-# forward from the last three kept ones and not stored.
-_KEPT_TERMS = 1024
-
-
 def _term(
     terms: list[int], k: int, step: Callable[[int, Sequence[int]], int]
 ) -> int:
     # term k of the recurrence a(n) = step(n, [..., a(n-2), a(n-1)]) whose
     # first terms are `terms`; extends `terms` in place, without recursion
-    while len(terms) <= min(k, _KEPT_TERMS):
+    while len(terms) <= k:
         terms.append(step(len(terms), terms))
-    if k < len(terms):
-        return terms[k]
-    window = terms[-3:]
-    for n in range(len(terms), k + 1):
-        window = window[1:] + [step(n, window)]
-    return window[-1]
+    return terms[k]
 
 
 _SUCCESSOR_FREE = [1, 0, 0, 1]

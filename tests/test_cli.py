@@ -520,7 +520,9 @@ class TestColdStart:
         for argv in [
             "count --beta (1,2,3)(4,5) --n 5 --k 3 --method brute --jobs 1",
             "enumerate --beta (1,2,3,4,5) --n 5 --k 3",
+            "enumerate --beta (1,2,3,4,5) --n 5 --k 3 --json",
             "verify --n-max 4",
+            "verify --n-max 5",
             "gf --kind tkn --n-max 5",
         ]:
             loaded = self.loaded(argv)

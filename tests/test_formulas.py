@@ -22,11 +22,6 @@ class TestSuccessorFreeCycles:
         for k in range(301):
             assert formulas.successor_free_cycles(k) == successor_free_sum(k)
 
-    def test_terms_past_the_kept_table(self):
-        k = formulas._KEPT_TERMS + 5
-        assert formulas.successor_free_cycles(k) == successor_free_sum(k)
-        assert len(formulas._SUCCESSOR_FREE) == formulas._KEPT_TERMS + 1
-
     def test_matches_brute_force(self):
         for k in range(1, 10):
             assert formulas.successor_free_cycles(k) == oracle.successor_free_cycles(k)
