@@ -68,8 +68,12 @@ def profile(alpha: Permutation, beta: Permutation) -> tuple[int, ...]:
     >>> profile(a, b)
     (4, 1)
     """
-    bad = bad_points(alpha, beta)
-    parts = [sum(p in bad for p in cycle) for cycle in _frame(beta.word).cycles]
+    return _profile(bad_points(alpha, beta), _frame(beta.word).cycles)
+
+
+def _profile(bad: frozenset[int], cycles: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+    # ``profile`` from the bad points and beta's cycles
+    parts = [sum(p in bad for p in cycle) for cycle in cycles]
     return as_profile([c for c in parts if c])
 
 
@@ -201,10 +205,18 @@ def verify_characterization(alpha: Permutation, beta: Permutation) -> bool:
     True on all inputs; any False indicates an implementation bug.
     """
     alpha._check_degree(beta)
-    k = alpha.commute_distance(beta)
-    bad = bad_points(alpha, beta)
-    a, w = alpha.word, beta.word
-    cycles, host = _frame(w)
+    w = beta.word
+    return _characterized(
+        alpha.word, w, _frame(w), bad_points(alpha, beta), alpha.commute_distance(beta)
+    )
+
+
+def _characterized(
+    a: tuple[int, ...], w: tuple[int, ...], frame: _Frame, bad: frozenset[int], k: int
+) -> bool:
+    # ``verify_characterization`` on the words of alpha and beta, with beta's
+    # frame, the bad points and the commutation distance k given
+    cycles, host = frame
     total = 0
     all_points: list[int] = []
     for cycle in cycles:
@@ -231,8 +243,11 @@ def verify_characterization(alpha: Permutation, beta: Permutation) -> bool:
         else:
             if not all(_is_block(b, w, host) for b in images):
                 return False
-            if any(_is_block(images[i - 1] + images[i], w, host) for i in range(ki)):
-                return False
+            # x and y are blocks, so x + y is one iff beta takes the end of
+            # x to the start of y and x + y fits in the host cycle
+            for x, y in zip(images[-1:] + images[:-1], images):
+                if w[x[-1] - 1] + 1 == y[0] and len(x) + len(y) <= host[x[0] - 1]:
+                    return False
         for b in images:
             all_points.extend(b)
     if len(all_points) != len(set(all_points)):

@@ -310,6 +310,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    # counts are exact integers of any length; Python otherwise refuses to
+    # print one of more than 4300 digits (the limit came in 3.10.7)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         code = _RUNNERS[args.command](args)
         sys.stdout.flush()

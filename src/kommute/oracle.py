@@ -17,11 +17,14 @@ bad points of the pair are the alpha-preimages of D(gamma), so
 
 So the histogram and the profile counts over S_n are |C(beta)| times those
 over the n!/|C(beta)| elements of the class.  ``_class_walk`` generates
-each element once, with its cycles, by choosing the cycle through the
-smallest unused point at every step.  ``distribution`` shards the class on
-the first choice, the cycle through point 1, and counts each shard into a
-census of profiles; censuses merge by addition, so the result is
-identical for any shard or worker count.
+each element once by choosing the cycle through the smallest unused point
+at every step.  It weighs each cycle once, when the cycle is chosen, and
+every element below that choice shares the weight; ``distribution`` weighs
+a cycle c of gamma by |D(gamma) & c|, so each element arrives as its
+per-cycle bad counts.  The class is sharded on the first choice, the cycle
+through point 1, and each shard is counted into a census of profiles;
+censuses merge by addition, so the result is identical for any shard or
+worker count.
 
 The filters and ``parity_split`` need the actual alpha, so they reduce
 over ``_scan``, which walks S_n in the lexicographic order of one-line
@@ -42,7 +45,7 @@ import operator
 import os
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .blocks import as_profile
 from .construct import perfect_matchings, successor_free_kcycles
@@ -51,6 +54,8 @@ from .perm import Permutation, all_permutations
 DEFAULT_MAX_DEGREE = 8
 
 ENV_MAX_DEGREE = "KOMMUTE_MAX_BRUTE_N"
+
+T = TypeVar("T")
 
 
 def exhaustive_bound(max_degree: int | None = None) -> int:
@@ -110,27 +115,31 @@ def _choices(
 def _class_walk(
     lengths: tuple[int, ...],
     points: tuple[int, ...],
+    weigh: Callable[[tuple[int, ...]], T],
     start: int = 0,
     stop: int | None = None,
-) -> Iterator[tuple[tuple[int, ...], ...]]:
+) -> Iterator[tuple[T, ...]]:
     """
     Every permutation of ``points`` whose cycle lengths are the multiset
-    ``lengths``, once each, as its tuple of cycles.  The cycle through the
-    smallest unused point is chosen first, so each element has one path;
-    ``start`` and ``stop`` keep the first choices in that index range.
+    ``lengths``, once each, as the tuple of ``weigh(cycle)`` over its
+    cycles.  The cycle through the smallest unused point is chosen first,
+    so each element has one path; ``weigh`` runs once per choice, and every
+    element below that choice shares its result.  ``start`` and ``stop``
+    keep the first choices in that index range.
 
-    >>> sum(1 for _ in _class_walk((2, 1), (0, 1, 2)))
+    >>> sum(1 for _ in _class_walk((2, 1), (0, 1, 2), tuple))
     3
-    >>> next(_class_walk((2, 1), (0, 1, 2)))
+    >>> next(_class_walk((2, 1), (0, 1, 2), tuple))
     ((0, 1), (2,))
     """
     for cycle, others, left in itertools.islice(_choices(lengths, points), start, stop):
+        head = (weigh(cycle),)
         if others.count(1) == len(others):
             # what is left are fixed points: one way to finish
-            yield (cycle,) + tuple([(p,) for p in left])
+            yield head + tuple([weigh((p,)) for p in left])
             continue
-        for more in _class_walk(others, left):
-            yield (cycle,) + more
+        for more in _class_walk(others, left, weigh):
+            yield head + more
 
 
 def _class_census(task: tuple) -> Counter:
@@ -138,11 +147,13 @@ def _class_census(task: tuple) -> Counter:
     # merged by addition
     b, lengths, start, stop = task
     image = b.__getitem__
-    walked: Counter = Counter()
-    for cycles in _class_walk(lengths, tuple(range(len(b))), start, stop):
-        # |D(gamma) & c| per cycle c, in walk order; gamma maps each point
-        # of c to the next one
-        walked[tuple([sum(map(operator.ne, map(image, c), c[1:] + c[:1])) for c in cycles])] += 1
+
+    def weigh(c: tuple[int, ...]) -> int:
+        # |D(gamma) & c|: gamma maps each point of the cycle c to the next one
+        return sum(map(operator.ne, map(image, c), c[1:] + c[:1]))
+
+    # the per-cycle counts of each gamma, in walk order
+    walked = Counter(_class_walk(lengths, tuple(range(len(b))), weigh, start, stop))
     # sorted into profiles once per distinct tuple, not once per gamma
     census: Counter = Counter()
     for parts, c in walked.items():

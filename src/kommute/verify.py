@@ -88,26 +88,29 @@ def _check_fpf(n_max, hist) -> list[str]:
 
 
 def _check_pairs(n_max, max_n) -> list[tuple[str, list[str]]]:
-    # one walk of S_n per beta (n <= 6) for both per-pair checks.  Census, on
+    # one walk of S_n per beta (n <= 6) for both per-pair checks, with the
+    # bad points and the distance of each pair computed once.  Census, on
     # n <= 5 and also on pairs that fail the characterization: the cycles
     # holding a bad point and those holding an image of one have equal lengths
     block_bad, census_bad = [], []
     for n, t, beta in _representatives(min(n_max, 6)):
-        cycles = beta.cycles()
+        w = beta.word
+        frame = blocks._frame(w)
+        cycles = frame.cycles
         max_len = max(len(c) for c in cycles)
         bound = formulas.support_bound(t)
         for alpha in oracle.enumerate_sn(n, max_degree=max_n):
             bp = blocks.bad_points(alpha, beta)
+            k = alpha.commute_distance(beta)
             if n <= 5:
                 images = {alpha(p) for p in bp}
                 touched = sorted(len(c) for c in cycles if not bp.isdisjoint(c))
                 if touched != sorted(len(c) for c in cycles if not images.isdisjoint(c)):
                     census_bad.append(f"image census: alpha={alpha} beta={beta}")
-            if not blocks.verify_characterization(alpha, beta):
+            if not blocks._characterized(alpha.word, w, frame, bp, k):
                 block_bad.append(f"characterization fails: alpha={alpha} beta={beta}")
                 continue
-            prof = blocks.profile(alpha, beta)
-            k = alpha.commute_distance(beta)
+            prof = blocks._profile(bp, cycles)
             if sum(prof) != k:
                 block_bad.append(f"profile sum != distance: alpha={alpha} beta={beta}")
             if k and set(prof) == {1}:

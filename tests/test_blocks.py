@@ -207,6 +207,24 @@ class TestVerifyCharacterization:
                         assert not naive_characterization(a, b, dropped)
                         monkeypatch.setattr(blocks, "bad_points", exact)
 
+    def test_an_extra_bad_point_is_rejected(self):
+        # marking a good point p bad splits a block at p, so two adjacent
+        # image blocks merge again (or a cycle's lone block becomes
+        # improper); raising k with it leaves only those checks to fail
+        cases = 0
+        for n in range(2, 6):
+            perms = list(all_permutations(n))
+            for b in perms:
+                frame = blocks._frame(b.word)
+                for a in perms:
+                    bad = blocks.bad_points(a, b)
+                    for p in set(range(1, n + 1)) - bad:
+                        cases += 1
+                        assert not blocks._characterized(
+                            a.word, b.word, frame, bad | {p}, len(bad) + 1
+                        ), (a, b, p)
+        assert cases == 18830
+
     def test_broken_walk_is_a_failure(self, monkeypatch):
         def broken(cycle, bad, start):
             raise ValueError("walk broken")

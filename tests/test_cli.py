@@ -239,6 +239,33 @@ class TestVerify:
         assert walks == {n: sum(1 for _ in CycleType.all_types(n)) for n in range(2, 7)}
         assert sum(walks.values()) == 28
 
+    def test_bad_points_computed_once_per_pair(self, monkeypatch):
+        calls = 0
+        exact = blocks.bad_points
+
+        def counting(alpha, beta):
+            nonlocal calls
+            calls += 1
+            return exact(alpha, beta)
+
+        monkeypatch.setattr(blocks, "bad_points", counting)
+        results = verify.verification_checks(6, max_n=6)
+        assert not any(failures for _, failures in results)
+        # one call per pair: n! alphas for each of the p(n) betas, n = 2..6
+        assert calls == 2 * 2 + 6 * 3 + 24 * 5 + 120 * 7 + 720 * 11 == 8902
+
+    def test_dropped_bad_point_fails_verify(self, capsys, monkeypatch):
+        exact = blocks.bad_points
+
+        def dropping(alpha, beta):
+            bad = exact(alpha, beta)
+            return bad - {min(bad)} if bad else bad
+
+        monkeypatch.setattr(blocks, "bad_points", dropping)
+        code, out, _ = run_cli(capsys, "verify", "--n-max", "4")
+        assert code == 3
+        assert "FAIL block characterization and profile invariants" in out
+
     def test_broken_block_walk_fails_verify(self, capsys, monkeypatch):
         def broken(cycle, bad, start):
             raise ValueError("walk broken")
@@ -476,6 +503,24 @@ class TestSubprocess:
         for j in range(2, m + 1):
             a, b = b, 2 * (j - 1) * (a + b)
         assert json.loads(proc.stdout)["count"] == str(2**m * math.factorial(m) * b)
+
+    def test_counts_past_python_digit_limit(self):
+        # both counts have more than the 4300 digits Python prints by default
+        ncycle = "(" + " ".join(map(str, range(1, 1701))) + ")"
+        fpf = "".join(f"({2 * i + 1},{2 * i + 2})" for i in range(1000))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            for beta, n, want in [
+                (ncycle, 1700, formulas.count_for_ncycle(1700, 1700)),
+                (fpf, 2000, formulas.fpf_involution_count(2000, 1000)),
+            ]:
+                proc = self.run("count", "--beta", beta, "--n", str(n), "--k", str(n))
+                assert proc.returncode == 0, proc.stderr
+                assert len(str(want)) > 4300
+                assert json.loads(proc.stdout)["count"] == str(want)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 # runs cli.main in a fresh interpreter, then prints its loaded modules

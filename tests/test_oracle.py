@@ -143,10 +143,24 @@ class TestDistribution:
             for t in CycleType.all_types(n):
                 walked = [
                     Permutation.from_cycles([[p + 1 for p in c] for c in cycles], n)
-                    for cycles in oracle._class_walk(t.parts(), tuple(range(n)))
+                    for cycles in oracle._class_walk(t.parts(), tuple(range(n)), tuple)
                 ]
                 assert len(set(walked)) == len(walked) == math.factorial(n) // t.centralizer_order()
                 assert {g.cycle_type() for g in walked} == {t}
+
+    def test_class_walk_weighs_each_choice_once(self):
+        # (2,2,2,2) in S_8: 7 first choices, then 5, 3 and 1 below each, so
+        # 7 + 35 + 105 + 105 = 252 weighings, not 4 for each of 105 elements
+        weighed = []
+
+        def weigh(cycle):
+            weighed.append(cycle)
+            return cycle
+
+        walked = list(oracle._class_walk((2, 2, 2, 2), tuple(range(8)), weigh))
+        assert len(walked) == 105 == len(set(walked))
+        assert len(weighed) == 7 + 35 + 105 + 105 == 252
+        assert walked == list(oracle._class_walk((2, 2, 2, 2), tuple(range(8)), tuple))
 
     def test_bound(self):
         with pytest.raises(ValueError, match="exhaustive bound"):
