@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 from .perm import Permutation
 
@@ -71,8 +71,8 @@ def profile(alpha: Permutation, beta: Permutation) -> tuple[int, ...]:
     return _profile(bad_points(alpha, beta), _frame(beta.word).cycles)
 
 
-def _profile(bad: frozenset[int], cycles: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
-    # ``profile`` from the bad points and beta's cycles
+def _profile(bad: Collection[int], cycles: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+    # ``profile`` from the bad points and beta's cycles, both in one base
     parts = [sum(p in bad for p in cycle) for cycle in cycles]
     return as_profile([c for c in parts if c])
 

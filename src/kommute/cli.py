@@ -10,11 +10,12 @@ Subcommands:
 * ``gf``         CSV of generating-function coefficients (factorials cleared)
 * ``oeis``       terms of the related OEIS sequences, one per line
 
-Exit codes: 0 success, 1 usage or parse error, 2 no closed form applies,
-3 a verification or internal invariant failed.  A reader that closes the
-pipe early (``kommute enumerate ... | head``) gets exit 0 and nothing on
-stderr.  All counts in JSON are decimal strings, CSV uses a header row and
-LF line endings, and output is byte-identical for any worker count.
+Exit codes: 0 success, 1 usage, parse or size-cap error, 2 no closed form
+applies, 3 a verification or internal invariant failed.  A reader that
+closes the pipe early (``kommute enumerate ... | head``) gets exit 0 and
+nothing on stderr.  All counts in JSON are decimal strings, CSV uses a
+header row and LF line endings, and output is byte-identical for any
+worker count.
 
 Each runner imports the modules it uses when it runs, so a closed-form
 request loads neither the oracle nor the enumerators, and only ``--jobs``
@@ -38,6 +39,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NO_CLOSED_FORM = 2
 EXIT_INVARIANT = 3
+
+# size caps: the largest --n of `count` and `enumerate`, checked before the
+# parse allocates n points, and the most witnesses `enumerate` may print
+MAX_DEGREE = 10_000
+MAX_WITNESSES = 10**6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -106,8 +112,14 @@ def _build_parser() -> _Parser:
 # -- count ---------------------------------------------------------------
 
 
+def _parse_beta(args):
+    if args.n > MAX_DEGREE:
+        raise ValueError(f"--n {args.n} exceeds the degree cap {MAX_DEGREE}")
+    return parse_permutation(args.beta, args.n)
+
+
 def run_count(args) -> int:
-    beta = parse_permutation(args.beta, args.n)
+    beta = _parse_beta(args)
     if args.k < 0:
         raise ValueError("k must be nonnegative")
     if args.method == "formula":
@@ -140,13 +152,20 @@ def run_count(args) -> int:
 def run_enumerate(args) -> int:
     from . import blocks, construct
 
-    beta = parse_permutation(args.beta, args.n)
+    beta = _parse_beta(args)
+    t = beta.cycle_type()
+    # the witness count, where a closed form applies; the builders report bad input
     if args.mode == "single":
         pairs = construct.single_cycle_pairs(beta, args.k)
+        size = formulas.single_cycle_count(t, args.k) if args.k >= 3 else 0
     else:
         if args.k % 2:
             raise ValueError("fpf distances are even; got odd k")
         pairs = construct.fpf_pairs(beta, args.k // 2)
+        fpf = formulas._is_fpf_involution(t) and args.k >= 0
+        size = formulas.fpf_involution_count(args.k, args.n // 2) if fpf else 0
+    if size > MAX_WITNESSES:
+        raise ValueError(f"the witnesses outnumber the witness cap {MAX_WITNESSES}")
     # the pair streams are injective, so no set is needed; words sort as the
     # one-line images do (images = word + 1)
     witnesses = (alpha for _, alpha in pairs)

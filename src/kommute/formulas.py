@@ -14,6 +14,7 @@ counter instead of approximating.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
@@ -111,19 +112,15 @@ def count_k3(t: CycleType) -> int:
     """
     Exact count at distance 3 for any cycle type:
 
-        ( sum_{l>=3} c_l C(l,3)  +  sum_{l<m} l m c_l c_m ) * |centralizer|
+        ( sum_l c_l C(l,3)  +  sum_{l<m} l m c_l c_m ) * |centralizer|
 
     The first sum is the single-cycle case, the second the [2,1] split over
-    two cycles of different lengths (fixed points included).
+    two cycles of different lengths (fixed points included).  Both run over
+    the lengths present in the type; C(l,3) is zero for l < 3.
     """
-    c = t.count
-    n = t.degree
-    single = sum(c(l) * math.comb(l, 3) for l in range(3, n + 1))
-    split = sum(
-        l * m * c(l) * c(m)
-        for l in range(1, n + 1)
-        for m in range(l + 1, n + 1)
-    )
+    c = t.lengths()
+    single = sum(c[l] * math.comb(l, 3) for l in c)
+    split = sum(l * m * c[l] * c[m] for l, m in itertools.combinations(c, 2))
     return (single + split) * t.centralizer_order()
 
 
@@ -132,33 +129,23 @@ def count_k4_parts(t: CycleType) -> dict[tuple[int, ...], int]:
     The distance-4 count split by bad-point profile, keyed by the
     partitions (4,), (3,1), (2,2) and (2,1,1); the all-ones profile is
     impossible.  Each component is exact for any cycle type.
+
+    Every sum runs over the lengths i present in the type, or over pairs
+    i < j of them; a term outside the range where its case can occur is
+    zero through one of its own factors (C(i,4), j-i-1, i-1, C(c_i,2), or
+    c_{i+j} = 0 past the degree).
     """
-    c = t.count
-    n = t.degree
+    c = t.lengths()
+    pairs = list(itertools.combinations(c, 2))
     central = t.centralizer_order()
 
-    single = sum(c(i) * math.comb(i, 4) for i in range(4, n + 1))
-
-    three_one = sum(
-        i * j * (j - i - 1) * c(i) * c(j)
-        for i in range(1, n + 1)
-        for j in range(i + 2, n + 1)
+    single = sum(c[i] * math.comb(i, 4) for i in c)
+    three_one = sum(i * j * (j - i - 1) * c[i] * c[j] for i, j in pairs)
+    two_two = sum(i * math.comb(i, 2) * math.comb(c[i], 2) for i in c) + sum(
+        i * (i - 1) * j * c[i] * c[j] for i, j in pairs
     )
-
-    two_two = sum(
-        i * math.comb(i, 2) * math.comb(c(i), 2) for i in range(2, n + 1)
-    ) + sum(
-        i * (i - 1) * j * c(i) * c(j)
-        for i in range(2, n + 1)
-        for j in range(i + 1, n + 1)
-    )
-
-    two_one_one = sum(
-        i**3 * c(2 * i) * math.comb(c(i), 2) for i in range(1, n // 2 + 1)
-    ) + sum(
-        i * j * (i + j) * c(i) * c(j) * c(i + j)
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1 - i)
+    two_one_one = sum(i**3 * t.count(2 * i) * math.comb(c[i], 2) for i in c) + sum(
+        i * j * (i + j) * c[i] * c[j] * t.count(i + j) for i, j in pairs
     )
 
     return {
@@ -181,18 +168,20 @@ def single_cycle_count(t: CycleType, k: int) -> int:
     """
     Permutations at distance k whose bad points all lie in one cycle:
 
-        |centralizer| * sum_{l>=k} c_l C(l,k) f(k)
+        |centralizer| * sum_l c_l C(l,k) f(k)
 
-    with f the successor-free cycle count.  Defined for k >= 3 (for k < 3
-    no such permutation exists and the hypothesis fails).
+    with f the successor-free cycle count, summed over the lengths l
+    present in the type (C(l,k) is zero for l < k, so k beyond the degree
+    gives 0 without computing f(k)).  Defined for k >= 3 (for k < 3 no
+    such permutation exists and the hypothesis fails).
     """
     if k < 3:
         raise ValueError("single-cycle counts require k >= 3")
-    c = t.count
-    n = t.degree
+    if k > t.degree:
+        return 0
     f = successor_free_cycles(k)
     return t.centralizer_order() * sum(
-        c(l) * math.comb(l, k) * f for l in range(k, n + 1)
+        c * math.comb(l, k) * f for l, c in t.lengths().items()
     )
 
 

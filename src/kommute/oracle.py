@@ -47,7 +47,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence, TypeVar
 
-from .blocks import as_profile
+from .blocks import _profile
 from .construct import perfect_matchings, successor_free_kcycles
 from .perm import Permutation, all_permutations
 
@@ -161,15 +161,6 @@ def _class_census(task: tuple) -> Counter:
     return census
 
 
-def _cycle_of(beta: Permutation) -> dict[int, int]:
-    # zero-based point -> index of its cycle in beta
-    return {p - 1: c for c, cycle in enumerate(beta.cycles()) for p in cycle}
-
-
-def _profile(bad: tuple[int, ...], cycle_of: dict[int, int]) -> tuple[int, ...]:
-    return as_profile(Counter(cycle_of[i] for i in bad).values())
-
-
 @dataclass(frozen=True)
 class KDistribution:
     """
@@ -264,11 +255,12 @@ def filter_by_profile(
     """All alpha whose per-cycle bad-point multiset equals ``profile``."""
     _check_degree(beta.degree, max_degree)
     want = tuple(sorted(profile, reverse=True))
-    cycle_of = _cycle_of(beta)
+    # beta's cycles written zero-based, like the bad points of the scan
+    cycles = [tuple(p - 1 for p in cycle) for cycle in beta.cycles()]
     return {
         Permutation._from_word(a)
         for bad, a in _scan(beta.word)
-        if _profile(bad, cycle_of) == want
+        if _profile(bad, cycles) == want
     }
 
 

@@ -261,10 +261,11 @@ class CycleType:
             raise ValueError("cycle type must have positive degree")
         if any(c < 0 for c in self.counts):
             raise ValueError("cycle counts must be nonnegative")
-        if self.degree != len(self.counts):
+        total = sum(i * c for i, c in self.lengths().items())
+        if total != len(self.counts):
             raise ValueError(
                 f"inconsistent cycle type {self.counts}: lengths sum to "
-                f"{self.degree}, expected {len(self.counts)}"
+                f"{total}, expected {len(self.counts)}"
             )
 
     @classmethod
@@ -284,7 +285,11 @@ class CycleType:
 
     @property
     def degree(self) -> int:
-        return sum(i * c for i, c in enumerate(self.counts, start=1))
+        return len(self.counts)
+
+    def lengths(self) -> dict[int, int]:
+        """{length: count} over the cycle lengths present, in increasing order."""
+        return {i: c for i, c in enumerate(self.counts, start=1) if c}
 
     def count(self, length: int) -> int:
         """Number of cycles of the given length (0 beyond the degree)."""
@@ -294,36 +299,25 @@ class CycleType:
 
     def parts(self) -> tuple[int, ...]:
         """Cycle lengths as a partition of n, in decreasing order."""
-        out: list[int] = []
-        for length, c in enumerate(self.counts, start=1):
-            out.extend([length] * c)
-        return tuple(sorted(out, reverse=True))
+        return tuple(l for l, c in reversed(self.lengths().items()) for _ in range(c))
 
     def centralizer_order(self) -> int:
         """
         Size of the centralizer in S_n: the product of i**c_i * c_i! over
-        all cycle lengths i.  Equals the number of permutations commuting
-        with any permutation of this type.
+        the cycle lengths i present.  Equals the number of permutations
+        commuting with any permutation of this type.
 
         >>> CycleType.from_parts([2] + [1] * 3).centralizer_order()
         12
         """
-        out = 1
-        for i, c in enumerate(self.counts, start=1):
-            out *= i**c * math.factorial(c)
-        return out
+        return math.prod(i**c * math.factorial(c) for i, c in self.lengths().items())
 
     def has_distinct_odd_parts(self) -> bool:
         """
         True iff all cycle lengths are odd and no length repeats.  Exactly
         the types whose permutations commute with no odd permutation.
         """
-        for i, c in enumerate(self.counts, start=1):
-            if i % 2 == 0 and c > 0:
-                return False
-            if i % 2 == 1 and c > 1:
-                return False
-        return True
+        return all(i % 2 and c == 1 for i, c in self.lengths().items())
 
     def representative(self) -> Permutation:
         """
@@ -403,7 +397,7 @@ def _parse_cycles(text: str, n: int) -> Permutation:
                 i += 1
                 break
             start = i
-            while i < length and text[i].isdigit():
+            while i < length and text[i].isdecimal():
                 i += 1
             if i == start:
                 raise ParseError(f"expected a point but found {text[i]!r}", i)
@@ -429,7 +423,7 @@ def _parse_one_line(text: str, n: int) -> Permutation:
             i += 1
             continue
         start = i
-        while i < length and text[i].isdigit():
+        while i < length and text[i].isdecimal():
             i += 1
         if i == start:
             raise ParseError(f"expected an image but found {text[i]!r}", i)

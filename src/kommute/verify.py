@@ -168,13 +168,16 @@ def _check_parity_split(n_max, max_n, hist) -> list[str]:
 
 
 def _check_single_cycle_enumerator(max_n) -> list[str]:
+    # the cases within the brute-force cap
+    bound = oracle.exhaustive_bound(max_n)
     bad = []
     cases = [
         Permutation.from_cycles([(1, 2, 3, 4, 5, 6)], 6),
         Permutation.from_cycles([(1, 2, 3), (4, 5, 6)], 6),
         Permutation.from_cycles([(1, 2, 3, 4, 5)], 5),
+        Permutation.from_cycles([(1, 2, 3, 4)], 4),
     ]
-    for beta in cases:
+    for beta in [beta for beta in cases if beta.degree <= bound]:
         for k in (3, 4, 5):
             pairs = list(construct.single_cycle_pairs(beta, k))
             got = {alpha for _, alpha in pairs}
@@ -189,8 +192,9 @@ def _check_single_cycle_enumerator(max_n) -> list[str]:
 
 
 def _check_fpf_enumerator(max_n) -> list[str]:
+    # m = 2 and 3, within the brute-force cap
     bad = []
-    for m in (2, 3):
+    for m in range(2, min(3, oracle.exhaustive_bound(max_n) // 2) + 1):
         beta = CycleType.from_parts([2] * m).representative()
         for j in range(m + 1):
             pairs = list(construct.fpf_pairs(beta, j))

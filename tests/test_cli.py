@@ -140,6 +140,21 @@ class TestEnumerate:
             got = (code, len(out.splitlines()), hashlib.sha256(out.encode()).hexdigest(), err)
             assert got == (0, lines, digest, ""), argv
 
+    def test_input_errors_unchanged_by_the_witness_cap(self, capsys):
+        # the cap reads the closed form only where it applies, so the
+        # builders still report their own errors
+        for argv, message in [
+            ("enumerate --beta (1,2,3) --n 3 --k 2", "the construction needs k >= 3"),
+            ("enumerate --beta (1,2,3) --n 4 --k 2 --mode fpf", "fixed-point-free involution"),
+            ("enumerate --beta (1,2)(3,4) --n 4 --k -2 --mode fpf", "j=-1 out of range 0..2"),
+        ]:
+            code, out, err = run_cli(capsys, *argv.split())
+            assert (code, out) == (1, ""), argv
+            assert message in err, argv
+        # one pair (m = 1), which the fpf closed form does not cover
+        assert run_cli(capsys, *"enumerate --beta (1,2) --n 2 --k 0 --mode fpf".split()) == (
+            0, "()\n(1 2)\n", "")
+
     def test_golden_output_hashes_no_witness(self, capsys, monkeypatch):
         # the pair streams are injective, so the CLI sorts them without a set
         def unhashable(self):
@@ -274,6 +289,16 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--n-max", "4")
         assert code == 3
         assert "FAIL block characterization and profile invariants" in out
+
+    def test_every_brute_force_cap_from_2_to_8(self, capsys, monkeypatch):
+        # the enumerator checks keep to the cases the cap allows
+        for cap in range(2, 9):
+            code, out, err = run_cli(capsys, "verify", "--n-max", str(cap), "--max-brute-n", str(cap))
+            assert (code, out.splitlines()[-1], err) == (
+                0, f"13/13 checks passed (n_max={cap})", ""), cap
+        monkeypatch.setenv(oracle.ENV_MAX_DEGREE, "4")
+        code, out, _ = run_cli(capsys, "verify", "--n-max", "4")
+        assert (code, out.splitlines()[-1]) == (0, "13/13 checks passed (n_max=4)")
 
     def test_repeating_fpf_stream_fails_verify(self, monkeypatch):
         pairs = construct.fpf_pairs
@@ -492,6 +517,27 @@ class TestSubprocess:
         )
         assert proc.returncode == 1
         assert "bound 4" in proc.stderr
+
+    def test_size_caps_exit_1_at_once(self):
+        # without the caps each request runs for many seconds or more; with
+        # them it exits in about 0.15 s, and the timeout leaves room for a
+        # loaded host
+        for argv, message in [
+            ("count --beta (1,2) --n 1000000 --k 3", f"degree cap {cli.MAX_DEGREE}"),
+            ("enumerate --beta (1,2,3) --n 10001 --k 3", f"degree cap {cli.MAX_DEGREE}"),
+            ("enumerate --beta (1,2,3) --n 12 --k 3", f"witness cap {cli.MAX_WITNESSES}"),
+            ("enumerate --beta (1,2)(3,4)(5,6)(7,8)(9,10)(11,12)(13,14) --n 14 --k 8 --mode fpf",
+             f"witness cap {cli.MAX_WITNESSES}"),
+        ]:
+            proc = subprocess.run(
+                [sys.executable, "-m", "kommute.cli", *argv.split()],
+                capture_output=True,
+                text=True,
+                env=child_env(),
+                timeout=5,
+            )
+            assert (proc.returncode, proc.stdout) == (1, ""), argv
+            assert proc.stderr.startswith("kommute: error: ") and message in proc.stderr, argv
 
     def test_fpf_count_at_m_600(self):
         # 600 pairs: the deranged-matching count once recursed past the stack

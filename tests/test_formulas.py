@@ -1,7 +1,13 @@
 import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+
+import kommute
 
 from kommute import formulas, oracle
 from kommute.perm import CycleType
@@ -15,6 +21,106 @@ def successor_free_sum(k):
     # inclusion-exclusion over the k forbidden successions
     total = sum((-1) ** i * math.comb(k, i) * math.factorial(k - i - 1) for i in range(k))
     return total + (-1) ** k
+
+
+# -- the closed forms summed over every length 1..n, as the reference -----------
+
+
+def full_range_centralizer(t):
+    out = 1
+    for i in range(1, t.degree + 1):
+        out *= i ** t.count(i) * math.factorial(t.count(i))
+    return out
+
+
+def full_range_k3(t):
+    c, n = t.count, t.degree
+    single = sum(c(l) * math.comb(l, 3) for l in range(3, n + 1))
+    split = sum(l * m * c(l) * c(m) for l in range(1, n + 1) for m in range(l + 1, n + 1))
+    return (single + split) * full_range_centralizer(t)
+
+
+def full_range_k4_parts(t):
+    c, n = t.count, t.degree
+    central = full_range_centralizer(t)
+    single = sum(c(i) * math.comb(i, 4) for i in range(4, n + 1))
+    three_one = sum(
+        i * j * (j - i - 1) * c(i) * c(j) for i in range(1, n + 1) for j in range(i + 2, n + 1)
+    )
+    two_two = sum(i * math.comb(i, 2) * math.comb(c(i), 2) for i in range(2, n + 1)) + sum(
+        i * (i - 1) * j * c(i) * c(j) for i in range(2, n + 1) for j in range(i + 1, n + 1)
+    )
+    two_one_one = sum(
+        i**3 * c(2 * i) * math.comb(c(i), 2) for i in range(1, n // 2 + 1)
+    ) + sum(
+        i * j * (i + j) * c(i) * c(j) * c(i + j)
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1 - i)
+    )
+    return {
+        (4,): single * central,
+        (3, 1): three_one * central,
+        (2, 2): two_two * central,
+        (2, 1, 1): two_one_one * central,
+    }
+
+
+def full_range_single_cycle(t, k, central):
+    f = formulas.successor_free_cycles(k)
+    return central * sum(
+        t.count(l) * math.comb(l, k) * f for l in range(k, t.degree + 1)
+    )
+
+
+def random_type(rng, n):
+    parts, left = [], n
+    while left:
+        # mostly short parts, so that types have many distinct lengths
+        part = min(left, rng.choice([rng.randint(1, 6), rng.randint(1, left)]))
+        parts.append(part)
+        left -= part
+    return CycleType.from_parts(parts)
+
+
+class TestPresentLengthSums:
+    def assert_matches_full_range(self, t):
+        central = full_range_centralizer(t)
+        assert t.centralizer_order() == central, t.parts()
+        assert formulas.count_k3(t) == full_range_k3(t), t.parts()
+        assert formulas.count_k4_parts(t) == full_range_k4_parts(t), t.parts()
+        for k in range(3, t.degree + 1):
+            want = full_range_single_cycle(t, k, central)
+            assert formulas.single_cycle_count(t, k) == want, (t.parts(), k)
+
+    def test_every_type_up_to_degree_20(self):
+        for n in range(1, 21):
+            for t in CycleType.all_types(n):
+                self.assert_matches_full_range(t)
+
+    def test_seeded_random_types_up_to_degree_400(self):
+        rng = random.Random(4242)
+        for _ in range(12):
+            self.assert_matches_full_range(random_type(rng, rng.randint(21, 400)))
+
+    def test_k4_at_degree_100000_in_a_child(self):
+        # (3, 1^r) has c(4) = 9 r r!, brute force agrees for n <= 8; the
+        # child's timeout turns a return of the 1..n loops into a failure
+        for r in range(0, 6):
+            assert formulas.count_k4(T(3, *[1] * r)) == 9 * r * math.factorial(r)
+        code = (
+            "import math\n"
+            "from kommute import formulas\n"
+            "from kommute.perm import CycleType\n"
+            "r = 99997\n"
+            "t = CycleType.from_parts([3] + [1] * r)\n"
+            "print(formulas.count_k4(t) == 9 * r * math.factorial(r))\n"
+        )
+        src = os.path.dirname(os.path.dirname(kommute.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr
 
 
 class TestSuccessorFreeCycles:
@@ -97,6 +203,10 @@ class TestSingleCycleCount:
     def test_k_below_three(self):
         with pytest.raises(ValueError, match="k >= 3"):
             formulas.single_cycle_count(T(5), 2)
+
+    def test_k_far_beyond_the_degree_is_zero_at_once(self):
+        # f(10**6) alone would take minutes of bignum arithmetic
+        assert formulas.single_cycle_count(T(5, 1), 10**6) == 0
 
     def test_ncycle_case_matches_tkn(self):
         for n in range(3, 9):

@@ -19,10 +19,10 @@ def sn_reduction(beta):
     """counts and profiles from the census of the plain S_n scan."""
     counts = dict.fromkeys(range(beta.degree + 1), 0)
     profiles: Counter = Counter()
-    cycle_of = oracle._cycle_of(beta)
+    cycles = [tuple(p - 1 for p in cycle) for cycle in beta.cycles()]
     for bad, c in oracle._census(beta.word).items():
         counts[len(bad)] += c
-        profiles[oracle._profile(bad, cycle_of)] += c
+        profiles[blocks._profile(bad, cycles)] += c
     return counts, profiles
 
 

@@ -169,6 +169,15 @@ class TestCycleType:
         with pytest.raises(ValueError):
             CycleType((1, 1))  # 1*1 + 2*1 = 3 != 2
 
+    def test_inconsistency_message_names_the_weighted_sum(self):
+        with pytest.raises(ValueError, match="lengths sum to 3, expected 2"):
+            CycleType((1, 1))
+
+    def test_lengths_present(self):
+        t = CycleType.from_parts([5, 3, 3, 1])
+        assert (t.degree, t.lengths()) == (12, {1: 1, 3: 2, 5: 1})
+        assert CycleType.from_parts([1] * 4).lengths() == {1: 4}
+
     def test_all_types_count(self):
         # number of cycle types is the partition count
         assert sum(1 for _ in CycleType.all_types(6)) == 11
@@ -294,6 +303,18 @@ class TestParseFormat:
         with pytest.raises(ParseError) as err:
             parse_permutation("(1 x)", 5)
         assert err.value.position == 3
+
+    def test_non_decimal_digits_are_parse_errors(self):
+        # '²' passes str.isdigit() but not int(); it must not reach int()
+        for text, position in [("(1 ²)", 3), ("(1 2)(3⁴)", 7), ("1 ² 3", 2)]:
+            with pytest.raises(ParseError, match="but found") as err:
+                parse_permutation(text, 4)
+            assert err.value.position == position, text
+
+    def test_fullwidth_digits_parse(self):
+        # int() reads every Unicode decimal digit, so these are points
+        assert parse_permutation("(１ 2)", 3) == C((1, 2), n=3)
+        assert parse_permutation("２ １ ３", 3) == C((1, 2), n=3)
 
     def test_one_line_wrong_length(self):
         with pytest.raises(ParseError, match="5 images"):
