@@ -15,6 +15,13 @@ this way.  ``verify_characterization`` checks the whole equivalence on a
 concrete pair and must return True on every input; a False return signals
 a bug, not a property of the input.
 
+The characterization is decided per cycle: the verdict on a cycle of beta
+reads only alpha's images of that cycle's points and which of them are
+bad.  ``_cycle_verdict`` decides one cycle, and ``_fold`` joins the
+cycles' verdicts into the pair's (image blocks disjoint, bad counts
+adding up to the distance), so a caller checking many pairs against one
+beta can decide each distinct cycle once.
+
 Indexing convention: all cyclic index arithmetic is 1-based, wrapping m+1
 back to 1 inside a length-m cycle.
 """
@@ -23,7 +30,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Collection, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .perm import Permutation
 
@@ -217,39 +224,60 @@ def _characterized(
     # ``verify_characterization`` on the words of alpha and beta, with beta's
     # frame, the bad points and the commutation distance k given
     cycles, host = frame
+    return _fold((_cycle_verdict(a, cycle, bad, w, host) for cycle in cycles), k)
+
+
+def _fold(verdicts: Iterable[tuple[int, tuple[int, ...]] | None], k: int) -> bool:
+    # the pair's verdict from its cycles' verdicts: every cycle passes, the
+    # image blocks are pairwise disjoint and the bad counts add up to k
     total = 0
     all_points: list[int] = []
-    for cycle in cycles:
-        ends = [i for i, p in enumerate(cycle) if p in bad]
-        if not ends:
-            image = [a[p - 1] + 1 for p in cycle]
-            if len(image) != host[image[0] - 1] or not _is_block(image, w, host):
-                return False
-            continue
-        # any rotation will do: every condition below is cyclic
-        try:
-            runs = _cut(cycle, bad, ends[-1] + 1)
-        except ValueError:
+    for verdict in verdicts:
+        if verdict is None:
             return False
-        ki = len(runs)
-        if ki != len(ends):
-            return False
-        total += ki
-        images = [[a[p - 1] + 1 for p in run] for run in runs]
-        if ki == 1:
-            first = images[0]
-            if len(first) >= host[first[0] - 1] or not _is_block(first, w, host):
-                return False
-        else:
-            if not all(_is_block(b, w, host) for b in images):
-                return False
-            # x and y are blocks, so x + y is one iff beta takes the end of
-            # x to the start of y and x + y fits in the host cycle
-            for x, y in zip(images[-1:] + images[:-1], images):
-                if w[x[-1] - 1] + 1 == y[0] and len(x) + len(y) <= host[x[0] - 1]:
-                    return False
-        for b in images:
-            all_points.extend(b)
+        total += verdict[0]
+        all_points.extend(verdict[1])
     if len(all_points) != len(set(all_points)):
         return False
     return total == k
+
+
+def _cycle_verdict(
+    a: tuple[int, ...],
+    cycle: tuple[int, ...],
+    bad: frozenset[int],
+    w: tuple[int, ...],
+    host: tuple[int, ...],
+) -> tuple[int, tuple[int, ...]] | None:
+    # the characterization on one cycle of beta: None when it fails there,
+    # else the cycle's bad count and the points of its image blocks (none
+    # for a commuting cycle).  Reads only alpha's images of the cycle and
+    # which of its points are bad
+    ends = [i for i, p in enumerate(cycle) if p in bad]
+    if not ends:
+        image = [a[p - 1] + 1 for p in cycle]
+        if len(image) != host[image[0] - 1] or not _is_block(image, w, host):
+            return None
+        return 0, ()
+    # any rotation will do: every condition below is cyclic
+    try:
+        runs = _cut(cycle, bad, ends[-1] + 1)
+    except ValueError:
+        return None
+    ki = len(runs)
+    if ki != len(ends):
+        return None
+    images = [[a[p - 1] + 1 for p in run] for run in runs]
+    if ki == 1:
+        first = images[0]
+        if len(first) >= host[first[0] - 1] or not _is_block(first, w, host):
+            return None
+    else:
+        if not all(_is_block(b, w, host) for b in images):
+            return None
+        # x and y are blocks, so x + y is one iff beta takes the end of
+        # x to the start of y and x + y fits in the host cycle
+        for x, y in zip(images[-1:] + images[:-1], images):
+            if w[x[-1] - 1] + 1 == y[0] and len(x) + len(y) <= host[x[0] - 1]:
+                return None
+    return ki, tuple([p for b in images for p in b])

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 from typing import Iterable
 
@@ -89,16 +90,39 @@ def _check_fpf(n_max, hist) -> list[str]:
 
 def _check_pairs(n_max, max_n) -> list[tuple[str, list[str]]]:
     # one walk of S_n per beta (n <= 6) for both per-pair checks, with the
-    # bad points and the distance of each pair computed once.  Census, on
-    # n <= 5 and also on pairs that fail the characterization: the cycles
-    # holding a bad point and those holding an image of one have equal lengths
+    # bad points and the distance of each pair computed once.  The block
+    # characterization is local to a cycle of beta, so each cycle's verdict
+    # is decided once per (cycle, alpha's images on it, its bad points) and
+    # shared by the pairs with that key; the profile invariants depend on
+    # (bad points, distance) alone and are checked once per such pair.
+    # Census, on n <= 5 and also on pairs that fail the characterization:
+    # the cycles holding a bad point and those holding an image of one have
+    # equal lengths
     block_bad, census_bad = [], []
     for n, t, beta in _representatives(min(n_max, 6)):
         w = beta.word
-        frame = blocks._frame(w)
-        cycles = frame.cycles
+        cycles, host = blocks._frame(w)
+        local = [
+            (cycle, operator.itemgetter(*[p - 1 for p in cycle]), frozenset(cycle))
+            for cycle in cycles
+        ]
         max_len = max(len(c) for c in cycles)
         bound = formulas.support_bound(t)
+        # this beta's shared results, dropped when its walk ends
+        verdicts: dict = {}
+        invariants: dict[tuple[frozenset[int], int], list[str]] = {}
+
+        def decide(i, a, bp):
+            # cycle i's verdict.  alpha's images of n - 1 points fix alpha,
+            # so a cycle that long never repeats a key: decide it directly
+            cycle, get, points = local[i]
+            if len(cycle) >= n - 1:
+                return blocks._cycle_verdict(a, cycle, bp, w, host)
+            key = (i, get(a), bp & points)
+            if key not in verdicts:
+                verdicts[key] = blocks._cycle_verdict(a, cycle, key[2], w, host)
+            return verdicts[key]
+
         for alpha in oracle.enumerate_sn(n, max_degree=max_n):
             bp = blocks.bad_points(alpha, beta)
             k = alpha.commute_distance(beta)
@@ -107,25 +131,36 @@ def _check_pairs(n_max, max_n) -> list[tuple[str, list[str]]]:
                 touched = sorted(len(c) for c in cycles if not bp.isdisjoint(c))
                 if touched != sorted(len(c) for c in cycles if not images.isdisjoint(c)):
                     census_bad.append(f"image census: alpha={alpha} beta={beta}")
-            if not blocks._characterized(alpha.word, w, frame, bp, k):
+            a = alpha.word
+            if not blocks._fold((decide(i, a, bp) for i in range(len(cycles))), k):
                 block_bad.append(f"characterization fails: alpha={alpha} beta={beta}")
                 continue
-            prof = blocks._profile(bp, cycles)
-            if sum(prof) != k:
-                block_bad.append(f"profile sum != distance: alpha={alpha} beta={beta}")
-            if k and set(prof) == {1}:
-                block_bad.append(f"all-ones profile: alpha={alpha} beta={beta}")
-            if 1 in prof and (len(prof) < 2 or prof[0] < 2):
-                block_bad.append(f"lonely 1-part: alpha={alpha} beta={beta}")
-            if k > bound:
-                block_bad.append(f"distance above support bound: alpha={alpha} beta={beta}")
-            for cycle in cycles:
-                if len(cycle) == max_len and sum(p in bp for p in cycle) == 1:
-                    block_bad.append(f"1 bad point on max cycle: alpha={alpha} beta={beta}")
+            if (bp, k) not in invariants:
+                invariants[bp, k] = _broken_invariants(bp, k, cycles, max_len, bound)
+            for what in invariants[bp, k]:
+                block_bad.append(f"{what}: alpha={alpha} beta={beta}")
     return [
         ("block characterization and profile invariants", block_bad),
         ("image cycle census", census_bad),
     ]
+
+
+def _broken_invariants(bp, k, cycles, max_len, bound) -> list[str]:
+    # the profile invariants a pair with bad points bp at distance k breaks
+    broken = []
+    prof = blocks._profile(bp, cycles)
+    if sum(prof) != k:
+        broken.append("profile sum != distance")
+    if k and set(prof) == {1}:
+        broken.append("all-ones profile")
+    if 1 in prof and (len(prof) < 2 or prof[0] < 2):
+        broken.append("lonely 1-part")
+    if k > bound:
+        broken.append("distance above support bound")
+    for cycle in cycles:
+        if len(cycle) == max_len and sum(p in bp for p in cycle) == 1:
+            broken.append("1 bad point on max cycle")
+    return broken
 
 
 def _check_centralizer_divisibility(n_max, hist) -> list[str]:
@@ -178,13 +213,14 @@ def _check_single_cycle_enumerator(max_n) -> list[str]:
         Permutation.from_cycles([(1, 2, 3, 4)], 4),
     ]
     for beta in [beta for beta in cases if beta.degree <= bound]:
+        # one scan of S_n per beta, bucketed by profile
+        wants = oracle._bucket(beta, oracle._profile_key(beta), [(3,), (4,), (5,)], max_n)
         for k in (3, 4, 5):
             pairs = list(construct.single_cycle_pairs(beta, k))
             got = {alpha for _, alpha in pairs}
             if len(pairs) != len(got):
                 bad.append(f"duplicate choices: beta={beta} k={k}")
-            want = oracle.filter_by_profile(beta, (k,), max_degree=max_n)
-            if got != want:
+            if got != wants[(k,)]:
                 bad.append(f"single-cycle set mismatch: beta={beta} k={k}")
             if len(got) != formulas.single_cycle_count(beta.cycle_type(), k):
                 bad.append(f"single-cycle count mismatch: beta={beta} k={k}")
@@ -196,13 +232,14 @@ def _check_fpf_enumerator(max_n) -> list[str]:
     bad = []
     for m in range(2, min(3, oracle.exhaustive_bound(max_n) // 2) + 1):
         beta = CycleType.from_parts([2] * m).representative()
+        # one scan of S_n per beta, bucketed by distance
+        wants = oracle._bucket(beta, len, range(0, 2 * m + 1, 2), max_n)
         for j in range(m + 1):
             pairs = list(construct.fpf_pairs(beta, j))
             got = {alpha for _, alpha in pairs}
             if len(pairs) != len(got):
                 bad.append(f"duplicate choices: m={m} j={j}")
-            want = oracle.filter_by_distance(beta, 2 * j, max_degree=max_n)
-            if got != want:
+            if got != wants[2 * j]:
                 bad.append(f"fpf set mismatch: m={m} j={j}")
             if len(got) != formulas.fpf_involution_count(2 * j, m):
                 bad.append(f"fpf count mismatch: m={m} j={j}")

@@ -225,6 +225,23 @@ class TestVerifyCharacterization:
                         ), (a, b, p)
         assert cases == 18830
 
+    def test_cycle_verdict_is_local_to_the_cycle(self):
+        # alpha's images off the cycle and bad points off it change nothing:
+        # the key verify shares cycle verdicts under
+        for n in range(1, 6):
+            perms = list(all_permutations(n))
+            for b in perms:
+                cycles, host = blocks._frame(b.word)
+                for a in perms:
+                    bad = blocks.bad_points(a, b)
+                    for cycle in cycles:
+                        local = [None] * n
+                        for p in cycle:
+                            local[p - 1] = a.word[p - 1]
+                        assert blocks._cycle_verdict(
+                            tuple(local), cycle, bad & frozenset(cycle), b.word, host
+                        ) == blocks._cycle_verdict(a.word, cycle, bad, b.word, host)
+
     def test_broken_walk_is_a_failure(self, monkeypatch):
         def broken(cycle, bad, start):
             raise ValueError("walk broken")

@@ -281,6 +281,19 @@ class TestVerify:
         assert code == 3
         assert "FAIL block characterization and profile invariants" in out
 
+    def test_added_bad_point_fails_verify(self, capsys, monkeypatch):
+        exact = blocks.bad_points
+
+        def adding(alpha, beta):
+            bad = exact(alpha, beta)
+            good = set(range(1, alpha.degree + 1)) - bad
+            return bad | {min(good)} if good else bad
+
+        monkeypatch.setattr(blocks, "bad_points", adding)
+        code, out, _ = run_cli(capsys, "verify", "--n-max", "4")
+        assert code == 3
+        assert "FAIL block characterization and profile invariants" in out
+
     def test_broken_block_walk_fails_verify(self, capsys, monkeypatch):
         def broken(cycle, bad, start):
             raise ValueError("walk broken")
