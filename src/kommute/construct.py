@@ -44,21 +44,6 @@ def canonical_cycle_word(p: Permutation) -> tuple[int, ...]:
     return tuple(point for cycle in rotated for point in cycle)
 
 
-def from_canonical_word(word: Sequence[int]) -> Permutation:
-    """
-    Invert :func:`canonical_cycle_word`: cycles restart at each new
-    left-to-right maximum of the word.
-    """
-    cycles: list[list[int]] = []
-    best = 0
-    for point in word:
-        if point > best:
-            cycles.append([])
-            best = point
-        cycles[-1].append(point)
-    return Permutation.from_cycles(cycles, len(word))
-
-
 def successor_free_kcycles(k: int) -> Iterator[Permutation]:
     """
     All k-cycles tau of {1..k} with tau(a) != a+1 cyclically for every a

@@ -4,7 +4,7 @@ Exhaustive ground truth at small degree.
 Everything here counts every permutation alpha of S_n, so the results are
 exact and independent of any closed formula in :mod:`kommute.formulas`.
 
-``distribution`` walks beta's conjugacy class instead of S_n.  Write
+``distribution`` counts beta's conjugacy class instead of S_n.  Write
 gamma = alpha*beta*alpha^{-1} and D(gamma) = {y : gamma(y) != beta(y)}.  The
 bad points of the pair are the alpha-preimages of D(gamma), so
 
@@ -16,20 +16,19 @@ bad points of the pair are the alpha-preimages of D(gamma), so
   the centralizer of beta.
 
 So the histogram and the profile counts over S_n are |C(beta)| times those
-over the n!/|C(beta)| elements of the class.  ``_class_walk`` generates
-each element once by choosing the cycle through the smallest unused point
-at every step.  It weighs each cycle once, when the cycle is chosen, and
-every element below that choice shares the weight; ``distribution`` weighs
-a cycle c of gamma by |D(gamma) & c|, so each element arrives as its
-per-cycle bad counts.  The class is sharded on the first choice, the cycle
-through point 1, and each shard is counted into a census of profiles;
-censuses merge by addition, so the result is identical for any shard or
-worker count.
+over the n!/|C(beta)| elements of the class, which depend only on how the
+cycles of gamma weigh.  ``_cycle_weights`` counts, for each point set whose
+size is a cycle length of beta, the cycles of gamma on it at each weight (a
+Held-Karp table); a census memoised on (lengths left, points left) then
+picks the cycle through the lowest point left, so no gamma is built.  The
+class is sharded on the point set of the cycle through point 1; censuses
+merge by addition, so the result is identical for any shard or worker
+count.  Degrees above ``HISTOGRAM_MAX_DEGREE`` are refused whatever the cap.
 
 The filters and ``parity_split`` need the actual alpha, so they reduce
 over ``_scan``, which walks S_n in the lexicographic order of one-line
 words and yields each alpha with its bad points.  ``_census`` over that
-scan is the independent reference the class walk is tested against.
+scan is the independent reference the histogram is tested against.
 
 Degrees are capped (default 8, so 40320 permutations per reference
 permutation) to keep full verification in the seconds range; raise the cap
@@ -42,17 +41,20 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import os
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .blocks import _profile
 from .construct import perfect_matchings, successor_free_kcycles
-from .perm import Permutation, all_permutations
+from .perm import Permutation, all_permutations, word_is_even
 
 DEFAULT_MAX_DEGREE = 8
+
+# the histogram's tables about double in memory with each degree: the
+# 16-cycle takes about 15 s and 100 MB
+HISTOGRAM_MAX_DEGREE = 16
 
 ENV_MAX_DEGREE = "KOMMUTE_MAX_BRUTE_N"
 
@@ -99,84 +101,74 @@ def _census(beta_word: tuple[int, ...]) -> Counter:
     return Counter(bad for bad, _ in _scan(beta_word))
 
 
-def _choices(
-    lengths: tuple[int, ...], points: tuple[int, ...]
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
-    # each cycle through points[0] with a length in `lengths`, with the
-    # lengths and the points it leaves
-    first, rest = points[0], points[1:]
+def _cycle_weights(b: tuple[int, ...], sizes: set[int]) -> dict[int, Counter]:
+    """
+    {S: {w: #cycles}} for each point set S, a bitmask, whose size is in
+    ``sizes``: how many cycles of gamma on S have w = |D(gamma) & S|, for
+    beta's zero-based word ``b``.  Paths keyed by (visited bitmask, last
+    point, weight) run from each start s over the points above s, so each
+    cycle has one path; a step y -> z weighs 1 when z != b[y].
+
+    >>> sorted(_cycle_weights((1, 0, 2), {2}).items())
+    [(3, Counter({0: 1})), (5, Counter({2: 1})), (6, Counter({2: 1}))]
+    >>> _cycle_weights((0, 1, 2, 3, 4), {5})[0b11111]
+    Counter({5: 24})
+    """
+    n = len(b)
+    table: dict[int, Counter] = defaultdict(Counter)
+    for s in range(n):
+        paths = {(1 << s, s, 0): 1}
+        for size in range(1, min(max(sizes), n - s) + 1):
+            if size > 1:
+                grown: dict[tuple[int, int, int], int] = {}
+                for (seen, y, w), c in paths.items():
+                    for z in range(s + 1, n):
+                        if not seen >> z & 1:
+                            key = (seen | 1 << z, z, w + (z != b[y]))
+                            grown[key] = grown.get(key, 0) + c
+                paths = grown
+            if size in sizes:
+                for (seen, y, w), c in paths.items():
+                    table[seen][w + (s != b[y])] += c
+    return table
+
+
+def _first_cycles(lengths: tuple[int, ...], left: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    # each point set of the cycle through the lowest point of ``left`` with a
+    # length in ``lengths``, with the lengths it leaves
+    low = (left & -left).bit_length() - 1
+    rest = [p for p in range(low + 1, left.bit_length()) if left >> p & 1]
     for length in sorted(set(lengths), reverse=True):
         i = lengths.index(length)
-        others = lengths[:i] + lengths[i + 1 :]
-        for tail in itertools.permutations(rest, length - 1):
-            left = tuple([p for p in rest if p not in tail]) if others else ()
-            yield (first,) + tail, others, left
-
-
-def _class_walk(
-    lengths: tuple[int, ...],
-    points: tuple[int, ...],
-    weigh: Callable[[tuple[int, ...]], T],
-    start: int = 0,
-    stop: int | None = None,
-) -> Iterator[tuple[T, ...]]:
-    """
-    Every permutation of ``points`` whose cycle lengths are the multiset
-    ``lengths``, once each, as the tuple of ``weigh(cycle)`` over its
-    cycles.  The cycle through the smallest unused point is chosen first,
-    so each element has one path; ``weigh`` runs once per choice, and every
-    element below that choice shares its result.  The fixed points left
-    after the last longer cycle are weighed once per walk, at their first
-    use.  ``start`` and ``stop`` keep the first choices in that index range.
-
-    >>> sum(1 for _ in _class_walk((2, 1), (0, 1, 2), tuple))
-    3
-    >>> next(_class_walk((2, 1), (0, 1, 2), tuple))
-    ((0, 1), (2,))
-    """
-    weigh_fixed = functools.lru_cache(maxsize=None)(lambda p: weigh((p,)))
-    return _walk(lengths, points, weigh, weigh_fixed, start, stop)
-
-
-def _walk(
-    lengths: tuple[int, ...],
-    points: tuple[int, ...],
-    weigh: Callable[[tuple[int, ...]], T],
-    weigh_fixed: Callable[[int], T],
-    start: int = 0,
-    stop: int | None = None,
-) -> Iterator[tuple[T, ...]]:
-    # ``_class_walk`` with the leftover fixed points weighed by ``weigh_fixed``
-    for cycle, others, left in itertools.islice(_choices(lengths, points), start, stop):
-        head = (weigh(cycle),)
-        if others.count(1) == len(others):
-            # what is left are fixed points: one way to finish.  A list, not
-            # tuple(map(...)): that over-allocates and shrinks each tuple,
-            # and the shrunk tuples kept in the free lists cost 0.4 MB of
-            # peak RSS in verify
-            yield head + tuple([weigh_fixed(p) for p in left])
-            continue
-        for more in _walk(others, left, weigh, weigh_fixed):
-            yield head + more
+        for tail in itertools.combinations(rest, length - 1):
+            yield lengths[:i] + lengths[i + 1 :], sum([1 << p for p in tail], 1 << low)
 
 
 def _class_census(task: tuple) -> Counter:
-    # one shard of beta's class: how many gamma have each profile; pure,
-    # merged by addition
+    # one shard of beta's class, split on the point set of the cycle through
+    # point 0: how many gamma have each profile; pure, merged by addition
     b, lengths, start, stop = task
-    image = b.__getitem__
+    weights = _cycle_weights(b, set(lengths))
 
-    def weigh(c: tuple[int, ...]) -> int:
-        # |D(gamma) & c|: gamma maps each point of the cycle c to the next one
-        return sum(map(operator.ne, map(image, c), c[1:] + c[:1]))
+    @functools.cache
+    def census(
+        lengths: tuple[int, ...], left: int, start: int = 0, stop: int | None = None
+    ) -> Counter:
+        # how many permutations of the points ``left`` with cycle lengths
+        # ``lengths`` have each profile, over the first choices start..stop
+        if not left:
+            return Counter({(): 1})
+        out: Counter = Counter()
+        for others, cycle in itertools.islice(_first_cycles(lengths, left), start, stop):
+            below = census(others, left & ~cycle)
+            for w, c in weights[cycle].items():
+                for prof, m in below.items():
+                    if w:
+                        prof = tuple(sorted(prof + (w,), reverse=True))
+                    out[prof] += c * m
+        return out
 
-    # the per-cycle counts of each gamma, in walk order
-    walked = Counter(_class_walk(lengths, tuple(range(len(b))), weigh, start, stop))
-    # sorted into profiles once per distinct tuple, not once per gamma
-    census: Counter = Counter()
-    for parts, c in walked.items():
-        census[tuple(sorted([p for p in parts if p], reverse=True))] += c
-    return census
+    return census(lengths, (1 << len(b)) - 1, start, stop)
 
 
 @dataclass(frozen=True)
@@ -225,9 +217,14 @@ def distribution(
     """
     n = beta.degree
     _check_degree(n, max_degree)
+    if n > HISTOGRAM_MAX_DEGREE:
+        raise ValueError(
+            f"degree {n} exceeds {HISTOGRAM_MAX_DEGREE}, the ceiling of the "
+            "exhaustive histogram, whose memory about doubles with each degree"
+        )
     ctype = beta.cycle_type()
     lengths = ctype.parts()
-    firsts = sum(math.perm(n - 1, length - 1) for length in set(lengths))
+    firsts = sum(math.comb(n - 1, length - 1) for length in set(lengths))
     if shards is None:
         shards = jobs if jobs > 1 else 1
     bounds = [(firsts * i) // shards for i in range(shards + 1)]
@@ -317,7 +314,7 @@ def parity_split(
     _check_degree(n, max_degree)
     even, odd = [0] * (n + 1), [0] * (n + 1)
     for bad, a in _scan(beta.word):
-        if Permutation._from_word(a).is_even():
+        if word_is_even(a):
             even[len(bad)] += 1
         else:
             odd[len(bad)] += 1

@@ -215,7 +215,7 @@ class Permutation:
         return "even" if self.is_even() else "odd"
 
     def is_even(self) -> bool:
-        return (len(self.word) - len(self.cycles())) % 2 == 0
+        return word_is_even(self.word)
 
     def support(self) -> frozenset[int]:
         """Points moved by the permutation."""
@@ -453,3 +453,17 @@ def all_permutations(n: int) -> Iterator[Permutation]:
     """All of S_n in lexicographic one-line order (no degree guard)."""
     for word in itertools.permutations(range(n)):
         yield Permutation._from_word(word)
+
+
+def word_is_even(word: Sequence[int]) -> bool:
+    """Whether the zero-based one-line ``word`` is even: n minus its cycle count is."""
+    seen = bytearray(len(word))
+    cycles = 0
+    for i in range(len(word)):
+        if not seen[i]:
+            cycles += 1
+            j = i
+            while not seen[j]:
+                seen[j] = 1
+                j = word[j]
+    return (len(word) - cycles) % 2 == 0

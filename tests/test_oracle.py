@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from kommute import blocks, oracle
+from kommute import blocks, formulas, oracle
 from kommute.perm import CycleType, Permutation, all_permutations, parse_permutation
 
 # brute-force histograms computed without kommute, read-only here
@@ -99,8 +99,8 @@ class TestDistribution:
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
         beta = parse_permutation("(1 2 3)(4 5)", 5)
         want = oracle.distribution(beta)
-        # 1000 first-choice shards leave 16 non-empty ones: the 12 three-cycles
-        # and 4 two-cycles of the class of (1 2 3)(4 5) through point 1
+        # 1000 first-choice shards leave 10 non-empty ones: the 6 point sets of
+        # a three-cycle and the 4 of a two-cycle through point 1
         assert oracle.distribution(beta, jobs=1000) == want
         assert oracle.distribution(beta, jobs=3, shards=2) == want
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)
@@ -132,60 +132,35 @@ class TestDistribution:
 
     def test_counts_match_reference_table(self):
         table = json.loads(REFERENCE_HISTOGRAMS.read_text(encoding="utf-8"))
-        for n in range(1, 9):
+        for n in range(1, 10):
             for t in CycleType.all_types(n):
-                d = oracle.distribution(t.representative())
+                d = oracle.distribution(t.representative(), max_degree=9)
                 key = ".".join(map(str, t.parts()))
                 assert [d[k] for k in range(n + 1)] == table[key], key
 
-    def test_class_walk_visits_each_element_once(self):
-        for n in range(1, 8):
-            for t in CycleType.all_types(n):
-                walked = [
-                    Permutation.from_cycles([[p + 1 for p in c] for c in cycles], n)
-                    for cycles in oracle._class_walk(t.parts(), tuple(range(n)), tuple)
-                ]
-                assert len(set(walked)) == len(walked) == math.factorial(n) // t.centralizer_order()
-                assert {g.cycle_type() for g in walked} == {t}
+    def test_every_type_of_s10_matches_the_formulas(self):
+        for t in CycleType.all_types(10):
+            d = oracle.distribution(t.representative(), max_degree=10)
+            assert d.total() == math.factorial(10), t
+            assert all(c % t.centralizer_order() == 0 for c in d.profiles.values()), t
+            assert (d[0], d[3], d[4]) == (
+                formulas.count_k0(t), formulas.count_k3(t), formulas.count_k4(t)
+            ), t
+            for prof, c in formulas.count_k4_parts(t).items():
+                assert d.profiles[prof] == c, (t, prof)
 
-    def test_class_walk_weighs_each_choice_once(self):
-        # (2,2,2,2) in S_8: 7 first choices, then 5, 3 and 1 below each, so
-        # 7 + 35 + 105 + 105 = 252 weighings, not 4 for each of 105 elements
-        weighed = []
-
-        def weigh(cycle):
-            weighed.append(cycle)
-            return cycle
-
-        walked = list(oracle._class_walk((2, 2, 2, 2), tuple(range(8)), weigh))
-        assert len(walked) == 105 == len(set(walked))
-        assert len(weighed) == 7 + 35 + 105 + 105 == 252
-        assert walked == list(oracle._class_walk((2, 2, 2, 2), tuple(range(8)), tuple))
-
-    def test_class_walk_weighs_each_leftover_fixed_point_once(self):
-        # (3,1,1,1) in S_6: 20 + 12 + 6 + 2 three-cycles through 0, 1, 2
-        # and 3, the fixed points (0,), (1,) and (2,) chosen on the way, and
-        # the leftover fixed points 1..5 once each; weighing the leftovers
-        # per element took 20*3 + 12*2 + 6*1 more, 133 in all; (5,1,1,1)
-        # in S_8 fell from 4707 to 1354 the same way
-        for parts, calls in (((3, 1, 1, 1), 40 + 3 + 5), ((5, 1, 1, 1), 1354)):
-            n = sum(parts)
-            weighed = []
-
-            def weigh(cycle):
-                weighed.append(cycle)
-                return cycle
-
-            walked = list(oracle._class_walk(parts, tuple(range(n)), weigh))
-            assert len(weighed) == calls
-            assert walked == list(oracle._class_walk(parts, tuple(range(n)), tuple))
-            beta = CycleType.from_parts(list(parts)).representative()
-            d = oracle.distribution(beta)
-            assert (d.counts, d.profiles) == sn_reduction(beta), beta
+    def test_twelve_cycle_matches_the_closed_form(self):
+        d = oracle.distribution(parse_permutation("(1 2 3 4 5 6 7 8 9 10 11 12)", 12), max_degree=12)
+        assert d.counts == {k: formulas.count_for_ncycle(k, 12) for k in range(13)}
 
     def test_bound(self):
         with pytest.raises(ValueError, match="exhaustive bound"):
             oracle.distribution(Permutation.identity(9))
+
+    def test_degree_ceiling(self):
+        beta = parse_permutation("(" + " ".join(map(str, range(1, 18))) + ")", 17)
+        with pytest.raises(ValueError, match="ceiling"):
+            oracle.distribution(beta, max_degree=17)
 
     def test_json_serialization(self):
         d = oracle.distribution(parse_permutation("(1 2)", 3))
@@ -244,6 +219,20 @@ class TestEvenOddSplit:
             assert [oracle.even_odd_split(beta, k) for k in range(n + 2)] == [
                 split[k] for k in range(n + 1)
             ] + [(0, 0)]
+
+    def test_parity_split_builds_no_cycles(self, monkeypatch):
+        calls = 0
+        cycles = Permutation.cycles
+
+        def counting(self):
+            nonlocal calls
+            calls += 1
+            return cycles(self)
+
+        monkeypatch.setattr(Permutation, "cycles", counting)
+        split = oracle.parity_split(parse_permutation("(1 2)(3 4)", 5))
+        assert sum(map(sum, split.values())) == 120
+        assert calls == 0
 
     def test_distinct_odd_type_recorded_not_equal(self):
         # (1 2 3) in S_4 has distinct odd parts; only totals are guaranteed
