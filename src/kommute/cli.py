@@ -17,9 +17,14 @@ nothing on stderr.  All counts in JSON are decimal strings, CSV uses a
 header row and LF line endings, and output is byte-identical for any
 worker count.
 
+``enumerate`` keeps each witness only as its zero-based one-line word in
+bytes, which sort in the order of the one-line images, and writes every
+line straight from that word, so it holds about 56 bytes a witness.
+
 Each runner imports the modules it uses when it runs, so a closed-form
-request loads neither the oracle nor the enumerators, and only ``--jobs``
-> 1 loads the worker pool.
+request loads neither the oracle nor the enumerators, and only a histogram
+that starts a worker pool (``--jobs`` > 1 on a class of at least
+``oracle.POOL_MIN_CLASS`` elements) loads it.
 """
 
 from __future__ import annotations
@@ -27,13 +32,12 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import operator
 import os
 import sys
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import formulas
-from .perm import ParseError, parse_permutation
+from .perm import ParseError, Permutation, parse_permutation, point_labels, word_cycle_string
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -150,7 +154,7 @@ def run_count(args) -> int:
 
 
 def run_enumerate(args) -> int:
-    from . import blocks, construct
+    from . import construct
 
     beta = _parse_beta(args)
     t = beta.cycle_type()
@@ -166,19 +170,39 @@ def run_enumerate(args) -> int:
         size = formulas.fpf_involution_count(args.k, args.n // 2) if fpf else 0
     if size > MAX_WITNESSES:
         raise ValueError(f"the witnesses outnumber the witness cap {MAX_WITNESSES}")
-    # the pair streams are injective, so no set is needed; words sort as the
-    # one-line images do (images = word + 1)
-    witnesses = (alpha for _, alpha in pairs)
-    for alpha in sorted(witnesses, key=operator.attrgetter("word")):
-        if args.json:
-            record = {
-                "alpha": alpha.cycle_string(),
-                "bad_points": sorted(blocks.bad_points(alpha, beta)),
-            }
-            print(json.dumps(record, sort_keys=True))
-        else:
-            print(alpha.cycle_string())
+    # the pair streams are injective, so the witnesses are sorted without a set
+    words = _sorted_words((alpha for _, alpha in pairs), beta.degree)
+    sys.stdout.writelines(_witness_lines(words, beta.word, args.json))
     return EXIT_OK
+
+
+def _sorted_words(witnesses: Iterable[Permutation], n: int) -> list[Sequence[int]]:
+    # each witness's zero-based word, in the order of the one-line images
+    # (images = word + 1): as bytes while every entry is below 256, about a
+    # third of what a sorted Permutation holds; above that as the word
+    # tuple, which sorts the same way.  No request under MAX_WITNESSES seems
+    # to reach degree 257: the least nonzero single-cycle count found there
+    # is 707,461,120 (type (256, 1), k = 3), and fpf counts are 0 or larger
+    key = bytes if n <= 256 else tuple
+    return sorted(key(alpha.word) for alpha in witnesses)
+
+
+def _witness_lines(
+    words: Iterable[Sequence[int]], beta_word: tuple[int, ...], as_json: bool
+) -> Iterator[str]:
+    # one output line per zero-based word: its cycle notation or, under
+    # --json, the record json.dumps(..., sort_keys=True) prints, since cycle
+    # notation needs no escaping; the bad points are where alpha*beta and
+    # beta*alpha disagree, ascending
+    b = beta_word
+    points = range(len(b))
+    labels = point_labels(len(b))
+    for a in words:
+        line = word_cycle_string(a, labels)
+        if as_json:
+            bad = ", ".join([labels[i] for i in points if a[b[i]] != b[a[i]]])
+            line = f'{{"alpha": "{line}", "bad_points": [{bad}]}}'
+        yield line + "\n"
 
 
 # -- verify --------------------------------------------------------------

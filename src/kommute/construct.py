@@ -21,8 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
-from typing import Callable, Collection, Iterator, Sequence
+from typing import Callable, Collection, Iterator, NamedTuple, Sequence
 
 from .perm import Permutation
 
@@ -62,8 +61,7 @@ def _successor_free(tau: Permutation) -> bool:
     return all(tau(a) != a % k + 1 for a in range(1, k + 1))
 
 
-@dataclass(frozen=True)
-class SingleCycleChoice:
+class SingleCycleChoice(NamedTuple):
     """
     One parameter tuple of the single-cycle construction.
 

@@ -58,6 +58,14 @@ HISTOGRAM_MAX_DEGREE = 16
 
 ENV_MAX_DEGREE = "KOMMUTE_MAX_BRUTE_N"
 
+# the least class size n!/|C(beta)| at which jobs > 1 starts a worker pool;
+# smaller classes run their shards in this process.  Every shard rebuilds
+# the path table and a pool takes tens of ms to start: on 2 vCPUs (Python
+# 3.11) a pool of two took 0.6 to 6.9 times the serial time over all types
+# of S_12 and S_13, and saved at most 0.21 s on a class below 10**8, which
+# holds all of S_12
+POOL_MIN_CLASS = 10**8
+
 T = TypeVar("T")
 
 
@@ -207,8 +215,9 @@ def distribution(
     The full histogram {k: #alpha at commutation distance k from beta} and
     the profile counts {profile: #alpha}, computed exhaustively from beta's
     conjugacy class.  ``jobs`` > 1 fans the shards out over a process pool
-    of at most ``jobs`` workers, capped by the CPU and shard counts; the
-    result does not depend on jobs or shard count.
+    of at most ``jobs`` workers, capped by the CPU and shard counts, once
+    the class has ``POOL_MIN_CLASS`` elements; the result does not depend
+    on jobs or shard count.
 
     >>> {p: c for p, c in distribution(
     ...     Permutation.from_cycles([(1, 2, 3), (4, 5)], 5)
@@ -224,16 +233,18 @@ def distribution(
         )
     ctype = beta.cycle_type()
     lengths = ctype.parts()
+    order = ctype.centralizer_order()
+    pool = jobs > 1 and math.factorial(n) // order >= POOL_MIN_CLASS
     firsts = sum(math.comb(n - 1, length - 1) for length in set(lengths))
     if shards is None:
-        shards = jobs if jobs > 1 else 1
+        shards = jobs if pool else 1
     bounds = [(firsts * i) // shards for i in range(shards + 1)]
     tasks = [
         (beta.word, lengths, bounds[i], bounds[i + 1])
         for i in range(shards)
         if bounds[i] < bounds[i + 1]
     ]
-    if jobs > 1:
+    if pool:
         # imported here, so that serial runs skip the pool's tens of
         # milliseconds of imports
         from concurrent.futures import ProcessPoolExecutor
@@ -244,7 +255,6 @@ def distribution(
     else:
         partials = [_class_census(t) for t in tasks]
     census: Counter = sum(partials, Counter())
-    order = ctype.centralizer_order()
     counts = dict.fromkeys(range(n + 1), 0)
     profiles: Counter = Counter()
     for prof, c in census.items():

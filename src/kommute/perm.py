@@ -228,20 +228,7 @@ class Permutation:
 
     def cycle_string(self) -> str:
         """Cycle notation, fixed points omitted; identity prints as '()'."""
-        # the cycles of cycles() without its 1-cycles, read off the word
-        w = self.word
-        seen = [False] * len(w)
-        parts = []
-        for i, j in enumerate(w):
-            if j == i or seen[i]:
-                continue
-            cycle = [str(i + 1)]
-            while j != i:
-                seen[j] = True
-                cycle.append(str(j + 1))
-                j = w[j]
-            parts.append("(" + " ".join(cycle) + ")")
-        return "".join(parts) if parts else "()"
+        return word_cycle_string(self.word, point_labels(len(self.word)))
 
     def one_line_string(self) -> str:
         return " ".join(map(str, self.images))
@@ -467,3 +454,30 @@ def word_is_even(word: Sequence[int]) -> bool:
                 seen[j] = 1
                 j = word[j]
     return (len(word) - cycles) % 2 == 0
+
+
+def point_labels(n: int) -> tuple[str, ...]:
+    """The texts of the points 1..n, indexed by zero-based point."""
+    return tuple(map(str, range(1, n + 1)))
+
+
+def word_cycle_string(word: Sequence[int], labels: Sequence[str]) -> str:
+    """
+    Cycle notation of the zero-based one-line ``word``, fixed points
+    omitted and the identity printed as '()'; ``labels[i]`` is the text of
+    point i + 1.  The word may be a tuple, or bytes when its entries are
+    below 256.
+    """
+    # the cycles of Permutation.cycles() without its 1-cycles
+    seen = bytearray(len(word))
+    parts = []
+    for i, j in enumerate(word):
+        if j == i or seen[i]:
+            continue
+        cycle = [labels[i]]
+        while j != i:
+            seen[j] = 1
+            cycle.append(labels[j])
+            j = word[j]
+        parts.append("(" + " ".join(cycle) + ")")
+    return "".join(parts) if parts else "()"

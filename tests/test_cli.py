@@ -1,15 +1,20 @@
+import contextlib
 import functools
 import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
+
+import pytest
 
 import kommute
 from kommute import blocks, cli, construct, formulas, oracle, verify
-from kommute.perm import CycleType, Permutation, parse_permutation
+from kommute.perm import CycleType, Permutation, all_permutations, parse_permutation
 
 
 def run_cli(capsys, *argv):
@@ -177,6 +182,122 @@ ENUMERATE_GOLDEN = {
     "enumerate --beta (1,2)(3,4)(5,6)(7,8) --n 8 --k 4 --mode fpf --json": (
         4608, "ad31a9678a2051f3e2da2cf9b1836a17d51eb0c719ad7060478b29a4b6d664e0"),
 }
+
+
+def reference_enumerate_output(beta, witnesses, as_json):
+    # the reference printer: Permutations sorted by their one-line images,
+    # each formatted through cycles(), json.dumps and blocks.bad_points
+    out = []
+    for alpha in sorted(witnesses, key=lambda p: p.images):
+        text = "".join("(" + " ".join(map(str, c)) + ")" for c in alpha.cycles() if len(c) > 1)
+        text = text or "()"
+        if as_json:
+            bad = sorted(blocks.bad_points(alpha, beta))
+            text = json.dumps({"alpha": text, "bad_points": bad}, sort_keys=True)
+        out.append(text + "\n")
+    return "".join(out)
+
+
+class TestWitnessPrinter:
+    # (mode, beta, n, k); the beta cycles are written in no canonical order
+    CASES = [
+        ("single", "(1 2 3)", 3, 3),
+        ("single", "(1 2 3 4 5)", 5, 3),
+        ("single", "(1 2 3 4 5)", 5, 5),
+        ("single", "(3 1 4)(6 2 5)", 6, 3),
+        ("single", "(1 2 3 4)(5 6)", 7, 4),
+        ("single", "(5 2 7 4 1 6)", 7, 4),
+        ("single", "(1 2)", 4, 3),
+        ("fpf", "(1 2)", 2, 0),
+        ("fpf", "(1 2)(3 4)", 4, 0),
+        ("fpf", "(1 2)(3 4)", 4, 4),
+        ("fpf", "(4 1)(2 6)(5 3)", 6, 2),
+        ("fpf", "(1 2)(3 4)(5 6)", 6, 4),
+        ("fpf", "(1 2)(3 4)(5 6)", 6, 6),
+    ]
+
+    @staticmethod
+    def witnesses(mode, beta, k):
+        if mode == "single":
+            return construct.enumerate_single_cycle(beta, k)
+        return construct.enumerate_fpf(beta, k // 2)
+
+    @pytest.mark.parametrize("mode,text,n,k", CASES)
+    def test_bytes_match_the_permutation_path(self, capsys, mode, text, n, k):
+        beta = parse_permutation(text, n)
+        witnesses = self.witnesses(mode, beta, k)
+        for flags in ([], ["--json"]):
+            argv = ["enumerate", "--beta", text, "--n", str(n), "--k", str(k), "--mode", mode]
+            got = run_cli(capsys, *argv, *flags)
+            want = reference_enumerate_output(beta, witnesses, bool(flags))
+            assert got == (0, want, ""), (argv, flags)
+
+    @pytest.mark.parametrize(
+        "mode,text,n,k",
+        [c for c in CASES if c[0] == "fpf"] + [
+            ("single", "(1 2 3 4 5 6)", 6, 4),
+            ("single", "(1 2 3)(4 5 6)", 8, 3),
+            ("single", "(2 5 1 4)(3 6 7 8)", 8, 3),
+        ],
+    )
+    def test_json_bad_points_are_blocks_bad_points(self, capsys, mode, text, n, k):
+        beta = parse_permutation(text, n)
+        argv = ["enumerate", "--beta", text, "--n", str(n), "--k", str(k), "--mode", mode, "--json"]
+        code, out, _ = run_cli(capsys, *argv)
+        records = [json.loads(line) for line in out.splitlines()]
+        assert code == 0
+        assert len(records) == len(self.witnesses(mode, beta, k))
+        for record in records:
+            alpha = parse_permutation(record["alpha"], n)
+            assert record["bad_points"] == sorted(blocks.bad_points(alpha, beta))
+
+    def test_degree_above_256_keys_by_tuple(self):
+        # bytes keys need every word entry below 256; no enumerate request
+        # under the witness cap gets there, so the tuple branch runs here
+        rng = random.Random(13)
+        n = 300
+        beta = Permutation.from_cycles([tuple(range(1, n + 1))], n)
+        witnesses = []
+        for _ in range(40):
+            # three transpositions, so words share long prefixes
+            images = list(range(1, n + 1))
+            for _ in range(3):
+                i, j = rng.sample(range(n), 2)
+                images[i], images[j] = images[j], images[i]
+            witnesses.append(Permutation(images))
+        words = cli._sorted_words(witnesses, n)
+        assert all(type(w) is tuple for w in words)
+        assert words == sorted(alpha.word for alpha in witnesses)
+        for as_json in (False, True):
+            got = "".join(cli._witness_lines(words, beta.word, as_json))
+            assert got == reference_enumerate_output(beta, witnesses, as_json)
+
+    def test_bytes_and_tuple_keys_sort_alike(self):
+        beta = parse_permutation("(1 2 3 4 5 6)", 6)
+        witnesses = list(all_permutations(6))
+        random.Random(3).shuffle(witnesses)
+        words = cli._sorted_words(witnesses, 6)
+        assert all(type(w) is bytes for w in words)
+        assert [tuple(w) for w in words] == [p.word for p in all_permutations(6)]
+        for as_json in (False, True):
+            got = "".join(cli._witness_lines(words, beta.word, as_json))
+            assert got == reference_enumerate_output(beta, witnesses, as_json)
+
+    def test_memory_per_witness(self):
+        # the fpf request with m = 4, j = 3: 12,288 witnesses, each held as
+        # a bytes key until printed (about 57 B); sorting them as
+        # Permutations took about 154 B a witness
+        argv = "enumerate --beta (1,2)(3,4)(5,6)(7,8) --n 8 --k 6 --mode fpf".split()
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            assert cli.main(argv) == 0  # warm-up: imports and first-call caches
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                assert cli.main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (peak - base) / 12_288 < 100
 
 
 class TestVerify:
@@ -631,4 +752,14 @@ class TestColdStart:
         ]:
             loaded = self.loaded(argv)
             assert "kommute.cli" in loaded
+            assert not loaded & POOL_MODULES, argv
+
+    def test_jobs_start_no_pool_below_the_class_threshold(self):
+        # every class up to S_12 is below oracle.POOL_MIN_CLASS
+        for argv in [
+            "count --beta (1,2)(3,4) --n 9 --k 4 --method brute --max-brute-n 9 --jobs 2",
+            "verify --n-max 5 --jobs 2",
+        ]:
+            loaded = self.loaded(argv)
+            assert "kommute.oracle" in loaded
             assert not loaded & POOL_MODULES, argv

@@ -44,6 +44,43 @@ class TestSuccessorFreeKCycles:
                 assert tau(a) != a % 5 + 1
 
 
+class TestSingleCycleChoiceValue:
+    # one is built per witness; its value semantics must not drift
+    TAU = Permutation.from_cycles([(1, 3, 2)], 3)
+
+    def choice(self, **changes):
+        fields = dict(source=0, target=1, points=(1, 2, 3), tau=self.TAU, start=4, outer=5)
+        fields.update(changes)
+        return SingleCycleChoice(**fields)
+
+    def test_fields(self):
+        c = SingleCycleChoice(0, 1, (1, 2, 3), self.TAU, 4, 5)
+        assert (c.source, c.target, c.points, c.tau, c.start, c.outer) == (
+            0, 1, (1, 2, 3), self.TAU, 4, 5)
+        assert c == self.choice()
+
+    def test_eq_and_hash(self):
+        assert self.choice() == self.choice()
+        assert hash(self.choice()) == hash(self.choice())
+        for change in [dict(source=1), dict(points=(1, 2, 4)), dict(outer=0),
+                       dict(tau=Permutation.from_cycles([(1, 2, 3)], 3))]:
+            assert self.choice(**change) != self.choice(), change
+        assert len({self.choice(), self.choice(), self.choice(start=1)}) == 2
+
+    def test_repr(self):
+        assert repr(self.choice()) == (
+            "SingleCycleChoice(source=0, target=1, points=(1, 2, 3), "
+            "tau=Permutation([3, 1, 2]), start=4, outer=5)"
+        )
+
+    def test_immutable(self):
+        c = self.choice()
+        for name in ("source", "points", "outer"):
+            with pytest.raises(AttributeError):
+                setattr(c, name, 7)
+        assert c == self.choice()
+
+
 class TestBuildSingleCycle:
     @pytest.mark.parametrize(
         "text,n,k",

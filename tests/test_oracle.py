@@ -74,12 +74,16 @@ class TestDistribution:
             assert oracle.distribution(beta, shards=7) == one
             assert oracle.distribution(beta, shards=1000) == one
 
-    def test_worker_pool_smoke(self):
+    def test_worker_pool_smoke(self, monkeypatch):
+        # a real pool, started for this small class by lowering the threshold
+        monkeypatch.setattr(oracle, "POOL_MIN_CLASS", 0)
         beta = parse_permutation("(1 2 3 4)", 5)
         assert oracle.distribution(beta, jobs=2).counts == oracle.distribution(beta).counts
 
-    def test_worker_pool_is_capped(self, monkeypatch):
-        # a serial stand-in for the pool: no worker process is ever started
+    @staticmethod
+    def serial_pool(monkeypatch):
+        # a serial stand-in for the pool: no worker process is ever started;
+        # returns the worker counts it was asked for
         started = []
 
         class SerialPool:
@@ -96,6 +100,20 @@ class TestDistribution:
                 return map(fn, tasks)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        return started
+
+    def test_small_class_starts_no_pool(self, monkeypatch):
+        started = self.serial_pool(monkeypatch)
+        beta = parse_permutation("(1 2)(3 4)", 9)
+        want = oracle.distribution(beta, max_degree=9)
+        for jobs in (2, 8):
+            assert oracle.distribution(beta, jobs=jobs, max_degree=9) == want
+        assert math.factorial(9) // beta.cycle_type().centralizer_order() < oracle.POOL_MIN_CLASS
+        assert started == []
+
+    def test_worker_pool_is_capped(self, monkeypatch):
+        started = self.serial_pool(monkeypatch)
+        monkeypatch.setattr(oracle, "POOL_MIN_CLASS", 0)
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
         beta = parse_permutation("(1 2 3)(4 5)", 5)
         want = oracle.distribution(beta)

@@ -11,6 +11,8 @@ from kommute.perm import (
     all_permutations,
     format_permutation,
     parse_permutation,
+    point_labels,
+    word_cycle_string,
 )
 
 
@@ -153,6 +155,16 @@ class TestCycles:
                 parts = ["(" + " ".join(map(str, c)) + ")" for c in p.cycles() if len(c) > 1]
                 assert p.cycle_string() == ("".join(parts) or "()")
         assert Permutation.identity(5).cycle_string() == "()"
+
+    def test_word_cycle_string_reads_tuples_and_bytes(self):
+        # enumerate formats bytes keys with the routine cycle_string uses
+        labels = point_labels(5)
+        assert labels == ("1", "2", "3", "4", "5")
+        for p in all_permutations(5):
+            want = p.cycle_string()
+            assert word_cycle_string(p.word, labels) == want
+            assert word_cycle_string(bytes(p.word), labels) == want
+        assert word_cycle_string(bytes([1, 0, 3, 4, 2]), labels) == "(1 2)(3 4 5)"
 
 
 class TestCycleType:
