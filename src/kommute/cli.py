@@ -11,9 +11,13 @@ Subcommands:
 * ``oeis``       terms of the related OEIS sequences, one per line
 
 Exit codes: 0 success, 1 usage, parse or size-cap error, 2 no closed form
-applies, 3 a verification or internal invariant failed.  A reader that
-closes the pipe early (``kommute enumerate ... | head``) gets exit 0 and
-nothing on stderr.  All counts in JSON are decimal strings, CSV uses a
+applies, 3 a verification or internal invariant failed.  ``verify`` writes
+and flushes each verdict as its check finishes, so an internal error in a
+later check comes after the verdicts already printed, which stay on
+stdout, with exit 3.  A reader that closes the pipe early
+(``kommute enumerate ... | head``, ``kommute verify ... | head -n 1``)
+gets exit 0 and nothing on stderr; ``verify`` then stops at the next
+verdict.  All counts in JSON are decimal strings, CSV uses a
 header row and LF line endings, and output is byte-identical for any
 worker count.
 
@@ -24,7 +28,7 @@ line straight from that word, so it holds about 56 bytes a witness.
 Each runner imports the modules it uses when it runs, so a closed-form
 request loads neither the oracle nor the enumerators, and only a histogram
 that starts a worker pool (``--jobs`` > 1 on a class of at least
-``oracle.POOL_MIN_CLASS`` elements) loads it.
+``oracle.POOL_MIN_CLASS`` elements, with two workers or more) loads it.
 """
 
 from __future__ import annotations
@@ -215,8 +219,11 @@ def run_verify(args) -> int:
     results = verify.verification_checks(
         args.n_max, jobs=args.jobs, max_n=args.max_brute_n, f_override=f_override
     )
-    failed = 0
+    checks = failed = 0
+    # each verdict is flushed as its check finishes, so a reader sees it at
+    # once, and one that has closed the pipe ends the run at the next flush
     for name, failures in results:
+        checks += 1
         if failures:
             failed += 1
             print(f"FAIL {name} ({len(failures)} case(s))")
@@ -226,7 +233,8 @@ def run_verify(args) -> int:
                 print(f"     ... and {len(failures) - 5} more")
         else:
             print(f"PASS {name}")
-    print(f"{len(results) - failed}/{len(results)} checks passed (n_max={args.n_max})")
+        sys.stdout.flush()
+    print(f"{checks - failed}/{checks} checks passed (n_max={args.n_max})")
     return EXIT_OK if failed == 0 else EXIT_INVARIANT
 
 

@@ -216,8 +216,8 @@ def distribution(
     the profile counts {profile: #alpha}, computed exhaustively from beta's
     conjugacy class.  ``jobs`` > 1 fans the shards out over a process pool
     of at most ``jobs`` workers, capped by the CPU and shard counts, once
-    the class has ``POOL_MIN_CLASS`` elements; the result does not depend
-    on jobs or shard count.
+    the class has ``POOL_MIN_CLASS`` elements and the cap leaves at least
+    two workers; the result does not depend on jobs or shard count.
 
     >>> {p: c for p, c in distribution(
     ...     Permutation.from_cycles([(1, 2, 3), (4, 5)], 5)
@@ -244,14 +244,16 @@ def distribution(
         for i in range(shards)
         if bounds[i] < bounds[i + 1]
     ]
-    if pool:
+    # one worker (an n-cycle has one non-empty shard; a host may have one
+    # CPU) would only add a second process's start-up and pickling
+    workers = min(jobs, os.cpu_count() or 1, len(tasks)) if pool else 1
+    if workers > 1:
         # imported here, so that serial runs skip the pool's tens of
         # milliseconds of imports
         from concurrent.futures import ProcessPoolExecutor
 
-        workers = min(jobs, os.cpu_count() or 1, len(tasks))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_class_census, tasks))
+        with ProcessPoolExecutor(max_workers=workers) as executor:
+            partials = list(executor.map(_class_census, tasks))
     else:
         partials = [_class_census(t) for t in tasks]
     census: Counter = sum(partials, Counter())

@@ -2,6 +2,11 @@
 The verification matrix: the closed forms, generating functions,
 enumerators and block invariants checked against exhaustive counts at
 small degree, one exhaustive scan per distinct beta.
+
+``verification_checks`` checks its arguments when called and returns a
+lazy stream of (name, failures) pairs: each check runs only when the
+stream is advanced to it, so a caller can report each verdict as soon as
+its check finishes and stop early without running the rest.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ import functools
 import math
 import operator
 import random
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import blocks, construct, formulas, oracle, series
 from .perm import CycleType, Permutation
@@ -274,11 +279,13 @@ def verification_checks(
     jobs: int = 1,
     max_n: int | None = None,
     f_override: dict[int, int] | None = None,
-) -> list[tuple[str, list[str]]]:
+) -> Iterator[tuple[str, list[str]]]:
     """
-    All identity checks as (name, failures) pairs, empty failures = pass.
-    ``n_max`` must lie in [2, the exhaustive bound], else ``ValueError``;
-    ``f_override`` replaces f(k) in T(k, n), as a negative control.
+    All identity checks as (name, failures) pairs, empty failures = pass,
+    in a fixed order.  ``n_max`` must lie in [2, the exhaustive bound],
+    else ``ValueError`` at call time; the checks themselves run one at a
+    time as the returned iterator is advanced.  ``f_override`` replaces
+    f(k) in T(k, n), as a negative control.
 
     >>> [name for name, failures in verification_checks(3) if failures]
     []
@@ -291,7 +298,10 @@ def verification_checks(
             f"--n-max {n_max} exceeds the brute-force cap {bound}; "
             f"raise it with --max-brute-n or {oracle.ENV_MAX_DEGREE}"
         )
+    return _run_checks(n_max, jobs, max_n, f_override)
 
+
+def _run_checks(n_max, jobs, max_n, f_override) -> Iterator[tuple[str, list[str]]]:
     # one exhaustive scan per distinct beta, shared by every histogram check
     @functools.lru_cache(maxsize=None)
     def hist(beta: Permutation) -> oracle.KDistribution:
@@ -302,17 +312,15 @@ def verification_checks(
             return n * math.comb(n, k) * f_override[k]
         return formulas.count_for_ncycle(k, n)
 
-    return [
-        ("closed forms k<=4 vs brute force", _check_formula_matrix(n_max, hist)),
-        ("distance-4 profile components vs brute force", _check_profile_components(n_max, hist)),
-        ("n-cycle counts T(k,n) vs brute force", _check_ncycle(n_max, hist, tkn)),
-        ("transposition counts vs brute force", _check_transposition(n_max, hist)),
-        ("fixed-point-free involution counts vs brute force", _check_fpf(n_max, hist)),
-        *_check_pairs(n_max, max_n),
-        ("counts divisible by centralizer order", _check_centralizer_divisibility(n_max, hist)),
-        ("conjugation invariance of counts", _check_conjugation_invariance(n_max, hist)),
-        ("even/odd split", _check_parity_split(n_max, max_n, hist)),
-        ("single-cycle enumerator vs brute filter", _check_single_cycle_enumerator(max_n)),
-        ("fpf enumerator vs brute filter", _check_fpf_enumerator(max_n)),
-        ("generating function coefficients", _check_egfs(n_max, tkn)),
-    ]
+    yield "closed forms k<=4 vs brute force", _check_formula_matrix(n_max, hist)
+    yield "distance-4 profile components vs brute force", _check_profile_components(n_max, hist)
+    yield "n-cycle counts T(k,n) vs brute force", _check_ncycle(n_max, hist, tkn)
+    yield "transposition counts vs brute force", _check_transposition(n_max, hist)
+    yield "fixed-point-free involution counts vs brute force", _check_fpf(n_max, hist)
+    yield from _check_pairs(n_max, max_n)
+    yield "counts divisible by centralizer order", _check_centralizer_divisibility(n_max, hist)
+    yield "conjugation invariance of counts", _check_conjugation_invariance(n_max, hist)
+    yield "even/odd split", _check_parity_split(n_max, max_n, hist)
+    yield "single-cycle enumerator vs brute filter", _check_single_cycle_enumerator(max_n)
+    yield "fpf enumerator vs brute filter", _check_fpf_enumerator(max_n)
+    yield "generating function coefficients", _check_egfs(n_max, tkn)

@@ -330,6 +330,18 @@ class TestVerify:
             assert (code, out) == (1, "")
             assert "--n-max must be between 2 and" in err
 
+    def test_internal_error_after_printed_verdicts(self, capsys, monkeypatch):
+        # the first verdict is already out when the second check breaks
+        def broken(n_max, hist):
+            raise AssertionError("profile table broken")
+
+        monkeypatch.setattr(verify, "_check_profile_components", broken)
+        assert run_cli(capsys, "verify", "--n-max", "4") == (
+            3,
+            "PASS closed forms k<=4 vs brute force\n",
+            "kommute: internal invariant violated: profile table broken\n",
+        )
+
     def test_golden_output(self, capsys):
         assert run_cli(capsys, "verify", "--n-max", "6") == (0, VERIFY_6, "")
         got = run_cli(capsys, "verify", "--n-max", "4", "--corrupt-f")
@@ -638,6 +650,23 @@ class TestSubprocess:
             err = proc.stderr.read()
             code = proc.wait(timeout=300)
         assert first.startswith(b"(")
+        assert (code, err) == (0, b"")
+
+    def test_closed_pipe_ends_verify_at_the_next_verdict(self):
+        # the flush after the second verdict meets the closed pipe, so the
+        # run ends there instead of running all 13 checks
+        argv = ["verify", "--n-max", "8"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "kommute.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=child_env(),
+        ) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=300)
+        assert first == b"PASS closed forms k<=4 vs brute force\n"
         assert (code, err) == (0, b"")
 
     def test_env_var_raises_bound(self):

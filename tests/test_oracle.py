@@ -121,9 +121,18 @@ class TestDistribution:
         # a three-cycle and the 4 of a two-cycle through point 1
         assert oracle.distribution(beta, jobs=1000) == want
         assert oracle.distribution(beta, jobs=3, shards=2) == want
+        # one CPU caps the pool at one worker, so the shards run in process
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)
         assert oracle.distribution(beta, jobs=8) == want
-        assert started == [4, 2, 1]
+        assert started == [4, 2]
+
+    def test_one_shard_starts_no_pool(self, monkeypatch):
+        # an n-cycle has one first choice, hence one non-empty shard
+        started = self.serial_pool(monkeypatch)
+        monkeypatch.setattr(oracle, "POOL_MIN_CLASS", 0)
+        beta = parse_permutation("(1 2 3 4 5 6)", 6)
+        assert oracle.distribution(beta, jobs=2) == oracle.distribution(beta)
+        assert started == []
 
     def test_census_matches_per_alpha_slow_path(self):
         for n in range(1, 7):

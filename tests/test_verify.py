@@ -196,3 +196,28 @@ class TestEnumeratorChecks:
         failures = verify._check_single_cycle_enumerator(None)
         assert len(failures) == 4
         assert all(f.startswith("single-cycle set mismatch") and f.endswith("k=3") for f in failures)
+
+
+LATER_CHECKS = [
+    "_check_profile_components", "_check_ncycle", "_check_transposition", "_check_fpf",
+    "_check_pairs", "_check_centralizer_divisibility", "_check_conjugation_invariance",
+    "_check_parity_split", "_check_single_cycle_enumerator", "_check_fpf_enumerator",
+    "_check_egfs",
+]
+
+
+class TestLazyChecks:
+    def test_arguments_are_checked_at_call_time(self, monkeypatch):
+        monkeypatch.delenv(oracle.ENV_MAX_DEGREE, raising=False)
+        for n_max in (9, 1, 0, -3):
+            with pytest.raises(ValueError):
+                verify.verification_checks(n_max)
+
+    def test_one_step_runs_only_the_first_check(self, monkeypatch):
+        def not_yet(*args):
+            pytest.fail("a later check ran before the stream reached it")
+
+        for name in LATER_CHECKS:
+            monkeypatch.setattr(verify, name, not_yet)
+        checks = verify.verification_checks(5, max_n=5)
+        assert next(checks) == ("closed forms k<=4 vs brute force", [])
