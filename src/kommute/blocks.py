@@ -29,7 +29,6 @@ back to 1 inside a length-m cycle.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .perm import Permutation
@@ -141,8 +140,7 @@ def _cut(cycle: tuple[int, ...], bad: frozenset[int], start: int) -> list[list[i
     return runs
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(NamedTuple):
     """
     The split of alpha*beta_j*alpha^{-1} cut at the images of the bad
     points of the cycle beta_j.

@@ -26,16 +26,18 @@ bytes, which sort in the order of the one-line images, and writes every
 line straight from that word, so it holds about 56 bytes a witness.
 
 Each runner imports the modules it uses when it runs, so a closed-form
-request loads neither the oracle nor the enumerators, and only a histogram
-that starts a worker pool (``--jobs`` > 1 on a class of at least
-``oracle.POOL_MIN_CLASS`` elements, with two workers or more) loads it.
+request loads neither the oracle nor the enumerators, only ``count`` loads
+``json`` (``enumerate --json`` writes its records by hand), and only a
+histogram that starts a worker pool (``--jobs`` > 1 on a class of at least
+``oracle.POOL_MIN_CLASS`` elements, with two workers or more) loads it.  No
+subcommand loads ``dataclasses``: the package's records are NamedTuples or
+``__slots__`` classes.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import sys
 from typing import Callable, Iterable, Iterator, Sequence
@@ -127,6 +129,8 @@ def _parse_beta(args):
 
 
 def run_count(args) -> int:
+    import json
+
     beta = _parse_beta(args)
     if args.k < 0:
         raise ValueError("k must be nonnegative")

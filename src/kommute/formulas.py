@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 from .perm import CycleType
 
@@ -29,16 +28,15 @@ class NoClosedFormError(ValueError):
     """No closed-form count is available; use the exhaustive oracle."""
 
 
-@dataclass(frozen=True)
-class FormulaResult:
+class FormulaResult(NamedTuple("FormulaResult", [("value", int), ("provenance", str)])):
     """An exact count plus the tag of the formula that produced it."""
 
-    value: int
-    provenance: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.value < 0:
+    def __new__(cls, value: int, provenance: str) -> "FormulaResult":
+        if value < 0:
             raise ValueError("counts cannot be negative")
+        return super().__new__(cls, value, provenance)
 
 
 def _term(

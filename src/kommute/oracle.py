@@ -43,8 +43,7 @@ import itertools
 import math
 import os
 from collections import Counter, defaultdict
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .blocks import _profile
 from .construct import perfect_matchings, successor_free_kcycles
@@ -157,33 +156,36 @@ def _class_census(task: tuple) -> Counter:
     # point 0: how many gamma have each profile; pure, merged by addition
     b, lengths, start, stop = task
     weights = _cycle_weights(b, set(lengths))
-
-    @functools.cache
-    def census(
-        lengths: tuple[int, ...], left: int, start: int = 0, stop: int | None = None
-    ) -> Counter:
-        # how many permutations of the points ``left`` with cycle lengths
-        # ``lengths`` have each profile, over the first choices start..stop
-        if not left:
-            return Counter({(): 1})
-        out: Counter = Counter()
-        for others, cycle in itertools.islice(_first_cycles(lengths, left), start, stop):
-            below = census(others, left & ~cycle)
-            for w, c in weights[cycle].items():
-                for prof, m in below.items():
-                    if w:
-                        prof = tuple(sorted(prof + (w,), reverse=True))
-                    out[prof] += c * m
-        return out
-
-    return census(lengths, (1 << len(b)) - 1, start, stop)
+    return _profile_census(lengths, (1 << len(b)) - 1, weights, {}, start, stop)
 
 
-@dataclass(frozen=True)
-class KDistribution:
+def _profile_census(
+    lengths: tuple[int, ...], left: int, weights: dict, memo: dict, start=0, stop=None
+) -> Counter:
+    # how many permutations of the points ``left`` with cycle lengths
+    # ``lengths`` have each profile, over the first choices start..stop.
+    # ``memo`` maps (lengths, left) to a whole census; passed down as a plain
+    # dict, it forms no reference cycle that keeps the tables after the call
+    if not left:
+        return Counter({(): 1})
+    out: Counter = Counter()
+    for others, cycle in itertools.islice(_first_cycles(lengths, left), start, stop):
+        key = others, left & ~cycle
+        if key not in memo:
+            memo[key] = _profile_census(*key, weights, memo)
+        for w, c in weights[cycle].items():
+            for prof, m in memo[key].items():
+                if w:
+                    prof = tuple(sorted(prof + (w,), reverse=True))
+                out[prof] += c * m
+    return out
+
+
+class KDistribution(NamedTuple):
     """
     Exact counts of permutations at each commutation distance from beta,
     and of permutations with each bad-point profile (all distances).
+    Indexing reads the histogram: ``dist[k]`` is the count at distance k.
     """
 
     n: int

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 
@@ -234,26 +233,40 @@ class Permutation:
         return " ".join(map(str, self.images))
 
 
-@dataclass(frozen=True)
 class CycleType:
     """
     The census (c_1, ..., c_n) of cycle lengths: counts[i-1] cycles of
-    length i, fixed points included, with sum i*c_i = n.
+    length i, fixed points included, with sum i*c_i = n.  A read-only
+    value, equal only to a CycleType with the same counts.
     """
 
-    counts: tuple[int, ...]
+    __slots__ = ("_counts",)
 
-    def __post_init__(self):
-        if len(self.counts) < 1:
+    def __init__(self, counts: tuple[int, ...]):
+        if len(counts) < 1:
             raise ValueError("cycle type must have positive degree")
-        if any(c < 0 for c in self.counts):
+        if any(c < 0 for c in counts):
             raise ValueError("cycle counts must be nonnegative")
-        total = sum(i * c for i, c in self.lengths().items())
-        if total != len(self.counts):
+        total = sum(i * c for i, c in enumerate(counts, start=1))
+        if total != len(counts):
             raise ValueError(
-                f"inconsistent cycle type {self.counts}: lengths sum to "
-                f"{total}, expected {len(self.counts)}"
+                f"inconsistent cycle type {counts}: lengths sum to "
+                f"{total}, expected {len(counts)}"
             )
+        self._counts = counts
+
+    @property
+    def counts(self) -> tuple[int, ...]:
+        return self._counts
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, CycleType) and self.counts == other.counts
+
+    def __hash__(self) -> int:
+        return hash((self.counts,))
+
+    def __repr__(self) -> str:
+        return f"CycleType(counts={self.counts!r})"
 
     @classmethod
     def from_parts(cls, parts: Iterable[int]) -> "CycleType":

@@ -17,7 +17,7 @@ import operator
 import random
 from typing import Iterable, Iterator
 
-from . import blocks, construct, formulas, oracle, series
+from . import blocks, construct, formulas, oracle
 from .perm import CycleType, Permutation
 
 
@@ -252,6 +252,9 @@ def _check_fpf_enumerator(max_n) -> list[str]:
 
 
 def _check_egfs(n_max, tkn) -> list[str]:
+    # the last check, so series and fractions load after every other verdict
+    from . import series
+
     bad = []
     order = max(min(n_max + 2, 10), 3)
     s = series.ncycle_egf(order)

@@ -171,6 +171,35 @@ class TestBlockDecomposition:
         assert d == {"cycle": [7, 6], "blocks": [[2, 4]], "bad_points": [6]}
 
 
+class TestBlockDecompositionValue:
+    def dec(self):
+        return blocks.block_decomposition(ALPHA7, BETA7, 1)
+
+    def test_fields(self):
+        d = self.dec()
+        assert (d.cycle_index, d.domain, d.blocks, d.bad_points) == (1, (7, 6), ((2, 4),), (6,))
+        assert d == blocks.BlockDecomposition(1, (7, 6), ((2, 4),), (6,))
+
+    def test_eq_and_hash(self):
+        assert self.dec() == self.dec()
+        assert hash(self.dec()) == hash(self.dec())
+        assert self.dec() != blocks.block_decomposition(ALPHA7, BETA7, 0)
+        assert self.dec() != blocks.BlockDecomposition(0, (7, 6), ((2, 4),), (6,))
+        assert len({self.dec(), self.dec(), blocks.block_decomposition(ALPHA7, BETA7, 0)}) == 2
+
+    def test_repr(self):
+        assert repr(self.dec()) == (
+            "BlockDecomposition(cycle_index=1, domain=(7, 6), blocks=((2, 4),), bad_points=(6,))"
+        )
+
+    def test_immutable(self):
+        d = self.dec()
+        for name in ("cycle_index", "blocks", "other"):
+            with pytest.raises(AttributeError):
+                setattr(d, name, ())
+        assert d == self.dec()
+
+
 class TestVerifyCharacterization:
     def test_identity_pair(self):
         e = Permutation.identity(4)

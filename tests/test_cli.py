@@ -732,12 +732,15 @@ class TestSubprocess:
             sys.set_int_max_str_digits(limit)
 
 
-# runs cli.main in a fresh interpreter, then prints its loaded modules
+# runs cli.main in a fresh interpreter, then prints the modules loaded
+# before the probe imports json for its own output
 MODULES_PROBE = """
-import json, sys
+import sys
 from kommute import cli
 code = cli.main(sys.argv[1:])
-print(json.dumps(sorted(sys.modules)))
+loaded = sorted(sys.modules)
+import json
+print(json.dumps(loaded))
 sys.exit(code)
 """
 
@@ -782,6 +785,31 @@ class TestColdStart:
             loaded = self.loaded(argv)
             assert "kommute.cli" in loaded
             assert not loaded & POOL_MODULES, argv
+
+    def test_no_dataclasses_and_only_count_loads_json(self):
+        for argv in [
+            "count --beta (1,2,3)(4,5) --n 5 --k 3",
+            "count --beta (1,2,3)(4,5) --n 5 --k 3 --method brute",
+            "table --kind tkn --n-max 5",
+            "gf --kind fpf --n-max 4",
+            "oeis --sequence A233440 --count 10",
+            "verify --n-max 4",
+            "enumerate --beta (1,2,3,4,5) --n 5 --k 3",
+            "enumerate --beta (1,2,3,4,5) --n 5 --k 3 --json",
+        ]:
+            loaded = self.loaded(argv)
+            assert not loaded & {"dataclasses", "inspect"}, argv
+            assert ("json" in loaded) == argv.startswith("count"), argv
+
+    def test_imports_load_no_dataclasses_json_or_series(self):
+        probe = "import sys, kommute.cli, kommute.verify; print(*sorted(sys.modules))"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env(), timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "kommute.verify" in loaded
+        assert not loaded & {"dataclasses", "inspect", "json", "kommute.series", "fractions"}
 
     def test_jobs_start_no_pool_below_the_class_threshold(self):
         # every class up to S_12 is below oracle.POOL_MIN_CLASS

@@ -190,6 +190,39 @@ class TestSmallDistances:
         assert formulas.count_k4(T(5)) == 25 == formulas.count_for_ncycle(4, 5)
 
 
+class TestFormulaResultValue:
+    def test_fields(self):
+        r = formulas.FormulaResult(42, "distance_3")
+        assert (r.value, r.provenance) == (42, "distance_3")
+        assert r == formulas.FormulaResult(value=42, provenance="distance_3")
+        assert formulas.count(T(3, 2), 3) == r
+
+    def test_eq_and_hash(self):
+        r = formulas.FormulaResult(42, "distance_3")
+        assert r == formulas.FormulaResult(42, "distance_3")
+        assert r != formulas.FormulaResult(41, "distance_3")
+        assert r != formulas.FormulaResult(42, "distance_4")
+        assert hash(r) == hash(formulas.FormulaResult(42, "distance_3"))
+        assert len({r, formulas.FormulaResult(42, "distance_3"), formulas.FormulaResult(0, "x")}) == 2
+
+    def test_repr(self):
+        assert repr(formulas.FormulaResult(42, "distance_3")) == (
+            "FormulaResult(value=42, provenance='distance_3')"
+        )
+
+    def test_immutable(self):
+        r = formulas.FormulaResult(42, "distance_3")
+        for name in ("value", "provenance", "other"):
+            with pytest.raises(AttributeError):
+                setattr(r, name, 0)
+        assert r.value == 42
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="counts cannot be negative"):
+            formulas.FormulaResult(-1, "distance_3")
+        assert formulas.FormulaResult(0, "low_distance_zero").value == 0
+
+
 class TestSingleCycleCount:
     def test_five_cycle(self):
         assert formulas.single_cycle_count(T(5), 3) == 50

@@ -1,4 +1,5 @@
 import concurrent.futures
+import gc
 import itertools
 import json
 import math
@@ -189,6 +190,19 @@ class TestDistribution:
         with pytest.raises(ValueError, match="ceiling"):
             oracle.distribution(beta, max_degree=17)
 
+    def test_leaves_no_cyclic_garbage(self):
+        # the census memo goes with the call, not at the next full collection
+        betas = [CycleType.from_parts(parts).representative() for parts in [(3, 2, 1), (4, 4), (7,)]]
+        oracle.distribution(betas[0])
+        gc.collect()
+        gc.disable()
+        try:
+            for beta in betas:
+                oracle.distribution(beta)
+                assert gc.collect() == 0, beta
+        finally:
+            gc.enable()
+
     def test_json_serialization(self):
         d = oracle.distribution(parse_permutation("(1 2)", 3))
         assert d.to_json_dict() == {
@@ -196,6 +210,41 @@ class TestDistribution:
             "beta": "(1 2)",
             "counts": {"0": "2", "3": "4"},
         }
+
+
+class TestKDistributionValue:
+    BETA = parse_permutation("(1 2)", 3)
+
+    def test_fields_and_indexing(self):
+        d = oracle.distribution(self.BETA)
+        assert (d.n, d.beta) == (3, self.BETA)
+        assert d.counts == {0: 2, 1: 0, 2: 0, 3: 4}
+        assert d.profiles == Counter({(): 2, (2, 1): 4})
+        # indexing reads the histogram, zero off its support
+        assert (d[0], d[3], d[1], d[9]) == (2, 4, 0, 0)
+        assert d.total() == 6
+
+    def test_eq_and_unhashable(self):
+        d = oracle.distribution(self.BETA)
+        assert d == oracle.distribution(self.BETA)
+        assert d != oracle.distribution(parse_permutation("(1 2 3)", 3))
+        assert d != oracle.KDistribution(3, self.BETA, {**d.counts, 3: 5}, d.profiles)
+        # the dict fields make it unhashable
+        with pytest.raises(TypeError):
+            hash(d)
+
+    def test_repr(self):
+        assert repr(oracle.distribution(self.BETA)) == (
+            "KDistribution(n=3, beta=Permutation([2, 1, 3]), "
+            "counts={0: 2, 1: 0, 2: 0, 3: 4}, profiles=Counter({(2, 1): 4, (): 2}))"
+        )
+
+    def test_immutable(self):
+        d = oracle.distribution(self.BETA)
+        for name in ("n", "counts", "other"):
+            with pytest.raises(AttributeError):
+                setattr(d, name, {})
+        assert d.n == 3
 
 
 class TestCountByProfile:

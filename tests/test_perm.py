@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -200,6 +202,49 @@ class TestCycleType:
         rep = t.representative()
         assert rep.cycles() == ((1, 2, 3), (4, 5), (6,))
         assert rep.cycle_type() == t
+
+
+class TestCycleTypeValue:
+    # an immutable value used as a dict key; it must equal only a CycleType
+    COUNTS = (2, 0, 1, 0, 0)
+
+    def test_fields(self):
+        t = CycleType(self.COUNTS)
+        assert t.counts == self.COUNTS
+        assert t == CycleType(counts=self.COUNTS) == CycleType.from_parts([3, 1, 1])
+
+    def test_eq_and_hash(self):
+        t = CycleType(self.COUNTS)
+        assert t == CycleType(self.COUNTS) and not t != CycleType(self.COUNTS)
+        assert t != CycleType.from_parts([2, 2, 1])
+        # unlike a NamedTuple, never equal to a tuple
+        assert t != self.COUNTS and t != (self.COUNTS,)
+        assert hash(t) == hash(CycleType(self.COUNTS))
+        assert len({t, CycleType(self.COUNTS), CycleType.from_parts([5])}) == 2
+
+    def test_repr(self):
+        assert repr(CycleType(self.COUNTS)) == "CycleType(counts=(2, 0, 1, 0, 0))"
+
+    def test_immutable(self):
+        t = CycleType(self.COUNTS)
+        for name in ("counts", "other"):
+            with pytest.raises(AttributeError):
+                setattr(t, name, (3, 0, 0))
+        with pytest.raises(AttributeError):
+            del t.counts
+        assert t.counts == self.COUNTS
+
+    def test_pickle_and_copy(self):
+        t = CycleType(self.COUNTS)
+        assert pickle.loads(pickle.dumps(t)) == t
+        assert copy.copy(t) == copy.deepcopy(t) == t
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="positive degree"):
+            CycleType(())
+        with pytest.raises(ValueError, match="nonnegative"):
+            CycleType((3, -1, 1))
+        # the third, an inconsistent census, is pinned in TestCycleType
 
 
 class TestParity:
