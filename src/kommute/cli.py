@@ -21,9 +21,11 @@ verdict.  All counts in JSON are decimal strings, CSV uses a
 header row and LF line endings, and output is byte-identical for any
 worker count.
 
-``enumerate`` keeps each witness only as its zero-based one-line word in
-bytes, which sort in the order of the one-line images, and writes every
-line straight from that word, so it holds about 56 bytes a witness.
+``enumerate`` reads the builders' word streams, keeps each witness only
+as its zero-based one-line word packed into n bytes of one bytearray per
+leading entry, sorts one such bucket at a time as bytes keys, which sort
+in the order of the one-line images, and writes every line straight from
+its key, so it holds about 17 to 22 bytes a witness.
 
 Each runner imports the modules it uses when it runs, so a closed-form
 request loads neither the oracle nor the enumerators, only ``count`` loads
@@ -43,7 +45,7 @@ import sys
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import formulas
-from .perm import ParseError, Permutation, parse_permutation, point_labels, word_cycle_string
+from .perm import ParseError, cycle_pieces, parse_permutation, point_labels, word_cycle_string
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -168,31 +170,41 @@ def run_enumerate(args) -> int:
     t = beta.cycle_type()
     # the witness count, where a closed form applies; the builders report bad input
     if args.mode == "single":
-        pairs = construct.single_cycle_pairs(beta, args.k)
+        words = construct.single_cycle_words(beta, args.k)
         size = formulas.single_cycle_count(t, args.k) if args.k >= 3 else 0
     else:
         if args.k % 2:
             raise ValueError("fpf distances are even; got odd k")
-        pairs = construct.fpf_pairs(beta, args.k // 2)
+        words = construct.fpf_words(beta, args.k // 2)
         fpf = formulas._is_fpf_involution(t) and args.k >= 0
         size = formulas.fpf_involution_count(args.k, args.n // 2) if fpf else 0
     if size > MAX_WITNESSES:
         raise ValueError(f"the witnesses outnumber the witness cap {MAX_WITNESSES}")
-    # the pair streams are injective, so the witnesses are sorted without a set
-    words = _sorted_words((alpha for _, alpha in pairs), beta.degree)
-    sys.stdout.writelines(_witness_lines(words, beta.word, args.json))
+    # the word streams are injective, so the witnesses are sorted without a set
+    lines = _witness_lines(_sorted_words(words, beta.degree), beta.word, args.json)
+    sys.stdout.writelines(lines)
     return EXIT_OK
 
 
-def _sorted_words(witnesses: Iterable[Permutation], n: int) -> list[Sequence[int]]:
-    # each witness's zero-based word, in the order of the one-line images
-    # (images = word + 1): as bytes while every entry is below 256, about a
-    # third of what a sorted Permutation holds; above that as the word
-    # tuple, which sorts the same way.  No request under MAX_WITNESSES seems
-    # to reach degree 257: the least nonzero single-cycle count found there
-    # is 707,461,120 (type (256, 1), k = 3), and fpf counts are 0 or larger
-    key = bytes if n <= 256 else tuple
-    return sorted(key(alpha.word) for alpha in witnesses)
+def _sorted_words(words: Iterable[tuple[int, ...]], n: int) -> Iterator[Sequence[int]]:
+    # the zero-based words in the order of the one-line images (images =
+    # word + 1).  While every entry is below 256, each word is held as n
+    # bytes in one bytearray per leading entry, and a bucket is cut into
+    # bytes keys and sorted only when its turn comes, so the keys of one
+    # bucket exist at a time; bytes sort as the words do, and the buckets
+    # in ascending order give the whole order.  Above that the word tuples
+    # are sorted whole.  No request under MAX_WITNESSES seems to reach
+    # degree 257: the least nonzero single-cycle count found there is
+    # 707,461,120 (type (256, 1), k = 3), and fpf counts are 0 or larger
+    if n > 256:
+        yield from sorted(words)
+        return
+    buckets = [bytearray() for _ in range(n)]
+    for word in words:
+        buckets[word[0]].extend(word)
+    for lead in range(n):
+        data, buckets[lead] = bytes(buckets[lead]), bytearray()
+        yield from sorted([data[i : i + n] for i in range(0, len(data), n)])
 
 
 def _witness_lines(
@@ -205,8 +217,9 @@ def _witness_lines(
     b = beta_word
     points = range(len(b))
     labels = point_labels(len(b))
+    pieces = cycle_pieces(len(b))
     for a in words:
-        line = word_cycle_string(a, labels)
+        line = word_cycle_string(a, pieces)
         if as_json:
             bad = ", ".join([labels[i] for i in points if a[b[i]] != b[a[i]]])
             line = f'{{"alpha": "{line}", "bad_points": [{bad}]}}'

@@ -14,6 +14,17 @@ Each generated permutation is produced by exactly one choice tuple, so the
 number of choices equals the count given by the corresponding closed
 formula, and the generated set equals the brute-force filter at small
 degree (both facts are exercised by the test suite).
+
+Each construction is one loop kernel, which yields every choice tuple
+without its outer index together with the zero-based one-line words of
+the commuting outer maps, in outer-index order.  ``single_cycle_words``
+and ``fpf_words`` flatten it into words, which is all ``kommute
+enumerate`` needs; ``single_cycle_pairs`` and ``fpf_pairs`` add the outer
+index and build each ``Permutation``.  A word is a bijection because its
+image row (or fpf inner assignment) hits exactly the target points and its
+outer map exactly the other points; the kernel checks each row once and
+each outer map once per (source, target) pair, raising ``ValueError``
+(not an assert, so ``python -O`` keeps it) before any word of the group.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import Callable, Collection, Iterator, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .perm import Permutation
 
@@ -215,12 +226,21 @@ def _layout(
     return operator.itemgetter(*(slot[p] for p in range(1, n + 1))), outer_points
 
 
-def _witness(word: tuple[int, ...], identity: list[int]) -> Permutation:
-    # the bijection check of Permutation.__init__ on a zero-based word
-    if sorted(word) != identity:
-        images = tuple(x + 1 for x in word)
-        raise ValueError(f"images {images} are not a bijection of 1..{len(word)}")
-    return Permutation._from_word(word)
+def _checked(images: list[int], points: list[int]) -> list[int]:
+    # the bijection check of Permutation.__init__, made once for a whole row
+    # or outer map: its zero-based images must be exactly the sorted points
+    if sorted(images) != points:
+        got = tuple(x + 1 for x in images)
+        want = tuple(p + 1 for p in points)
+        raise ValueError(f"images {got} are not a bijection onto {want}")
+    return images
+
+
+def _split(n: int, cycles: Iterable[tuple[int, ...]]) -> tuple[list[int], list[int]]:
+    # the zero-based points of the given cycles and the other points, sorted:
+    # what a row and what an outer map must hit
+    inside = {p - 1 for cycle in cycles for p in cycle}
+    return sorted(inside), [p for p in range(n) if p not in inside]
 
 
 def build_single_cycle(beta: Permutation, choice: SingleCycleChoice) -> Permutation:
@@ -232,33 +252,48 @@ def build_single_cycle(beta: Permutation, choice: SingleCycleChoice) -> Permutat
     """
     cycles = beta.cycles()
     cycle_from = cycles[choice.source]
+    cycle_to = cycles[choice.target]
     # canonical form: the improper block ends at the largest selected point,
     # which is what makes the parameterization duplicate-free
-    blocks = _cut(cycle_from, cycles[choice.target], choice.points, max(choice.points))
-    row = _image_row(blocks, _tau_order(choice.tau, len(choice.points)))
+    blocks = _cut(cycle_from, cycle_to, choice.points, max(choice.points))
+    inner, others = _split(beta.degree, [cycle_to])
+    row = _checked(_image_row(blocks, _tau_order(choice.tau, len(choice.points))), inner)
     if choice.start not in cycle_from:
         raise ValueError("start must lie in the source cycle")
     core = _rotate(row, cycle_from.index(choice.start))
     layout = _outer_layout(beta, (choice.source,), (choice.target,))
     outer = _outer_map(layout, choice.outer)
     gather, outer_points = _layout(beta.degree, cycle_from)
-    word = gather(core + [outer[p] - 1 for p in outer_points])
-    return _witness(word, list(range(beta.degree)))
+    return Permutation._from_word(
+        gather(core + _checked([outer[p] - 1 for p in outer_points], others))
+    )
 
 
-def single_cycle_pairs(
-    beta: Permutation, k: int
-) -> Iterator[tuple[SingleCycleChoice, Permutation]]:
-    """
-    Every choice tuple together with the permutation it builds.  The map
-    choice -> permutation is injective, so consuming this stream counts
-    the construction.
-    """
+# a choice prefix (the choice tuple without its outer index) and the words
+# its outer maps give, in outer-index order
+_Groups = Iterator[tuple[tuple, Iterator[tuple[int, ...]]]]
+
+
+def _outer_rows(
+    beta: Permutation, sources: Collection[int], targets: Collection[int],
+    outer_points: list[int], others: list[int],
+) -> list[list[int]]:
+    # the zero-based images of outer_points under each commuting outer map,
+    # each checked to hit exactly the other points
+    return [
+        _checked([outer[p] - 1 for p in outer_points], others)
+        for outer in outer_assignments(beta, sources, targets)
+    ]
+
+
+def _single_cycle_groups(beta: Permutation, k: int) -> _Groups:
+    # the construction's loops, one group per (source, target, points, tau,
+    # start); each row and each outer map is checked before any word of its
+    # group is built, so every word yielded is a bijection
     if k < 3:
         raise ValueError("the construction needs k >= 3")
     cycles = beta.cycles()
     n = beta.degree
-    identity = list(range(n))
     taus = list(successor_free_kcycles(k)) if k <= n else []
     orders = [_tau_order(tau, k) for tau in taus]
     for source, cycle_from in enumerate(cycles):
@@ -269,21 +304,36 @@ def single_cycle_pairs(
         for target, cycle_to in enumerate(cycles):
             if len(cycle_to) != m:
                 continue
-            outers = [
-                [outer[p] - 1 for p in outer_points]
-                for outer in outer_assignments(beta, (source,), (target,))
-            ]
+            inner, others = _split(n, [cycle_to])
+            outers = _outer_rows(beta, (source,), (target,), outer_points, others)
             for points in itertools.combinations(sorted(cycle_to), k):
                 blocks = _cut(cycle_from, cycle_to, points, max(points))
                 for tau, order in zip(taus, orders):
-                    row = _image_row(blocks, order)
+                    row = _checked(_image_row(blocks, order), inner)
                     for s, start in enumerate(cycle_from):
-                        core = _rotate(row, s)
-                        for oi, outer in enumerate(outers):
-                            choice = SingleCycleChoice(
-                                source, target, points, tau, start, oi
-                            )
-                            yield choice, _witness(gather(core + outer), identity)
+                        words = map(gather, map(_rotate(row, s).__add__, outers))
+                        yield (source, target, points, tau, start), words
+
+
+def single_cycle_words(beta: Permutation, k: int) -> Iterator[tuple[int, ...]]:
+    """
+    The zero-based one-line words of the single-cycle witnesses at
+    distance k, in the order of ``single_cycle_pairs``.
+    """
+    return itertools.chain.from_iterable(words for _, words in _single_cycle_groups(beta, k))
+
+
+def single_cycle_pairs(
+    beta: Permutation, k: int
+) -> Iterator[tuple[SingleCycleChoice, Permutation]]:
+    """
+    Every choice tuple together with the permutation it builds.  The map
+    choice -> permutation is injective, so consuming this stream counts
+    the construction.
+    """
+    for prefix, words in _single_cycle_groups(beta, k):
+        for oi, word in enumerate(words):
+            yield SingleCycleChoice(*prefix, oi), Permutation._from_word(word)
 
 
 def enumerate_single_cycle(beta: Permutation, k: int) -> set[Permutation]:
@@ -291,7 +341,7 @@ def enumerate_single_cycle(beta: Permutation, k: int) -> set[Permutation]:
     The exact set of permutations at distance k from beta whose bad points
     all lie in a single cycle of beta.
     """
-    return {alpha for _, alpha in single_cycle_pairs(beta, k)}
+    return set(map(Permutation._from_word, single_cycle_words(beta, k)))
 
 
 # -- fixed-point-free involutions ---------------------------------------------
@@ -314,15 +364,10 @@ def perfect_matchings(
             yield ((first, partner),) + sub
 
 
-def fpf_pairs(
-    beta: Permutation, j: int
-) -> Iterator[tuple[tuple, Permutation]]:
-    """
-    Choice tuples and permutations for the fixed-point-free involution
-    construction at distance 2j: pick j source and j target 2-cycles, push
-    the source couples onto a matching of the target points that avoids
-    every target couple, and extend by a commuting bijection elsewhere.
-    """
+def _fpf_groups(beta: Permutation, j: int) -> _Groups:
+    # the construction's loops, one group per (sources, targets, matching,
+    # assigned, orient); each inner assignment and each outer map is
+    # checked before any word of its group is built
     cycles = beta.cycles()
     if any(len(c) != 2 for c in cycles):
         raise ValueError("beta must be a fixed-point-free involution")
@@ -330,17 +375,14 @@ def fpf_pairs(
     if not 0 <= j <= m:
         raise ValueError(f"j={j} out of range 0..{m}")
     n = beta.degree
-    identity = list(range(n))
     for sources in itertools.combinations(range(m), j):
         source_couples = [cycles[i] for i in sources]
         gather, outer_points = _layout(n, [p for c in source_couples for p in c])
         for targets in itertools.combinations(range(m), j):
             target_couples = {cycles[i] for i in targets}
             target_points = sorted(p for c in target_couples for p in c)
-            outers = [
-                [outer[p] - 1 for p in outer_points]
-                for outer in outer_assignments(beta, sources, targets)
-            ]
+            inner_points, others = _split(n, target_couples)
+            outers = _outer_rows(beta, sources, targets, outer_points, others)
             for matching in perfect_matchings(target_points):
                 if any(pair in target_couples for pair in matching):
                     continue
@@ -353,9 +395,30 @@ def fpf_pairs(
                             for (u, v), flip in zip(assigned, orient)
                             for p in ((v, u) if flip else (u, v))
                         ]
-                        for oi, outer in enumerate(outers):
-                            choice = (sources, targets, matching, assigned, orient, oi)
-                            yield choice, _witness(gather(inner + outer), identity)
+                        words = map(gather, map(_checked(inner, inner_points).__add__, outers))
+                        yield (sources, targets, matching, assigned, orient), words
+
+
+def fpf_words(beta: Permutation, j: int) -> Iterator[tuple[int, ...]]:
+    """
+    The zero-based one-line words of the witnesses at distance 2j from the
+    fixed-point-free involution beta, in the order of ``fpf_pairs``.
+    """
+    return itertools.chain.from_iterable(words for _, words in _fpf_groups(beta, j))
+
+
+def fpf_pairs(
+    beta: Permutation, j: int
+) -> Iterator[tuple[tuple, Permutation]]:
+    """
+    Choice tuples and permutations for the fixed-point-free involution
+    construction at distance 2j: pick j source and j target 2-cycles, push
+    the source couples onto a matching of the target points that avoids
+    every target couple, and extend by a commuting bijection elsewhere.
+    """
+    for prefix, words in _fpf_groups(beta, j):
+        for oi, word in enumerate(words):
+            yield (*prefix, oi), Permutation._from_word(word)
 
 
 def enumerate_fpf(beta: Permutation, j: int) -> set[Permutation]:
@@ -363,4 +426,4 @@ def enumerate_fpf(beta: Permutation, j: int) -> set[Permutation]:
     The exact set of permutations at distance 2j from the fixed-point-free
     involution beta.
     """
-    return {alpha for _, alpha in fpf_pairs(beta, j)}
+    return set(map(Permutation._from_word, fpf_words(beta, j)))

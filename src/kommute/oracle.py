@@ -186,6 +186,9 @@ class KDistribution(NamedTuple):
     Exact counts of permutations at each commutation distance from beta,
     and of permutations with each bad-point profile (all distances).
     Indexing reads the histogram: ``dist[k]`` is the count at distance k.
+    Iteration, ``len`` and unpacking do not: as a NamedTuple it iterates its
+    four fields (``n, beta, counts, profiles``), so iterate ``counts`` for
+    the histogram.
     """
 
     n: int

@@ -227,7 +227,7 @@ class Permutation:
 
     def cycle_string(self) -> str:
         """Cycle notation, fixed points omitted; identity prints as '()'."""
-        return word_cycle_string(self.word, point_labels(len(self.word)))
+        return word_cycle_string(self.word, cycle_pieces(len(self.word)))
 
     def one_line_string(self) -> str:
         return " ".join(map(str, self.images))
@@ -474,23 +474,35 @@ def point_labels(n: int) -> tuple[str, ...]:
     return tuple(map(str, range(1, n + 1)))
 
 
-def word_cycle_string(word: Sequence[int], labels: Sequence[str]) -> str:
+def cycle_pieces(n: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """
+    The pieces ``word_cycle_string`` joins for the points 1..n, indexed by
+    zero-based point: each label after "(" and each label after " ".
+    """
+    labels = point_labels(n)
+    return tuple("(" + s for s in labels), tuple(" " + s for s in labels)
+
+
+def word_cycle_string(
+    word: Sequence[int], pieces: tuple[Sequence[str], Sequence[str]]
+) -> str:
     """
     Cycle notation of the zero-based one-line ``word``, fixed points
-    omitted and the identity printed as '()'; ``labels[i]`` is the text of
-    point i + 1.  The word may be a tuple, or bytes when its entries are
-    below 256.
+    omitted and the identity printed as '()'; ``pieces`` is
+    ``cycle_pieces(len(word))``.  The word may be a tuple, or bytes when
+    its entries are below 256.
     """
     # the cycles of Permutation.cycles() without its 1-cycles
+    opens, spaces = pieces
     seen = bytearray(len(word))
     parts = []
     for i, j in enumerate(word):
         if j == i or seen[i]:
             continue
-        cycle = [labels[i]]
+        parts.append(opens[i])
         while j != i:
             seen[j] = 1
-            cycle.append(labels[j])
+            parts.append(spaces[j])
             j = word[j]
-        parts.append("(" + " ".join(cycle) + ")")
+        parts.append(")")
     return "".join(parts) if parts else "()"

@@ -208,6 +208,9 @@ class TestWitnessPrinter:
         ("single", "(1 2 3 4)(5 6)", 7, 4),
         ("single", "(5 2 7 4 1 6)", 7, 4),
         ("single", "(1 2)", 4, 3),
+        # beta fixes 1 and 2, so alpha(1) is 1 or 2 and the buckets of the
+        # zero-based leading entries 2..6 stay empty
+        ("single", "(3 4 5 6 7)", 7, 3),
         ("fpf", "(1 2)", 2, 0),
         ("fpf", "(1 2)(3 4)", 4, 0),
         ("fpf", "(1 2)(3 4)", 4, 4),
@@ -265,7 +268,7 @@ class TestWitnessPrinter:
                 i, j = rng.sample(range(n), 2)
                 images[i], images[j] = images[j], images[i]
             witnesses.append(Permutation(images))
-        words = cli._sorted_words(witnesses, n)
+        words = list(cli._sorted_words((alpha.word for alpha in witnesses), n))
         assert all(type(w) is tuple for w in words)
         assert words == sorted(alpha.word for alpha in witnesses)
         for as_json in (False, True):
@@ -276,7 +279,7 @@ class TestWitnessPrinter:
         beta = parse_permutation("(1 2 3 4 5 6)", 6)
         witnesses = list(all_permutations(6))
         random.Random(3).shuffle(witnesses)
-        words = cli._sorted_words(witnesses, 6)
+        words = list(cli._sorted_words((p.word for p in witnesses), 6))
         assert all(type(w) is bytes for w in words)
         assert [tuple(w) for w in words] == [p.word for p in all_permutations(6)]
         for as_json in (False, True):
@@ -285,8 +288,9 @@ class TestWitnessPrinter:
 
     def test_memory_per_witness(self):
         # the fpf request with m = 4, j = 3: 12,288 witnesses, each held as
-        # a bytes key until printed (about 57 B); sorting them as
-        # Permutations took about 154 B a witness
+        # 8 bytes in its leading entry's bucket until printed (about 22 B a
+        # witness with the keys of one bucket); bytes keys held whole took
+        # about 57 B, and sorting Permutations about 154 B
         argv = "enumerate --beta (1,2)(3,4)(5,6)(7,8) --n 8 --k 6 --mode fpf".split()
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
             assert cli.main(argv) == 0  # warm-up: imports and first-call caches
@@ -297,7 +301,7 @@ class TestWitnessPrinter:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert (peak - base) / 12_288 < 100
+        assert (peak - base) / 12_288 < 30
 
 
 class TestVerify:

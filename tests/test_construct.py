@@ -3,6 +3,7 @@ import itertools
 import os
 import subprocess
 import sys
+import unittest.mock
 from collections import Counter
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import kommute
 from kommute import blocks, construct, formulas, oracle
 from kommute.construct import SingleCycleChoice
-from kommute.perm import Permutation, all_permutations, parse_permutation
+from kommute.perm import CycleType, Permutation, all_permutations, parse_permutation
 
 
 class TestCanonicalCycleWord:
@@ -149,24 +150,24 @@ class TestBuildSingleCycle:
 
 
 class TestBijectionCheck:
-    # a core row and an outer map that send two points to the same image
+    # an outer map that sends two points to the same image
     CHECK = (
         "from kommute import construct\n"
         "gather, rest = construct._layout(4, [1, 2])\n"
         "assert rest == [3, 4]\n"
         "try:\n"
-        "    construct._witness(gather([1, 0] + [2, 2]), [0, 1, 2, 3])\n"
+        "    construct._checked([2, 2], [2, 3])\n"
         "except ValueError as e:\n"
         "    print(e)\n"
     )
 
     def test_collision_raises(self):
         gather, rest = construct._layout(4, [1, 2])
-        assert construct._witness(gather([1, 0] + [3, 2]), [0, 1, 2, 3]) == Permutation(
-            [2, 1, 4, 3]
-        )
+        core = construct._checked([1, 0], [0, 1])
+        word = gather(core + construct._checked([3, 2], [2, 3]))
+        assert Permutation._from_word(word) == Permutation([2, 1, 4, 3])
         with pytest.raises(ValueError, match="not a bijection"):
-            construct._witness(gather([1, 0] + [2, 2]), [0, 1, 2, 3])
+            construct._checked([2, 2], [2, 3])
 
     def test_collision_raises_under_optimize(self):
         # python -O strips assert statements; the check must survive it
@@ -297,7 +298,6 @@ class TestEndpointCanonicalization:
             [outer[p] - 1 for p in rest]
             for outer in construct.outer_assignments(beta, [0], [0])
         ]
-        identity = list(range(5))
         hits: Counter = Counter()
         for points in itertools.combinations(sorted(cycle), k):
             for endpoint in points:
@@ -307,7 +307,7 @@ class TestEndpointCanonicalization:
                     for s in range(len(cycle)):
                         for outer in outers:
                             word = gather(construct._rotate(row, s) + outer)
-                            hits[construct._witness(word, identity)] += 1
+                            hits[Permutation([x + 1 for x in word])] += 1
         canonical = construct.enumerate_single_cycle(beta, k)
         assert set(hits) == canonical
         assert set(hits.values()) == {k}
@@ -408,3 +408,116 @@ class TestPairStreamOrder:
         pairs = construct.fpf_pairs(parse_permutation(text, n), j)
         got = self.digest((choice, alpha.word) for choice, alpha in pairs)
         assert got == self.FPF[text, n, j]
+
+
+def _deck(parts):
+    # the cycle string and degree of a representative of the type
+    return CycleType.from_parts(parts).representative().cycle_string(), sum(parts)
+
+
+class TestWordStreams:
+    # the pair-order cases, then the shapes perfbench's enumerate_stream
+    # deck requests (single: cycle type and k; fpf: m pairs and j)
+    SINGLE = [*TestPairStreamOrder.SINGLE] + [
+        (*_deck(parts), k)
+        for parts, k in [
+            ((9,), 4), ((9,), 5), ((9,), 6), ((10,), 5), ((8,), 6), ((8, 3), 5),
+            ((8, 3), 6), ((8, 2), 6), ((6, 6), 5), ((6, 6), 6), ((7, 7), 4),
+            ((7, 7), 5), ((7, 2, 1), 6), ((5, 5), 4),
+        ]
+    ]
+    FPF = [*TestPairStreamOrder.FPF] + [
+        (*_deck((2,) * m), j) for m, j in [(4, 2), (4, 3), (4, 4), (5, 2)]
+    ]
+
+    @pytest.mark.parametrize("text,n,k", SINGLE)
+    def test_single_cycle_words_are_the_pairs_words(self, text, n, k):
+        beta = parse_permutation(text, n)
+        words = list(construct.single_cycle_words(beta, k))
+        assert words == [alpha.word for _, alpha in construct.single_cycle_pairs(beta, k)]
+        assert len(words) == formulas.single_cycle_count(beta.cycle_type(), k)
+
+    @pytest.mark.parametrize("text,n,j", FPF)
+    def test_fpf_words_are_the_pairs_words(self, text, n, j):
+        beta = parse_permutation(text, n)
+        words = list(construct.fpf_words(beta, j))
+        assert words == [alpha.word for _, alpha in construct.fpf_pairs(beta, j)]
+        assert len(words) == formulas.fpf_involution_count(2 * j, n // 2)
+
+
+def _collision_outcomes():
+    # each stream under one injected fault: a colliding outer map (the
+    # second map of every group), a colliding image row, or a colliding
+    # fpf inner assignment (a matching that uses a point twice).  The
+    # outcome is the first thing the stream gives: an error or a word
+    real_outers, real_row = construct.outer_assignments, construct._image_row
+    real_matchings = construct.perfect_matchings
+
+    def colliding_outers(beta, sources, targets):
+        maps = list(real_outers(beta, sources, targets))
+        bad = dict(maps[1])
+        a, b = list(bad)[:2]
+        bad[a] = bad[b]
+        maps[1] = bad
+        return iter(maps)
+
+    def colliding_row(blocks, order):
+        row = real_row(blocks, order)
+        row[1] = row[0]
+        return row
+
+    def colliding_matchings(points):
+        yield ((points[0], points[2]), (points[0], points[3]))
+        yield from real_matchings(points)
+
+    single = (parse_permutation("(1 2 3)(4 5)(6 7)", 7), 3)
+    fpf = (parse_permutation("(1 2)(3 4)(5 6)", 6), 2)
+    streams = {
+        "single_cycle_words": (construct.single_cycle_words, single),
+        "single_cycle_pairs": (construct.single_cycle_pairs, single),
+        "fpf_words": (construct.fpf_words, fpf),
+        "fpf_pairs": (construct.fpf_pairs, fpf),
+    }
+    faults = {
+        "outer map": ("outer_assignments", colliding_outers, list(streams)),
+        "row": ("_image_row", colliding_row, ["single_cycle_words", "single_cycle_pairs"]),
+        "inner assignment": ("perfect_matchings", colliding_matchings, ["fpf_words", "fpf_pairs"]),
+    }
+    outcomes = []
+    for fault, (name, fake, names) in faults.items():
+        with unittest.mock.patch.object(construct, name, fake):
+            for stream in names:
+                build, args = streams[stream]
+                try:
+                    outcome = f"yielded {next(build(*args))}"
+                except ValueError as e:
+                    outcome = str(e)
+                outcomes.append(f"{fault} / {stream}: {outcome}")
+    return outcomes
+
+
+class TestGroupBijectionChecks:
+    # a row, an fpf inner assignment and each outer map are checked once,
+    # before any word of their group is built; a per-word check would let
+    # the words before the faulty one through
+    def test_collision_raises_before_any_word(self):
+        outcomes = _collision_outcomes()
+        assert len(outcomes) == 8
+        for outcome in outcomes:
+            assert "not a bijection" in outcome, outcome
+
+    def test_collision_raises_under_optimize(self):
+        # python -O strips assert statements; the checks must survive it
+        src = os.path.dirname(os.path.dirname(kommute.__file__))
+        env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+        env["PYTHONPATH"] = os.pathsep.join([src, os.path.dirname(__file__)])
+        check = "import test_construct as t\nprint(*t._collision_outcomes(), sep='\\n')\n"
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", check],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 8
+        for line in lines:
+            assert "not a bijection" in line, line

@@ -223,6 +223,9 @@ class TestKDistributionValue:
         # indexing reads the histogram, zero off its support
         assert (d[0], d[3], d[1], d[9]) == (2, 4, 0, 0)
         assert d.total() == 6
+        # but iteration, len and unpacking see the four fields
+        assert len(d) == 4
+        assert tuple(d)[2] is d.counts
 
     def test_eq_and_unhashable(self):
         d = oracle.distribution(self.BETA)

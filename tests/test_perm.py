@@ -11,6 +11,7 @@ from kommute.perm import (
     ParseError,
     Permutation,
     all_permutations,
+    cycle_pieces,
     format_permutation,
     parse_permutation,
     point_labels,
@@ -162,11 +163,13 @@ class TestCycles:
         # enumerate formats bytes keys with the routine cycle_string uses
         labels = point_labels(5)
         assert labels == ("1", "2", "3", "4", "5")
+        pieces = cycle_pieces(5)
+        assert pieces == (tuple("(" + s for s in labels), tuple(" " + s for s in labels))
         for p in all_permutations(5):
             want = p.cycle_string()
-            assert word_cycle_string(p.word, labels) == want
-            assert word_cycle_string(bytes(p.word), labels) == want
-        assert word_cycle_string(bytes([1, 0, 3, 4, 2]), labels) == "(1 2)(3 4 5)"
+            assert word_cycle_string(p.word, pieces) == want
+            assert word_cycle_string(bytes(p.word), pieces) == want
+        assert word_cycle_string(bytes([1, 0, 3, 4, 2]), pieces) == "(1 2)(3 4 5)"
 
 
 class TestCycleType:
