@@ -230,8 +230,17 @@ def _witness_lines(
 
 
 def run_verify(args) -> int:
-    from . import verify
+    from . import oracle, verify
 
+    # the library's own range check names its parameters; this one the flags
+    bound = oracle.exhaustive_bound(args.max_brute_n)
+    if args.n_max < 2:
+        raise ValueError(f"--n-max must be between 2 and {bound}")
+    if args.n_max > bound:
+        raise ValueError(
+            f"--n-max {args.n_max} exceeds the brute-force cap {bound}; "
+            f"raise it with --max-brute-n or {oracle.ENV_MAX_DEGREE}"
+        )
     f_override = {5: formulas.successor_free_cycles(5) + 1} if args.corrupt_f else None
     results = verify.verification_checks(
         args.n_max, jobs=args.jobs, max_n=args.max_brute_n, f_override=f_override

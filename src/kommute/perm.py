@@ -469,6 +469,21 @@ def word_is_even(word: Sequence[int]) -> bool:
     return (len(word) - cycles) % 2 == 0
 
 
+def lex_parities(n: int) -> bytes:
+    """
+    Byte r is 1 when the r-th zero-based word of S_n in lexicographic order
+    (the order of ``itertools.permutations(range(n))``) is odd, else 0.
+    The words led by entry j are a block of (n-1)! words whose tails run
+    over S_{n-1} in order, and the leading j adds j inversions to each, so
+    the table for n is n copies of the table for n - 1, the odd ones
+    flipped: 0 1 for n = 2, then 0 1 | 1 0 | 0 1 for n = 3.
+    """
+    table, flip = b"\x00", bytes.maketrans(b"\x00\x01", b"\x01\x00")
+    for m in range(2, n + 1):
+        table = b"".join([table if j % 2 == 0 else table.translate(flip) for j in range(m)])
+    return table
+
+
 def point_labels(n: int) -> tuple[str, ...]:
     """The texts of the points 1..n, indexed by zero-based point."""
     return tuple(map(str, range(1, n + 1)))

@@ -1,7 +1,16 @@
 """
 The verification matrix: the closed forms, generating functions,
 enumerators and block invariants checked against exhaustive counts at
-small degree, one exhaustive scan per distinct beta.
+small degree.
+
+Two exhaustive sources serve the checks, each memoised for one run.
+``oracle.distribution`` gives each distinct beta's histogram and profile
+counts from its conjugacy class.  ``_walk`` walks S_n once per beta over
+``oracle._scan``'s zero-based words and serves everything that needs each
+alpha: the block characterization and its profile invariants, the image
+cycle census, the even/odd split at each distance and the profile counts
+the enumerators are compared with.  The walk builds no Permutation unless
+a pair fails.
 
 ``verification_checks`` checks its arguments when called and returns a
 lazy stream of (name, failures) pairs: each check runs only when the
@@ -15,10 +24,11 @@ import functools
 import math
 import operator
 import random
-from typing import Iterable, Iterator
+from collections import Counter
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import blocks, construct, formulas, oracle
-from .perm import CycleType, Permutation
+from .perm import CycleType, Permutation, lex_parities
 
 
 def _representatives(n_max: int) -> Iterable[tuple[int, CycleType, Permutation]]:
@@ -93,67 +103,143 @@ def _check_fpf(n_max, hist) -> list[str]:
     return bad
 
 
-def _check_pairs(n_max, max_n) -> list[tuple[str, list[str]]]:
-    # one walk of S_n per beta (n <= 6) for both per-pair checks, with the
-    # bad points and the distance of each pair computed once.  The block
-    # characterization is local to a cycle of beta, so each cycle's verdict
-    # is decided once per (cycle, alpha's images on it, its bad points) and
-    # shared by the pairs with that key; the profile invariants depend on
-    # (bad points, distance) alone and are checked once per such pair.
-    # Census, on n <= 5 and also on pairs that fail the characterization:
-    # the cycles holding a bad point and those holding an image of one have
-    # equal lengths
-    block_bad, census_bad = [], []
-    for n, t, beta in _representatives(min(n_max, 6)):
-        w = beta.word
-        cycles, host = blocks._frame(w)
-        local = [
-            (cycle, operator.itemgetter(*[p - 1 for p in cycle]), frozenset(cycle))
-            for cycle in cycles
-        ]
-        max_len = max(len(c) for c in cycles)
-        bound = formulas.support_bound(t)
-        # this beta's shared results, dropped when its walk ends
-        verdicts: dict = {}
-        invariants: dict[tuple[frozenset[int], int], list[str]] = {}
-
-        def decide(i, a, bp):
-            # cycle i's verdict.  alpha's images of n - 1 points fix alpha,
-            # so a cycle that long never repeats a key: decide it directly
-            cycle, get, points = local[i]
-            if len(cycle) >= n - 1:
-                return blocks._cycle_verdict(a, cycle, bp, w, host)
-            key = (i, get(a), bp & points)
-            if key not in verdicts:
-                verdicts[key] = blocks._cycle_verdict(a, cycle, key[2], w, host)
-            return verdicts[key]
-
-        for alpha in oracle.enumerate_sn(n, max_degree=max_n):
-            bp = blocks.bad_points(alpha, beta)
-            k = alpha.commute_distance(beta)
-            if n <= 5:
-                images = {alpha(p) for p in bp}
-                touched = sorted(len(c) for c in cycles if not bp.isdisjoint(c))
-                if touched != sorted(len(c) for c in cycles if not images.isdisjoint(c)):
-                    census_bad.append(f"image census: alpha={alpha} beta={beta}")
-            a = alpha.word
-            if not blocks._fold((decide(i, a, bp) for i in range(len(cycles))), k):
-                block_bad.append(f"characterization fails: alpha={alpha} beta={beta}")
-                continue
-            if (bp, k) not in invariants:
-                invariants[bp, k] = _broken_invariants(bp, k, cycles, max_len, bound)
-            for what in invariants[bp, k]:
-                block_bad.append(f"{what}: alpha={alpha} beta={beta}")
+def _check_pairs(n_max, walk) -> list[tuple[str, list[str]]]:
+    walks = [walk(beta) for _, _, beta in _representatives(min(n_max, 6))]
     return [
-        ("block characterization and profile invariants", block_bad),
-        ("image cycle census", census_bad),
+        ("block characterization and profile invariants", [f for w in walks for f in w.block_bad]),
+        ("image cycle census", [f for w in walks for f in w.census_bad]),
     ]
 
 
-def _broken_invariants(bp, k, cycles, max_len, bound) -> list[str]:
-    # the profile invariants a pair with bad points bp at distance k breaks
+class _Walk(NamedTuple):
+    """What the checks read from one walk of S_n against beta."""
+
+    block_bad: list[str]  # the block characterization's failures
+    census_bad: list[str]  # the image cycle census's, on n <= 5
+    parity: list[tuple[int, int]]  # (even, odd) alphas at each distance 0..n
+    profiles: Counter  # alphas with each profile of their bad points
+
+
+def _walks(max_n: int | None, pair_degree: int = 6) -> Callable[[Permutation], _Walk]:
+    # ``_walk`` memoised for one run, as ``hist`` is.  The pair checks read
+    # the betas up to ``pair_degree`` only, so a walk of a larger beta, for
+    # the enumerator checks alone, skips them
+    @functools.lru_cache(maxsize=None)
+    def walk(beta: Permutation) -> _Walk:
+        return _walk(beta, max_n, pairs=beta.degree <= pair_degree)
+
+    return walk
+
+
+def _walk(beta: Permutation, max_n: int | None, pairs: bool = True) -> _Walk:
+    # One scan of S_n, in oracle._scan's zero-based words, for every check
+    # that needs each alpha; a Permutation is built only for a failure.
+    # Each alpha's bad points come from the scan, and its distance k =
+    # H(alpha*beta, beta*alpha) from the two composed words, so the bad
+    # counts adding up to k stays a real check.  The block characterization
+    # is local to a cycle of beta, and so is the distance: each cycle is
+    # decided once per (cycle, alpha's images on it, its bad points), a key
+    # shared by many pairs, and the cycles fold with int accumulators: the
+    # distance, the bad count and a bitmask of image points.  A bad set's
+    # split over the cycles and its profile are found once, the profile
+    # invariants once per (bad points, distance).  Census, on n <= 5 and
+    # also on pairs that fail the characterization: the cycles holding a
+    # bad point and those holding an image of one have equal lengths.
+    # Without ``pairs`` the walk keeps the tallies only, counting each k
+    # from the whole composed words, and its failure lists stay empty
+    n = beta.degree
+    oracle._check_degree(n, max_n)
+    w = beta.word
+    cycles, host = blocks._frame(w)
+    zero = [tuple(p - 1 for p in cycle) for cycle in cycles]
+    points = [frozenset(cycle) for cycle in cycles]
+    gets = [operator.itemgetter(*cycle) for cycle in zero]
+    # alpha's images of n - 1 points fix alpha, so a cycle that long never
+    # repeats a key: it is decided directly, with no memo
+    memos = [None if len(cycle) >= n - 1 else {} for cycle in cycles]
+    max_len = max(map(len, cycles))
+    bound = formulas.support_bound(beta.cycle_type())
+    odd = lex_parities(n)
+    # alpha*beta and beta*alpha as words (n >= 2)
+    ab, ba = operator.itemgetter(*w), w.__getitem__
+    tally = [0] * (2 * n + 2)  # alphas at distance k: even at 2k, odd at 2k + 1
+    # bad -> [alphas, (cycle, get, memo, its bad points), profile, {k: broken invariants}]
+    bad_sets: dict = {}
+    census: dict = {}
+    block_bad, census_bad = [], []
+    for is_odd, (bad, a) in zip(odd, oracle._scan(w)):
+        entry = bad_sets.get(bad)
+        if entry is None:
+            one = frozenset([p + 1 for p in bad])
+            split = list(zip(cycles, gets, memos, [one & s for s in points]))
+            entry = bad_sets[bad] = [0, split, blocks._profile(bad, zero), {}]
+        entry[0] += 1
+        if not pairs:
+            tally[2 * sum(map(operator.ne, ab(a), map(ba, a))) + is_odd] += 1
+            continue
+        if n <= 5:
+            key = bad, tuple(map(a.__getitem__, bad))
+            if key not in census:
+                census[key] = _touched(bad, zero) == _touched(key[1], zero)
+            if not census[key]:
+                census_bad.append(f"image census: alpha={Permutation._from_word(a)} beta={beta}")
+        k = total = used = 0
+        held = True
+        for cycle, get, memo, part in entry[1]:
+            if memo is None:
+                d, count, mask = _decided(a, cycle, part, w, host)
+            else:
+                key = get(a), part
+                decided = memo.get(key)
+                if decided is None:
+                    decided = memo[key] = _decided(a, cycle, part, w, host)
+                d, count, mask = decided
+            k += d
+            if count is None or used & mask:
+                held = False
+            else:
+                total += count
+                used |= mask
+        tally[2 * k + is_odd] += 1
+        if not held or total != k:
+            broken = ["characterization fails"]
+        else:
+            broken = entry[3].get(k)
+            if broken is None:
+                broken = _broken_invariants(entry[2], bad, k, zero, max_len, bound)
+                entry[3][k] = broken
+        for what in broken:
+            block_bad.append(f"{what}: alpha={Permutation._from_word(a)} beta={beta}")
+    profiles: Counter = Counter()
+    for alphas, _, prof, _ in bad_sets.values():
+        profiles[prof] += alphas
+    parity = [(tally[2 * k], tally[2 * k + 1]) for k in range(n + 1)]
+    return _Walk(block_bad, census_bad, parity, profiles)
+
+
+def _decided(a, cycle, part, w, host) -> tuple[int, int | None, int]:
+    # one cycle of beta against alpha's word ``a``, given its bad points
+    # ``part``: (how many of its points alpha*beta and beta*alpha move
+    # differently, its bad count, the bitmask of its image points).  The
+    # count is None where the characterization fails on the cycle, or where
+    # its image points repeat, which fails the fold as a clash would
+    d = sum([a[w[p - 1]] != w[a[p - 1]] for p in cycle])
+    verdict = blocks._cycle_verdict(a, cycle, part, w, host)
+    if verdict is None or len(set(verdict[1])) != len(verdict[1]):
+        return d, None, 0
+    return d, verdict[0], sum([1 << p for p in verdict[1]])
+
+
+def _touched(marked, cycles) -> list[int]:
+    # the lengths of the cycles holding a marked point
+    marked = set(marked)
+    return sorted(len(c) for c in cycles if not marked.isdisjoint(c))
+
+
+def _broken_invariants(prof, bad, k, cycles, max_len, bound) -> list[str]:
+    # the profile invariants a pair with bad points ``bad``, of profile
+    # ``prof`` on ``cycles`` in the same base, at distance k breaks
     broken = []
-    prof = blocks._profile(bp, cycles)
     if sum(prof) != k:
         broken.append("profile sum != distance")
     if k and set(prof) == {1}:
@@ -163,7 +249,7 @@ def _broken_invariants(bp, k, cycles, max_len, bound) -> list[str]:
     if k > bound:
         broken.append("distance above support bound")
     for cycle in cycles:
-        if len(cycle) == max_len and sum(p in bp for p in cycle) == 1:
+        if len(cycle) == max_len and sum(p in bad for p in cycle) == 1:
             broken.append("1 bad point on max cycle")
     return broken
 
@@ -192,12 +278,12 @@ def _check_conjugation_invariance(n_max, hist, taus=5, seed=2024) -> list[str]:
     return bad
 
 
-def _check_parity_split(n_max, max_n, hist) -> list[str]:
+def _check_parity_split(n_max, walk, hist) -> list[str]:
     bad = []
     for n, t, beta in _representatives(min(n_max, 6)):
         if t.has_distinct_odd_parts():
             continue
-        split = oracle.parity_split(beta, max_degree=max_n)
+        split = walk(beta).parity
         for k, total in hist(beta).counts.items():
             if not total:
                 continue
@@ -207,8 +293,10 @@ def _check_parity_split(n_max, max_n, hist) -> list[str]:
     return bad
 
 
-def _check_single_cycle_enumerator(max_n) -> list[str]:
-    # the cases within the brute-force cap
+def _check_single_cycle_enumerator(walk, max_n) -> list[str]:
+    # the cases within the brute-force cap.  The constructed set equals the
+    # walk's bucket when it has no repeats, each alpha in it has the
+    # bucket's profile, and it is as large as the bucket
     bound = oracle.exhaustive_bound(max_n)
     bad = []
     cases = [
@@ -218,33 +306,36 @@ def _check_single_cycle_enumerator(max_n) -> list[str]:
         Permutation.from_cycles([(1, 2, 3, 4)], 4),
     ]
     for beta in [beta for beta in cases if beta.degree <= bound]:
-        # one scan of S_n per beta, bucketed by profile
-        wants = oracle._bucket(beta, oracle._profile_key(beta), [(3,), (4,), (5,)], max_n)
+        profiles = walk(beta).profiles
         for k in (3, 4, 5):
             pairs = list(construct.single_cycle_pairs(beta, k))
             got = {alpha for _, alpha in pairs}
             if len(pairs) != len(got):
                 bad.append(f"duplicate choices: beta={beta} k={k}")
-            if got != wants[(k,)]:
+            if len(got) != profiles[(k,)] or any(
+                blocks.profile(alpha, beta) != (k,) for alpha in got
+            ):
                 bad.append(f"single-cycle set mismatch: beta={beta} k={k}")
             if len(got) != formulas.single_cycle_count(beta.cycle_type(), k):
                 bad.append(f"single-cycle count mismatch: beta={beta} k={k}")
     return bad
 
 
-def _check_fpf_enumerator(max_n) -> list[str]:
-    # m = 2 and 3, within the brute-force cap
+def _check_fpf_enumerator(walk, max_n) -> list[str]:
+    # m = 2 and 3, within the brute-force cap; the sets compared as in
+    # ``_check_single_cycle_enumerator``, by distance
     bad = []
     for m in range(2, min(3, oracle.exhaustive_bound(max_n) // 2) + 1):
         beta = CycleType.from_parts([2] * m).representative()
-        # one scan of S_n per beta, bucketed by distance
-        wants = oracle._bucket(beta, len, range(0, 2 * m + 1, 2), max_n)
+        parity = walk(beta).parity
         for j in range(m + 1):
             pairs = list(construct.fpf_pairs(beta, j))
             got = {alpha for _, alpha in pairs}
             if len(pairs) != len(got):
                 bad.append(f"duplicate choices: m={m} j={j}")
-            if got != wants[2 * j]:
+            if len(got) != sum(parity[2 * j]) or any(
+                alpha.commute_distance(beta) != 2 * j for alpha in got
+            ):
                 bad.append(f"fpf set mismatch: m={m} j={j}")
             if len(got) != formulas.fpf_involution_count(2 * j, m):
                 bad.append(f"fpf count mismatch: m={m} j={j}")
@@ -285,8 +376,9 @@ def verification_checks(
 ) -> Iterator[tuple[str, list[str]]]:
     """
     All identity checks as (name, failures) pairs, empty failures = pass,
-    in a fixed order.  ``n_max`` must lie in [2, the exhaustive bound],
-    else ``ValueError`` at call time; the checks themselves run one at a
+    in a fixed order.  ``n_max`` must lie in [2, the exhaustive bound]
+    (``max_n``, else KOMMUTE_MAX_BRUTE_N, else 8), else ``ValueError`` at
+    call time; the checks themselves run one at a
     time as the returned iterator is advanced.  ``f_override`` replaces
     f(k) in T(k, n), as a negative control.
 
@@ -295,11 +387,11 @@ def verification_checks(
     """
     bound = oracle.exhaustive_bound(max_n)
     if n_max < 2:
-        raise ValueError(f"--n-max must be between 2 and {bound}")
+        raise ValueError(f"n_max must be between 2 and {bound}")
     if n_max > bound:
         raise ValueError(
-            f"--n-max {n_max} exceeds the brute-force cap {bound}; "
-            f"raise it with --max-brute-n or {oracle.ENV_MAX_DEGREE}"
+            f"n_max {n_max} exceeds the brute-force cap {bound}; "
+            f"raise it with max_n or {oracle.ENV_MAX_DEGREE}"
         )
     return _run_checks(n_max, jobs, max_n, f_override)
 
@@ -309,6 +401,9 @@ def _run_checks(n_max, jobs, max_n, f_override) -> Iterator[tuple[str, list[str]
     @functools.lru_cache(maxsize=None)
     def hist(beta: Permutation) -> oracle.KDistribution:
         return oracle.distribution(beta, jobs=jobs, max_degree=max_n)
+
+    # one walk of S_n per beta, shared by the pair, parity and enumerator checks
+    walk = _walks(max_n, min(n_max, 6))
 
     def tkn(k: int, n: int) -> int:
         if f_override and k in f_override:
@@ -320,10 +415,10 @@ def _run_checks(n_max, jobs, max_n, f_override) -> Iterator[tuple[str, list[str]
     yield "n-cycle counts T(k,n) vs brute force", _check_ncycle(n_max, hist, tkn)
     yield "transposition counts vs brute force", _check_transposition(n_max, hist)
     yield "fixed-point-free involution counts vs brute force", _check_fpf(n_max, hist)
-    yield from _check_pairs(n_max, max_n)
+    yield from _check_pairs(n_max, walk)
     yield "counts divisible by centralizer order", _check_centralizer_divisibility(n_max, hist)
     yield "conjugation invariance of counts", _check_conjugation_invariance(n_max, hist)
-    yield "even/odd split", _check_parity_split(n_max, max_n, hist)
-    yield "single-cycle enumerator vs brute filter", _check_single_cycle_enumerator(max_n)
-    yield "fpf enumerator vs brute filter", _check_fpf_enumerator(max_n)
+    yield "even/odd split", _check_parity_split(n_max, walk, hist)
+    yield "single-cycle enumerator vs brute filter", _check_single_cycle_enumerator(walk, max_n)
+    yield "fpf enumerator vs brute filter", _check_fpf_enumerator(walk, max_n)
     yield "generating function coefficients", _check_egfs(n_max, tkn)

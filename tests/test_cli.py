@@ -322,17 +322,37 @@ class TestVerify:
         assert "FAIL" in out
         assert "T(5," in out
 
-    def test_n_max_above_bound_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "--n-max", "9")
-        assert code == 1
-        assert "cap" in err
+    def test_n_max_above_bound_rejected(self, capsys, monkeypatch):
+        # the CLI names its flags, the library its parameters
+        monkeypatch.delenv(oracle.ENV_MAX_DEGREE, raising=False)
+        assert run_cli(capsys, "verify", "--n-max", "9") == (
+            1,
+            "",
+            "kommute: error: --n-max 9 exceeds the brute-force cap 8; "
+            "raise it with --max-brute-n or KOMMUTE_MAX_BRUTE_N\n",
+        )
+        code, _, err = run_cli(capsys, "verify", "--n-max", "7", "--max-brute-n", "6")
+        assert (code, err) == (
+            1,
+            "kommute: error: --n-max 7 exceeds the brute-force cap 6; "
+            "raise it with --max-brute-n or KOMMUTE_MAX_BRUTE_N\n",
+        )
+        with pytest.raises(ValueError) as raised:
+            verify.verification_checks(9)
+        assert str(raised.value) == (
+            "n_max 9 exceeds the brute-force cap 8; raise it with max_n or KOMMUTE_MAX_BRUTE_N"
+        )
 
-    def test_n_max_below_two_rejected(self, capsys):
+    def test_n_max_below_two_rejected(self, capsys, monkeypatch):
         # below degree 2 there is nothing to compare against brute force
+        monkeypatch.delenv(oracle.ENV_MAX_DEGREE, raising=False)
         for n_max in ("1", "0", "-3"):
-            code, out, err = run_cli(capsys, "verify", "--n-max", n_max)
-            assert (code, out) == (1, "")
-            assert "--n-max must be between 2 and" in err
+            assert run_cli(capsys, "verify", "--n-max", n_max) == (
+                1, "", "kommute: error: --n-max must be between 2 and 8\n"
+            )
+            with pytest.raises(ValueError) as raised:
+                verify.verification_checks(int(n_max))
+            assert str(raised.value) == "n_max must be between 2 and 8"
 
     def test_internal_error_after_printed_verdicts(self, capsys, monkeypatch):
         # the first verdict is already out when the second check breaks
@@ -350,6 +370,18 @@ class TestVerify:
         assert run_cli(capsys, "verify", "--n-max", "6") == (0, VERIFY_6, "")
         got = run_cli(capsys, "verify", "--n-max", "4", "--corrupt-f")
         assert got == (3, VERIFY_4_CORRUPT, "")
+
+    @pytest.mark.parametrize("argv, code, digest", [
+        (["--n-max", "7", "--max-brute-n", "7", "--corrupt-f"], 3,
+         "4d00876f2a9cbf14435a31a0bae0c279ad1d1da8e0e499a2c8a3e2b9fa6ed8cb"),
+        (["--n-max", "8", "--max-brute-n", "8"], 0,
+         "acf4a7435c9ffd8603b12d9d17947f7c4172f0449849d0c6b1768ea81b20775f"),
+    ])
+    def test_golden_benchmark_shapes(self, capsys, argv, code, digest):
+        # the benchmark's own request shapes, pinned by the sha256 of the
+        # stdout that the per-pair Permutation scans printed
+        got, out, err = run_cli(capsys, "verify", *argv)
+        assert (got, hashlib.sha256(out.encode()).hexdigest(), err) == (code, digest, "")
 
     def test_each_beta_scanned_once(self, monkeypatch):
         scans: Counter = Counter()
@@ -374,59 +406,103 @@ class TestVerify:
 
         monkeypatch.setattr(oracle, "_scan", counting)
         hist = functools.lru_cache(maxsize=None)(oracle.distribution)
-        assert verify._check_parity_split(7, 7, hist) == []
+        assert verify._check_parity_split(7, verify._walks(7), hist) == []
         assert scans and set(scans.values()) == {1}
 
     def test_one_sn_walk_per_beta(self, monkeypatch):
+        # checks 6, 10, 11 and 12 share one scan of S_n per beta: the 28
+        # representatives with n <= 6, which include every enumerator case
         walks: Counter = Counter()
-        walk = oracle.enumerate_sn
+        scan = oracle._scan
 
-        def counting(n, *args, **kwargs):
-            walks[n] += 1
-            return walk(n, *args, **kwargs)
+        def counting(beta_word):
+            walks[beta_word] += 1
+            return scan(beta_word)
 
-        monkeypatch.setattr(oracle, "enumerate_sn", counting)
+        monkeypatch.setattr(oracle, "_scan", counting)
+        monkeypatch.setattr(oracle, "enumerate_sn", None)
         results = verify.verification_checks(6, max_n=6)
         assert not any(failures for _, failures in results)
-        assert walks == {n: sum(1 for _ in CycleType.all_types(n)) for n in range(2, 7)}
-        assert sum(walks.values()) == 28
+        assert set(walks.values()) == {1}
+        assert Counter(map(len, walks)) == {
+            n: sum(1 for _ in CycleType.all_types(n)) for n in range(2, 7)
+        }
+        assert len(walks) == 28
+
+    def test_one_scan_per_beta_across_the_walking_checks(self, monkeypatch):
+        # at n-max 7 the enumerator cases are walked for the pair checks
+        # already; the parity and enumerator checks scan nothing more
+        scans: Counter = Counter()
+        scan = oracle._scan
+
+        def counting(beta_word):
+            scans[beta_word] += 1
+            return scan(beta_word)
+
+        monkeypatch.setattr(oracle, "_scan", counting)
+        checks = verify.verification_checks(7, max_n=7)
+        names = []
+        for name, failures in checks:
+            assert failures == [], name
+            names.append(name)
+            if name == "image cycle census":
+                walked = dict(scans)
+        assert names[5:7] == ["block characterization and profile invariants", "image cycle census"]
+        assert scans == walked and len(scans) == 28 and set(scans.values()) == {1}
 
     def test_bad_points_computed_once_per_pair(self, monkeypatch):
-        calls = 0
+        # one scanned alpha per pair: n! alphas for each of the p(n) betas,
+        # n = 2..6, and no call to the Permutation-based blocks.bad_points
+        # outside the enumerator check's membership test
+        alphas = 0
+        scan = oracle._scan
+
+        def counting(beta_word):
+            nonlocal alphas
+            for bad, a in scan(beta_word):
+                alphas += 1
+                yield bad, a
+
+        monkeypatch.setattr(oracle, "_scan", counting)
+        calls = Counter()
         exact = blocks.bad_points
 
-        def counting(alpha, beta):
-            nonlocal calls
-            calls += 1
+        def counting_bad(alpha, beta):
+            calls[beta] += 1
             return exact(alpha, beta)
 
-        monkeypatch.setattr(blocks, "bad_points", counting)
+        monkeypatch.setattr(blocks, "bad_points", counting_bad)
         results = verify.verification_checks(6, max_n=6)
-        assert not any(failures for _, failures in results)
-        # one call per pair: n! alphas for each of the p(n) betas, n = 2..6
-        assert calls == 2 * 2 + 6 * 3 + 24 * 5 + 120 * 7 + 720 * 11 == 8902
+        names = [name for name, failures in results if not failures]
+        assert len(names) == 13
+        assert alphas == 2 * 2 + 6 * 3 + 24 * 5 + 120 * 7 + 720 * 11 == 8902
+        assert sum(calls.values()) == sum(
+            formulas.single_cycle_count(beta.cycle_type(), k)
+            for beta in calls for k in (3, 4, 5)
+        )
+
+    def change_scanned_bad_points(self, monkeypatch, change):
+        # the walk reads each alpha's bad points from oracle._scan
+        scan = oracle._scan
+
+        def changed(beta_word):
+            for bad, a in scan(beta_word):
+                yield tuple(sorted(change(set(bad), len(a)))), a
+
+        monkeypatch.setattr(oracle, "_scan", changed)
 
     def test_dropped_bad_point_fails_verify(self, capsys, monkeypatch):
-        exact = blocks.bad_points
-
-        def dropping(alpha, beta):
-            bad = exact(alpha, beta)
-            return bad - {min(bad)} if bad else bad
-
-        monkeypatch.setattr(blocks, "bad_points", dropping)
+        self.change_scanned_bad_points(monkeypatch, lambda bad, n: bad - {min(bad)} if bad else bad)
         code, out, _ = run_cli(capsys, "verify", "--n-max", "4")
         assert code == 3
         assert "FAIL block characterization and profile invariants" in out
 
     def test_added_bad_point_fails_verify(self, capsys, monkeypatch):
-        exact = blocks.bad_points
-
-        def adding(alpha, beta):
-            bad = exact(alpha, beta)
-            good = set(range(1, alpha.degree + 1)) - bad
+        def adding(bad, n):
+            good = set(range(n)) - bad
             return bad | {min(good)} if good else bad
 
-        monkeypatch.setattr(blocks, "bad_points", adding)
+        self.change_scanned_bad_points(monkeypatch, adding)
         code, out, _ = run_cli(capsys, "verify", "--n-max", "4")
         assert code == 3
         assert "FAIL block characterization and profile invariants" in out
@@ -453,7 +529,7 @@ class TestVerify:
     def test_repeating_fpf_stream_fails_verify(self, monkeypatch):
         pairs = construct.fpf_pairs
         monkeypatch.setattr(construct, "fpf_pairs", lambda beta, j: [*pairs(beta, j)] * 2)
-        assert "duplicate choices: m=2 j=2" in verify._check_fpf_enumerator(None)
+        assert "duplicate choices: m=2 j=2" in verify._check_fpf_enumerator(verify._walks(None), None)
 
 
 VERIFY_6 = """\

@@ -13,9 +13,11 @@ from kommute.perm import (
     all_permutations,
     cycle_pieces,
     format_permutation,
+    lex_parities,
     parse_permutation,
     point_labels,
     word_cycle_string,
+    word_is_even,
 )
 
 
@@ -103,6 +105,20 @@ class TestHamming:
             for pi in all_permutations(n):
                 for tau in all_permutations(n):
                     assert pi.hamming(tau) != 1
+
+
+class TestParity:
+    def test_word_is_even_counts_inversions(self):
+        for w in itertools.permutations(range(6)):
+            inversions = sum(x > y for x, y in itertools.combinations(w, 2))
+            assert word_is_even(w) == (inversions % 2 == 0)
+
+    def test_rank_parities_match_word_is_even(self):
+        # lex_parities indexes S_n by the rank of its words in
+        # itertools.permutations order
+        for n in range(0, 9):
+            want = bytes(not word_is_even(w) for w in itertools.permutations(range(n)))
+            assert lex_parities(n) == want, n
 
 
 class TestCommuteDistance:

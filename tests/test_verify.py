@@ -2,13 +2,15 @@ from collections import Counter
 
 import pytest
 
-from kommute import blocks, formulas, oracle, verify
+from kommute import blocks, construct, formulas, oracle, verify
+from kommute.perm import CycleType, Permutation, word_is_even
 
 
 def per_pair_check_pairs(n_max, max_n):
     """
-    The pair checks deciding every pair on its own, the reference for the
-    shared per-cycle verdicts and invariants of ``verify._check_pairs``.
+    The pair checks deciding every pair on its own, on Permutations and
+    ``blocks.bad_points``: the reference for the walk's shared per-cycle
+    verdicts and invariants behind ``verify._check_pairs``.
     """
     block_bad, census_bad = [], []
     for n, t, beta in verify._representatives(min(n_max, 6)):
@@ -46,38 +48,44 @@ def per_pair_check_pairs(n_max, max_n):
     ]
 
 
+def change_bad_points(monkeypatch, change):
+    # the same change to the bad points at both seams: oracle._scan, where
+    # the walk reads them, and blocks.bad_points, where the per-pair
+    # reference does.  ``change(bad, a, b)`` takes and returns a set of
+    # zero-based points, given the zero-based words of alpha and beta
+    exact_bad, exact_scan = blocks.bad_points, oracle._scan
+
+    def bad_points(alpha, beta):
+        bad = {p - 1 for p in exact_bad(alpha, beta)}
+        return frozenset(p + 1 for p in change(bad, alpha.word, beta.word))
+
+    def scan(beta_word):
+        for bad, a in exact_scan(beta_word):
+            yield tuple(sorted(change(set(bad), a, beta_word))), a
+
+    monkeypatch.setattr(blocks, "bad_points", bad_points)
+    monkeypatch.setattr(oracle, "_scan", scan)
+
+
 def drop_bad_point(monkeypatch):
-    exact = blocks.bad_points
-
-    def dropping(alpha, beta):
-        bad = exact(alpha, beta)
-        return bad - {min(bad)} if bad else bad
-
-    monkeypatch.setattr(blocks, "bad_points", dropping)
+    change_bad_points(monkeypatch, lambda bad, a, b: bad - {min(bad)} if bad else bad)
 
 
 def add_bad_point(monkeypatch):
-    exact = blocks.bad_points
-
-    def adding(alpha, beta):
-        bad = exact(alpha, beta)
-        good = set(range(1, alpha.degree + 1)) - bad
+    def adding(bad, a, b):
+        good = set(range(len(a))) - bad
         return bad | {min(good)} if good else bad
 
-    monkeypatch.setattr(blocks, "bad_points", adding)
+    change_bad_points(monkeypatch, adding)
 
 
 def step_bad_points(monkeypatch):
     # on the pairs with an even alpha, each bad point moves on to its
     # beta-image: the same count on each cycle, but a different set for
     # the same images of alpha
-    exact = blocks.bad_points
-
-    def stepping(alpha, beta):
-        bad = exact(alpha, beta)
-        return frozenset(map(beta, bad)) if alpha.is_even() else bad
-
-    monkeypatch.setattr(blocks, "bad_points", stepping)
+    change_bad_points(
+        monkeypatch, lambda bad, a, b: {b[p] for p in bad} if word_is_even(a) else bad
+    )
 
 
 def reverse_runs(monkeypatch):
@@ -113,7 +121,7 @@ MUTATIONS = [drop_bad_point, add_bad_point, step_bad_points, reverse_runs, break
 class TestCheckPairs:
     def test_matches_per_pair_reference(self):
         for n_max in (2, 5, 6):
-            got = verify._check_pairs(n_max, n_max)
+            got = verify._check_pairs(n_max, verify._walks(n_max))
             assert got == per_pair_check_pairs(n_max, n_max)
             assert not any(failures for _, failures in got)
 
@@ -121,13 +129,13 @@ class TestCheckPairs:
     def test_mutations_fail_as_the_reference(self, monkeypatch, mutate):
         # the shared verdicts report the same failures, in the same order
         mutate(monkeypatch)
-        got = verify._check_pairs(5, 5)
+        got = verify._check_pairs(5, verify._walks(5))
         assert got == per_pair_check_pairs(5, 5)
         assert got[0][1]
 
     def test_mutation_at_degree_six_fails_as_the_reference(self, monkeypatch):
         reverse_runs(monkeypatch)
-        got = verify._check_pairs(6, 6)
+        got = verify._check_pairs(6, verify._walks(6))
         assert got == per_pair_check_pairs(6, 6)
         assert any(f.endswith("beta=(1 2 3 4 5 6)") for f in got[0][1])
 
@@ -156,7 +164,7 @@ class TestCheckPairs:
             return exact(bad, cycles)
 
         monkeypatch.setattr(blocks, "_profile", counting)
-        assert not any(failures for _, failures in verify._check_pairs(6, 6))
+        assert not any(failures for _, failures in verify._check_pairs(6, verify._walks(6)))
         assert seen and set(seen.values()) == {1}
 
 
@@ -174,28 +182,135 @@ class TestEnumeratorChecks:
 
     def test_one_scan_per_single_cycle_case(self, monkeypatch):
         scans = self.scans(monkeypatch)
-        assert verify._check_single_cycle_enumerator(None) == []
+        assert verify._check_single_cycle_enumerator(verify._walks(None), None) == []
         assert len(scans) == 4 and set(scans.values()) == {1}
 
     def test_one_scan_per_fpf_case(self, monkeypatch):
         scans = self.scans(monkeypatch)
-        assert verify._check_fpf_enumerator(None) == []
+        assert verify._check_fpf_enumerator(verify._walks(None), None) == []
         assert len(scans) == 2 and set(scans.values()) == {1}
 
     def test_a_missing_alpha_is_reported(self, monkeypatch):
-        # one alpha fewer in each nonempty brute bucket of profile (3,)
-        bucket = oracle._bucket
+        # the walk misses one alpha of profile (3,) against each beta, and
+        # every single-cycle case has some
+        scan = oracle._scan
 
-        def losing(beta, key, wanted, max_degree=None):
-            found = bucket(beta, key, wanted, max_degree)
-            if found.get((3,)):
-                found[(3,)].pop()
-            return found
+        def losing(beta_word):
+            beta, lost = Permutation._from_word(beta_word), False
+            for bad, a in scan(beta_word):
+                if not lost and blocks.profile(Permutation._from_word(a), beta) == (3,):
+                    lost = True
+                    continue
+                yield bad, a
 
-        monkeypatch.setattr(oracle, "_bucket", losing)
-        failures = verify._check_single_cycle_enumerator(None)
+        monkeypatch.setattr(oracle, "_scan", losing)
+        failures = verify._check_single_cycle_enumerator(verify._walks(None), None)
         assert len(failures) == 4
         assert all(f.startswith("single-cycle set mismatch") and f.endswith("k=3") for f in failures)
+
+    def test_a_foreign_alpha_is_reported(self, monkeypatch):
+        # as many alphas as the bucket holds, no repeats, but one of another
+        # profile: the set differs though the counts agree
+        pairs = construct.single_cycle_pairs
+
+        def swapping(beta, k):
+            found = list(pairs(beta, k))
+            if k == 4 and found:
+                found[0] = (found[0][0], Permutation.identity(beta.degree))
+            return found
+
+        monkeypatch.setattr(construct, "single_cycle_pairs", swapping)
+        failures = verify._check_single_cycle_enumerator(verify._walks(None), None)
+        assert failures == [
+            "single-cycle set mismatch: beta=(1 2 3 4 5 6) k=4",
+            "single-cycle set mismatch: beta=(1 2 3 4 5) k=4",
+            "single-cycle set mismatch: beta=(1 2 3 4) k=4",
+        ]
+
+    def test_an_fpf_alpha_at_another_distance_is_reported(self, monkeypatch):
+        pairs = construct.fpf_pairs
+
+        def swapping(beta, j):
+            found = list(pairs(beta, j))
+            if j == 2:
+                found[0] = (found[0][0], Permutation.identity(beta.degree))
+            return found
+
+        monkeypatch.setattr(construct, "fpf_pairs", swapping)
+        failures = verify._check_fpf_enumerator(verify._walks(None), None)
+        assert failures == ["fpf set mismatch: m=2 j=2", "fpf set mismatch: m=3 j=2"]
+
+
+class TestWalk:
+    # the walk's tallies against the oracle's own routes, on every cycle
+    # type with n <= 6
+    def test_parity_tallies_match_parity_split(self):
+        walk = verify._walks(6)
+        for n in range(2, 7):
+            for t in CycleType.all_types(n):
+                beta = t.representative()
+                split = oracle.parity_split(beta, max_degree=6)
+                assert walk(beta).parity == [split[k] for k in range(n + 1)], t.parts()
+
+    def test_profile_counts_match_distribution(self):
+        walk = verify._walks(6)
+        for n in range(2, 7):
+            for t in CycleType.all_types(n):
+                beta = t.representative()
+                want = {p: c for p, c in oracle.distribution(beta).profiles.items() if c}
+                assert dict(walk(beta).profiles) == want, t.parts()
+
+    def test_a_walk_without_pairs_keeps_the_same_tallies(self):
+        for n in range(2, 7):
+            for t in CycleType.all_types(n):
+                beta = t.representative()
+                full, light = verify._walk(beta, 6), verify._walk(beta, 6, pairs=False)
+                assert (light.parity, light.profiles) == (full.parity, full.profiles)
+                assert light.block_bad == light.census_bad == []
+
+    def test_only_the_pair_checks_betas_get_verdicts(self, monkeypatch):
+        # at n-max 4 the enumerator cases of degree 5 and 6 are walked for
+        # their tallies only
+        degrees: Counter = Counter()
+        exact = blocks._cycle_verdict
+
+        def counting(a, cycle, bad, w, host):
+            degrees[len(w)] += 1
+            return exact(a, cycle, bad, w, host)
+
+        monkeypatch.setattr(blocks, "_cycle_verdict", counting)
+        assert not any(failures for _, failures in verify.verification_checks(4, max_n=6))
+        assert set(degrees) == {2, 3, 4}
+
+    def test_distances_come_from_the_words(self, monkeypatch):
+        # a scan that drops a bad point moves no alpha to another distance:
+        # the walk counts each k from alpha*beta and beta*alpha, so the bad
+        # counts adding up to k is a check of the scanned bad points
+        betas = [t.representative() for n in range(2, 6) for t in CycleType.all_types(n)]
+        want = [verify._walk(beta, 5).parity for beta in betas]
+        drop_bad_point(monkeypatch)
+        for pairs in (True, False):
+            assert [verify._walk(beta, 5, pairs).parity for beta in betas] == want
+
+    def test_walks_are_memoised_per_run(self, monkeypatch):
+        calls: Counter = Counter()
+        exact = verify._walk
+
+        def counting(beta, max_n, pairs):
+            calls[beta] += 1
+            return exact(beta, max_n, pairs)
+
+        monkeypatch.setattr(verify, "_walk", counting)
+        walk = verify._walks(6)
+        beta = CycleType.from_parts([3, 3]).representative()
+        assert walk(beta) is walk(beta)
+        assert calls == {beta: 1}
+        assert verify._walks(6)(beta) is not walk(beta)
+
+    def test_degree_cap(self):
+        beta = CycleType.from_parts([3, 3]).representative()
+        with pytest.raises(ValueError, match="exceeds the exhaustive bound 5"):
+            verify._walks(5)(beta)
 
 
 LATER_CHECKS = [
