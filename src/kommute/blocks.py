@@ -17,10 +17,11 @@ a bug, not a property of the input.
 
 The characterization is decided per cycle: the verdict on a cycle of beta
 reads only alpha's images of that cycle's points and which of them are
-bad.  ``_cycle_verdict`` decides one cycle, and ``_fold`` joins the
-cycles' verdicts into the pair's (image blocks disjoint, bad counts
-adding up to the distance), so a caller checking many pairs against one
-beta can decide each distinct cycle once.
+bad.  ``_cycle_verdict`` decides one cycle into its bad count and a
+bitmask of its image points, and ``_fold`` joins the cycles' verdicts
+into the pair's (image masks disjoint, bad counts adding up to the
+distance), so a caller checking many pairs against one beta can decide
+each distinct cycle once.
 
 Indexing convention: all cyclic index arithmetic is 1-based, wrapping m+1
 back to 1 inside a length-m cycle.
@@ -225,18 +226,15 @@ def _characterized(
     return _fold((_cycle_verdict(a, cycle, bad, w, host) for cycle in cycles), k)
 
 
-def _fold(verdicts: Iterable[tuple[int, tuple[int, ...]] | None], k: int) -> bool:
+def _fold(verdicts: Iterable[tuple[int, int] | None], k: int) -> bool:
     # the pair's verdict from its cycles' verdicts: every cycle passes, the
-    # image blocks are pairwise disjoint and the bad counts add up to k
-    total = 0
-    all_points: list[int] = []
+    # image masks are pairwise disjoint and the bad counts add up to k
+    total = used = 0
     for verdict in verdicts:
-        if verdict is None:
+        if verdict is None or used & verdict[1]:
             return False
         total += verdict[0]
-        all_points.extend(verdict[1])
-    if len(all_points) != len(set(all_points)):
-        return False
+        used |= verdict[1]
     return total == k
 
 
@@ -246,17 +244,17 @@ def _cycle_verdict(
     bad: frozenset[int],
     w: tuple[int, ...],
     host: tuple[int, ...],
-) -> tuple[int, tuple[int, ...]] | None:
-    # the characterization on one cycle of beta: None when it fails there,
-    # else the cycle's bad count and the points of its image blocks (none
-    # for a commuting cycle).  Reads only alpha's images of the cycle and
-    # which of its points are bad
+) -> tuple[int, int] | None:
+    # the characterization on one cycle of beta: None when it fails there
+    # or its image points repeat, else the cycle's bad count and the bitmask
+    # of the points of its image blocks (0 for a commuting cycle).  Reads
+    # only alpha's images of the cycle and which of its points are bad
     ends = [i for i, p in enumerate(cycle) if p in bad]
     if not ends:
         image = [a[p - 1] + 1 for p in cycle]
         if len(image) != host[image[0] - 1] or not _is_block(image, w, host):
             return None
-        return 0, ()
+        return 0, 0
     # any rotation will do: every condition below is cyclic
     try:
         runs = _cut(cycle, bad, ends[-1] + 1)
@@ -278,4 +276,10 @@ def _cycle_verdict(
         for x, y in zip(images[-1:] + images[:-1], images):
             if w[x[-1] - 1] + 1 == y[0] and len(x) + len(y) <= host[x[0] - 1]:
                 return None
-    return ki, tuple([p for b in images for p in b])
+    # a sum of distinct powers of two has one bit per term: fewer bits
+    # mean a repeated point
+    points = [p for b in images for p in b]
+    mask = sum([1 << p for p in points])
+    if mask.bit_count() != len(points):
+        return None
+    return ki, mask

@@ -25,12 +25,13 @@ class is sharded on the point set of the cycle through point 1; censuses
 merge by addition, so the result is identical for any shard or worker
 count.  Degrees above ``HISTOGRAM_MAX_DEGREE`` are refused whatever the cap.
 
-The filters and ``parity_split`` need the actual alpha, so they reduce
-over ``_scan``, the one scan kernel: it walks S_n in the lexicographic
-order of zero-based one-line words and yields each alpha's word with its
-bad points.  ``_census`` over that scan is the independent reference the
-histogram is tested against, and ``kommute.verify`` walks it once per
-beta for every check that needs each alpha.
+The filters and ``parity_split`` need the actual alpha, so each is one
+pass over ``_scan``, the one scan kernel: it walks S_n in the
+lexicographic order of zero-based one-line words and yields each alpha's
+word with its bad points.  ``_census`` over that scan is the independent
+reference the histogram is tested against, and ``kommute.verify`` walks it
+once per beta for its pair and parity checks; its enumerator checks read
+the histogram.
 
 Degrees are capped (default 8, so 40320 permutations per reference
 permutation) to keep full verification in the seconds range; raise the cap
@@ -40,12 +41,11 @@ arguments when you can wait.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import os
 from collections import Counter, defaultdict
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Iterator, NamedTuple, Sequence
 
 from .blocks import _profile
 from .construct import perfect_matchings, successor_free_kcycles
@@ -66,8 +66,6 @@ ENV_MAX_DEGREE = "KOMMUTE_MAX_BRUTE_N"
 # of S_12 and S_13, and saved at most 0.21 s on a class below 10**8, which
 # holds all of S_12
 POOL_MIN_CLASS = 10**8
-
-T = TypeVar("T")
 
 
 def exhaustive_bound(max_degree: int | None = None) -> int:
@@ -290,39 +288,21 @@ def filter_by_profile(
     beta: Permutation, profile: Sequence[int], max_degree: int | None = None
 ) -> set[Permutation]:
     """All alpha whose per-cycle bad-point multiset equals ``profile``."""
+    _check_degree(beta.degree, max_degree)
     want = tuple(sorted(profile, reverse=True))
-    return _bucket(beta, _profile_key(beta), [want], max_degree)[want]
+    # beta's cycles zero-based, as ``_scan``'s bad points are
+    cycles = [tuple(p - 1 for p in cycle) for cycle in beta.cycles()]
+    return {
+        Permutation._from_word(a) for bad, a in _scan(beta.word) if _profile(bad, cycles) == want
+    }
 
 
 def filter_by_distance(
     beta: Permutation, k: int, max_degree: int | None = None
 ) -> set[Permutation]:
     """All alpha at commutation distance exactly k from beta."""
-    return _bucket(beta, len, [k], max_degree)[k]
-
-
-def _bucket(
-    beta: Permutation,
-    key: Callable[[tuple[int, ...]], T],
-    wanted: Iterable[T],
-    max_degree: int | None = None,
-) -> dict[T, set[Permutation]]:
-    # {value: the alphas whose zero-based bad points ``key`` maps to it} for
-    # each wanted value, from one scan of S_n
     _check_degree(beta.degree, max_degree)
-    buckets: dict[T, set[Permutation]] = {want: set() for want in wanted}
-    for bad, a in _scan(beta.word):
-        bucket = buckets.get(key(bad))
-        if bucket is not None:
-            bucket.add(Permutation._from_word(a))
-    return buckets
-
-
-def _profile_key(beta: Permutation) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
-    # the profile of a zero-based bad-point set, on beta's cycles written
-    # zero-based too
-    cycles = [tuple(p - 1 for p in cycle) for cycle in beta.cycles()]
-    return functools.partial(_profile, cycles=cycles)
+    return {Permutation._from_word(a) for bad, a in _scan(beta.word) if len(bad) == k}
 
 
 def parity_split(

@@ -5,12 +5,12 @@ small degree.
 
 Two exhaustive sources serve the checks, each memoised for one run.
 ``oracle.distribution`` gives each distinct beta's histogram and profile
-counts from its conjugacy class.  ``_walk`` walks S_n once per beta over
-``oracle._scan``'s zero-based words and serves everything that needs each
-alpha: the block characterization and its profile invariants, the image
-cycle census, the even/odd split at each distance and the profile counts
-the enumerators are compared with.  The walk builds no Permutation unless
-a pair fails.
+counts from its conjugacy class; the enumerators are compared with these
+too.  ``_walk`` walks S_n once per beta over ``oracle._scan``'s zero-based
+words and serves everything that needs each alpha: the block
+characterization and its profile invariants, the image cycle census and
+the even/odd split at each distance.  The walk builds no Permutation
+unless a pair fails.
 
 ``verification_checks`` checks its arguments when called and returns a
 lazy stream of (name, failures) pairs: each check runs only when the
@@ -24,7 +24,6 @@ import functools
 import math
 import operator
 import random
-from collections import Counter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import blocks, construct, formulas, oracle
@@ -117,21 +116,18 @@ class _Walk(NamedTuple):
     block_bad: list[str]  # the block characterization's failures
     census_bad: list[str]  # the image cycle census's, on n <= 5
     parity: list[tuple[int, int]]  # (even, odd) alphas at each distance 0..n
-    profiles: Counter  # alphas with each profile of their bad points
 
 
-def _walks(max_n: int | None, pair_degree: int = 6) -> Callable[[Permutation], _Walk]:
-    # ``_walk`` memoised for one run, as ``hist`` is.  The pair checks read
-    # the betas up to ``pair_degree`` only, so a walk of a larger beta, for
-    # the enumerator checks alone, skips them
+def _walks(max_n: int | None) -> Callable[[Permutation], _Walk]:
+    # ``_walk`` memoised for one run, as ``hist`` is
     @functools.lru_cache(maxsize=None)
     def walk(beta: Permutation) -> _Walk:
-        return _walk(beta, max_n, pairs=beta.degree <= pair_degree)
+        return _walk(beta, max_n)
 
     return walk
 
 
-def _walk(beta: Permutation, max_n: int | None, pairs: bool = True) -> _Walk:
+def _walk(beta: Permutation, max_n: int | None) -> _Walk:
     # One scan of S_n, in oracle._scan's zero-based words, for every check
     # that needs each alpha; a Permutation is built only for a failure.
     # Each alpha's bad points come from the scan, and its distance k =
@@ -139,14 +135,11 @@ def _walk(beta: Permutation, max_n: int | None, pairs: bool = True) -> _Walk:
     # counts adding up to k stays a real check.  The block characterization
     # is local to a cycle of beta, and so is the distance: each cycle is
     # decided once per (cycle, alpha's images on it, its bad points), a key
-    # shared by many pairs, and the cycles fold with int accumulators: the
-    # distance, the bad count and a bitmask of image points.  A bad set's
-    # split over the cycles and its profile are found once, the profile
-    # invariants once per (bad points, distance).  Census, on n <= 5 and
-    # also on pairs that fail the characterization: the cycles holding a
-    # bad point and those holding an image of one have equal lengths.
-    # Without ``pairs`` the walk keeps the tallies only, counting each k
-    # from the whole composed words, and its failure lists stay empty
+    # shared by many pairs, and the verdicts go through ``blocks._fold``.
+    # A bad set's split over the cycles and its profile are found once, the
+    # profile invariants once per (bad points, distance).  Census, on n <= 5
+    # and also on pairs that fail the characterization: the cycles holding a
+    # bad point and those holding an image of one have equal lengths
     n = beta.degree
     oracle._check_degree(n, max_n)
     w = beta.word
@@ -160,10 +153,8 @@ def _walk(beta: Permutation, max_n: int | None, pairs: bool = True) -> _Walk:
     max_len = max(map(len, cycles))
     bound = formulas.support_bound(beta.cycle_type())
     odd = lex_parities(n)
-    # alpha*beta and beta*alpha as words (n >= 2)
-    ab, ba = operator.itemgetter(*w), w.__getitem__
     tally = [0] * (2 * n + 2)  # alphas at distance k: even at 2k, odd at 2k + 1
-    # bad -> [alphas, (cycle, get, memo, its bad points), profile, {k: broken invariants}]
+    # bad -> ((cycle, get, memo, its bad points), profile, {k: broken invariants})
     bad_sets: dict = {}
     census: dict = {}
     block_bad, census_bad = [], []
@@ -172,62 +163,46 @@ def _walk(beta: Permutation, max_n: int | None, pairs: bool = True) -> _Walk:
         if entry is None:
             one = frozenset([p + 1 for p in bad])
             split = list(zip(cycles, gets, memos, [one & s for s in points]))
-            entry = bad_sets[bad] = [0, split, blocks._profile(bad, zero), {}]
-        entry[0] += 1
-        if not pairs:
-            tally[2 * sum(map(operator.ne, ab(a), map(ba, a))) + is_odd] += 1
-            continue
+            entry = bad_sets[bad] = (split, blocks._profile(bad, zero), {})
         if n <= 5:
             key = bad, tuple(map(a.__getitem__, bad))
             if key not in census:
                 census[key] = _touched(bad, zero) == _touched(key[1], zero)
             if not census[key]:
                 census_bad.append(f"image census: alpha={Permutation._from_word(a)} beta={beta}")
-        k = total = used = 0
-        held = True
-        for cycle, get, memo, part in entry[1]:
+        k = 0
+        verdicts = []
+        for cycle, get, memo, part in entry[0]:
             if memo is None:
-                d, count, mask = _decided(a, cycle, part, w, host)
+                d, verdict = _decided(a, cycle, part, w, host)
             else:
                 key = get(a), part
                 decided = memo.get(key)
                 if decided is None:
                     decided = memo[key] = _decided(a, cycle, part, w, host)
-                d, count, mask = decided
+                d, verdict = decided
             k += d
-            if count is None or used & mask:
-                held = False
-            else:
-                total += count
-                used |= mask
+            verdicts.append(verdict)
         tally[2 * k + is_odd] += 1
-        if not held or total != k:
+        if not blocks._fold(verdicts, k):
             broken = ["characterization fails"]
         else:
-            broken = entry[3].get(k)
+            broken = entry[2].get(k)
             if broken is None:
-                broken = _broken_invariants(entry[2], bad, k, zero, max_len, bound)
-                entry[3][k] = broken
+                broken = _broken_invariants(entry[1], bad, k, zero, max_len, bound)
+                entry[2][k] = broken
         for what in broken:
             block_bad.append(f"{what}: alpha={Permutation._from_word(a)} beta={beta}")
-    profiles: Counter = Counter()
-    for alphas, _, prof, _ in bad_sets.values():
-        profiles[prof] += alphas
     parity = [(tally[2 * k], tally[2 * k + 1]) for k in range(n + 1)]
-    return _Walk(block_bad, census_bad, parity, profiles)
+    return _Walk(block_bad, census_bad, parity)
 
 
-def _decided(a, cycle, part, w, host) -> tuple[int, int | None, int]:
+def _decided(a, cycle, part, w, host) -> tuple[int, tuple[int, int] | None]:
     # one cycle of beta against alpha's word ``a``, given its bad points
-    # ``part``: (how many of its points alpha*beta and beta*alpha move
-    # differently, its bad count, the bitmask of its image points).  The
-    # count is None where the characterization fails on the cycle, or where
-    # its image points repeat, which fails the fold as a clash would
+    # ``part``: how many of its points alpha*beta and beta*alpha move
+    # differently, and its ``blocks._cycle_verdict``
     d = sum([a[w[p - 1]] != w[a[p - 1]] for p in cycle])
-    verdict = blocks._cycle_verdict(a, cycle, part, w, host)
-    if verdict is None or len(set(verdict[1])) != len(verdict[1]):
-        return d, None, 0
-    return d, verdict[0], sum([1 << p for p in verdict[1]])
+    return d, blocks._cycle_verdict(a, cycle, part, w, host)
 
 
 def _touched(marked, cycles) -> list[int]:
@@ -293,10 +268,10 @@ def _check_parity_split(n_max, walk, hist) -> list[str]:
     return bad
 
 
-def _check_single_cycle_enumerator(walk, max_n) -> list[str]:
+def _check_single_cycle_enumerator(hist, max_n) -> list[str]:
     # the cases within the brute-force cap.  The constructed set equals the
-    # walk's bucket when it has no repeats, each alpha in it has the
-    # bucket's profile, and it is as large as the bucket
+    # exhaustive bucket when it has no repeats, each alpha in it has the
+    # bucket's profile, and it is as large as the histogram's count of it
     bound = oracle.exhaustive_bound(max_n)
     bad = []
     cases = [
@@ -306,7 +281,7 @@ def _check_single_cycle_enumerator(walk, max_n) -> list[str]:
         Permutation.from_cycles([(1, 2, 3, 4)], 4),
     ]
     for beta in [beta for beta in cases if beta.degree <= bound]:
-        profiles = walk(beta).profiles
+        profiles = hist(beta).profiles
         for k in (3, 4, 5):
             pairs = list(construct.single_cycle_pairs(beta, k))
             got = {alpha for _, alpha in pairs}
@@ -321,19 +296,19 @@ def _check_single_cycle_enumerator(walk, max_n) -> list[str]:
     return bad
 
 
-def _check_fpf_enumerator(walk, max_n) -> list[str]:
+def _check_fpf_enumerator(hist, max_n) -> list[str]:
     # m = 2 and 3, within the brute-force cap; the sets compared as in
     # ``_check_single_cycle_enumerator``, by distance
     bad = []
     for m in range(2, min(3, oracle.exhaustive_bound(max_n) // 2) + 1):
         beta = CycleType.from_parts([2] * m).representative()
-        parity = walk(beta).parity
+        dist = hist(beta)
         for j in range(m + 1):
             pairs = list(construct.fpf_pairs(beta, j))
             got = {alpha for _, alpha in pairs}
             if len(pairs) != len(got):
                 bad.append(f"duplicate choices: m={m} j={j}")
-            if len(got) != sum(parity[2 * j]) or any(
+            if len(got) != dist[2 * j] or any(
                 alpha.commute_distance(beta) != 2 * j for alpha in got
             ):
                 bad.append(f"fpf set mismatch: m={m} j={j}")
@@ -402,8 +377,8 @@ def _run_checks(n_max, jobs, max_n, f_override) -> Iterator[tuple[str, list[str]
     def hist(beta: Permutation) -> oracle.KDistribution:
         return oracle.distribution(beta, jobs=jobs, max_degree=max_n)
 
-    # one walk of S_n per beta, shared by the pair, parity and enumerator checks
-    walk = _walks(max_n, min(n_max, 6))
+    # one walk of S_n per beta, shared by the pair and parity checks
+    walk = _walks(max_n)
 
     def tkn(k: int, n: int) -> int:
         if f_override and k in f_override:
@@ -419,6 +394,6 @@ def _run_checks(n_max, jobs, max_n, f_override) -> Iterator[tuple[str, list[str]
     yield "counts divisible by centralizer order", _check_centralizer_divisibility(n_max, hist)
     yield "conjugation invariance of counts", _check_conjugation_invariance(n_max, hist)
     yield "even/odd split", _check_parity_split(n_max, walk, hist)
-    yield "single-cycle enumerator vs brute filter", _check_single_cycle_enumerator(walk, max_n)
-    yield "fpf enumerator vs brute filter", _check_fpf_enumerator(walk, max_n)
+    yield "single-cycle enumerator vs brute filter", _check_single_cycle_enumerator(hist, max_n)
+    yield "fpf enumerator vs brute filter", _check_fpf_enumerator(hist, max_n)
     yield "generating function coefficients", _check_egfs(n_max, tkn)

@@ -280,6 +280,26 @@ class TestVerifyCharacterization:
         with pytest.raises(ValueError, match="walk broken"):
             blocks.block_decomposition(ALPHA7, BETA7, 0)
 
+    def test_fold_rejects_overlapping_image_masks(self):
+        assert blocks._fold([(1, 0b0110), (0, 0), (1, 0b1000)], 2)
+        assert not blocks._fold([(1, 0b0110), (1, 0b0100)], 2)
+        assert not blocks._fold([(1, 0b0110), None], 1)
+        assert not blocks._fold([(1, 0b0110), (1, 0b1000)], 3)
+
+    def test_a_repeated_image_point_fails_the_cycle(self, monkeypatch):
+        # a cut that reads the run [1, 2] of (1 2 3 4) twice: both images are
+        # blocks and neither merges with the other, so only the image mask's
+        # popcount sees the repeated points
+        beta = Permutation.from_cycles([(1, 2, 3, 4)], 4)
+        cycles, host = blocks._frame(beta.word)
+        exact = blocks._cut
+        monkeypatch.setattr(
+            blocks, "_cut", lambda cycle, bad, start: [exact(cycle, bad, start)[0]] * 2
+        )
+        assert blocks._cut(cycles[0], frozenset({2, 4}), 0) == [[1, 2], [1, 2]]
+        verdict = blocks._cycle_verdict((0, 1, 2, 3), cycles[0], frozenset({2, 4}), beta.word, host)
+        assert verdict is None
+
 
 class TestStructuralInvariants:
     # exhaustive over all alpha and one representative per cycle type

@@ -376,10 +376,16 @@ class TestVerify:
          "4d00876f2a9cbf14435a31a0bae0c279ad1d1da8e0e499a2c8a3e2b9fa6ed8cb"),
         (["--n-max", "8", "--max-brute-n", "8"], 0,
          "acf4a7435c9ffd8603b12d9d17947f7c4172f0449849d0c6b1768ea81b20775f"),
+        (["--n-max", "4", "--max-brute-n", "6"], 0,
+         "a9ee94196267691786dbf31c72e487a299d33a7898a1ba4b217cdd387e4fc708"),
+        (["--n-max", "5", "--max-brute-n", "5"], 0,
+         "9eb56cd480f42ffed05ddea21a2cfa7a3ecb609d8a95e2e410d87da6a6dab619"),
     ])
     def test_golden_benchmark_shapes(self, capsys, argv, code, digest):
-        # the benchmark's own request shapes, pinned by the sha256 of the
-        # stdout that the per-pair Permutation scans printed
+        # the benchmark's own request shapes, its warm-up, and an n-max
+        # below 6, where the enumerator cases lie above n-max; pinned
+        # by the sha256 of the stdout that earlier, independent routes
+        # printed (per-pair Permutation scans, the walk's own tallies)
         got, out, err = run_cli(capsys, "verify", *argv)
         assert (got, hashlib.sha256(out.encode()).hexdigest(), err) == (code, digest, "")
 
@@ -410,8 +416,8 @@ class TestVerify:
         assert scans and set(scans.values()) == {1}
 
     def test_one_sn_walk_per_beta(self, monkeypatch):
-        # checks 6, 10, 11 and 12 share one scan of S_n per beta: the 28
-        # representatives with n <= 6, which include every enumerator case
+        # checks 6 and 10 share one scan of S_n per beta: the 28
+        # representatives with n <= 6
         walks: Counter = Counter()
         scan = oracle._scan
 
@@ -430,8 +436,8 @@ class TestVerify:
         assert len(walks) == 28
 
     def test_one_scan_per_beta_across_the_walking_checks(self, monkeypatch):
-        # at n-max 7 the enumerator cases are walked for the pair checks
-        # already; the parity and enumerator checks scan nothing more
+        # the pair checks walk each beta with n <= 6; the parity and
+        # enumerator checks scan nothing more
         scans: Counter = Counter()
         scan = oracle._scan
 
@@ -529,7 +535,7 @@ class TestVerify:
     def test_repeating_fpf_stream_fails_verify(self, monkeypatch):
         pairs = construct.fpf_pairs
         monkeypatch.setattr(construct, "fpf_pairs", lambda beta, j: [*pairs(beta, j)] * 2)
-        assert "duplicate choices: m=2 j=2" in verify._check_fpf_enumerator(verify._walks(None), None)
+        assert "duplicate choices: m=2 j=2" in verify._check_fpf_enumerator(oracle.distribution, None)
 
 
 VERIFY_6 = """\

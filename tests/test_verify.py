@@ -180,31 +180,26 @@ class TestEnumeratorChecks:
         monkeypatch.setattr(oracle, "_scan", counting)
         return scans
 
-    def test_one_scan_per_single_cycle_case(self, monkeypatch):
+    def test_the_single_cycle_cases_scan_sn_zero_times(self, monkeypatch):
         scans = self.scans(monkeypatch)
-        assert verify._check_single_cycle_enumerator(verify._walks(None), None) == []
-        assert len(scans) == 4 and set(scans.values()) == {1}
+        assert verify._check_single_cycle_enumerator(oracle.distribution, None) == []
+        assert not scans
 
-    def test_one_scan_per_fpf_case(self, monkeypatch):
+    def test_the_fpf_cases_scan_sn_zero_times(self, monkeypatch):
         scans = self.scans(monkeypatch)
-        assert verify._check_fpf_enumerator(verify._walks(None), None) == []
-        assert len(scans) == 2 and set(scans.values()) == {1}
+        assert verify._check_fpf_enumerator(oracle.distribution, None) == []
+        assert not scans
 
-    def test_a_missing_alpha_is_reported(self, monkeypatch):
-        # the walk misses one alpha of profile (3,) against each beta, and
+    def test_a_missing_alpha_is_reported(self):
+        # the histogram is one short on profile (3,) for each beta, and
         # every single-cycle case has some
-        scan = oracle._scan
+        def short(beta):
+            dist = oracle.distribution(beta)
+            profiles = dist.profiles.copy()
+            profiles[(3,)] -= 1
+            return dist._replace(profiles=profiles)
 
-        def losing(beta_word):
-            beta, lost = Permutation._from_word(beta_word), False
-            for bad, a in scan(beta_word):
-                if not lost and blocks.profile(Permutation._from_word(a), beta) == (3,):
-                    lost = True
-                    continue
-                yield bad, a
-
-        monkeypatch.setattr(oracle, "_scan", losing)
-        failures = verify._check_single_cycle_enumerator(verify._walks(None), None)
+        failures = verify._check_single_cycle_enumerator(short, None)
         assert len(failures) == 4
         assert all(f.startswith("single-cycle set mismatch") and f.endswith("k=3") for f in failures)
 
@@ -220,7 +215,7 @@ class TestEnumeratorChecks:
             return found
 
         monkeypatch.setattr(construct, "single_cycle_pairs", swapping)
-        failures = verify._check_single_cycle_enumerator(verify._walks(None), None)
+        failures = verify._check_single_cycle_enumerator(oracle.distribution, None)
         assert failures == [
             "single-cycle set mismatch: beta=(1 2 3 4 5 6) k=4",
             "single-cycle set mismatch: beta=(1 2 3 4 5) k=4",
@@ -237,7 +232,7 @@ class TestEnumeratorChecks:
             return found
 
         monkeypatch.setattr(construct, "fpf_pairs", swapping)
-        failures = verify._check_fpf_enumerator(verify._walks(None), None)
+        failures = verify._check_fpf_enumerator(oracle.distribution, None)
         assert failures == ["fpf set mismatch: m=2 j=2", "fpf set mismatch: m=3 j=2"]
 
 
@@ -252,25 +247,9 @@ class TestWalk:
                 split = oracle.parity_split(beta, max_degree=6)
                 assert walk(beta).parity == [split[k] for k in range(n + 1)], t.parts()
 
-    def test_profile_counts_match_distribution(self):
-        walk = verify._walks(6)
-        for n in range(2, 7):
-            for t in CycleType.all_types(n):
-                beta = t.representative()
-                want = {p: c for p, c in oracle.distribution(beta).profiles.items() if c}
-                assert dict(walk(beta).profiles) == want, t.parts()
-
-    def test_a_walk_without_pairs_keeps_the_same_tallies(self):
-        for n in range(2, 7):
-            for t in CycleType.all_types(n):
-                beta = t.representative()
-                full, light = verify._walk(beta, 6), verify._walk(beta, 6, pairs=False)
-                assert (light.parity, light.profiles) == (full.parity, full.profiles)
-                assert light.block_bad == light.census_bad == []
-
     def test_only_the_pair_checks_betas_get_verdicts(self, monkeypatch):
-        # at n-max 4 the enumerator cases of degree 5 and 6 are walked for
-        # their tallies only
+        # at n-max 4 the enumerator cases of degree 5 and 6 read their
+        # histograms and are not walked
         degrees: Counter = Counter()
         exact = blocks._cycle_verdict
 
@@ -289,16 +268,15 @@ class TestWalk:
         betas = [t.representative() for n in range(2, 6) for t in CycleType.all_types(n)]
         want = [verify._walk(beta, 5).parity for beta in betas]
         drop_bad_point(monkeypatch)
-        for pairs in (True, False):
-            assert [verify._walk(beta, 5, pairs).parity for beta in betas] == want
+        assert [verify._walk(beta, 5).parity for beta in betas] == want
 
     def test_walks_are_memoised_per_run(self, monkeypatch):
         calls: Counter = Counter()
         exact = verify._walk
 
-        def counting(beta, max_n, pairs):
+        def counting(beta, max_n):
             calls[beta] += 1
-            return exact(beta, max_n, pairs)
+            return exact(beta, max_n)
 
         monkeypatch.setattr(verify, "_walk", counting)
         walk = verify._walks(6)
