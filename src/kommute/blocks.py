@@ -120,10 +120,6 @@ def is_block(points: Sequence[int], beta: Permutation) -> bool:
     return _is_block(points, beta.word, _frame(beta.word).host)
 
 
-def _is_proper_block(points: Sequence[int], beta: Permutation) -> bool:
-    return is_block(points, beta) and len(points) < _frame(beta.word).host[points[0] - 1]
-
-
 def _cut(cycle: tuple[int, ...], bad: frozenset[int], start: int) -> list[list[int]]:
     # the cycle read from position `start` (mod its length) in runs, each
     # ending at a bad point; `start` must follow a bad point

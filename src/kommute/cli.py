@@ -17,9 +17,8 @@ later check comes after the verdicts already printed, which stay on
 stdout, with exit 3.  A reader that closes the pipe early
 (``kommute enumerate ... | head``, ``kommute verify ... | head -n 1``)
 gets exit 0 and nothing on stderr; ``verify`` then stops at the next
-verdict.  All counts in JSON are decimal strings, CSV uses a
-header row and LF line endings, and output is byte-identical for any
-worker count.
+verdict.  All counts in JSON are decimal strings, and CSV uses a
+header row and LF line endings.
 
 ``enumerate`` reads the builders' word streams, keeps each witness only
 as its zero-based one-line word packed into n bytes of one bytearray per
@@ -28,10 +27,8 @@ in the order of the one-line images, and writes every line straight from
 its key, so it holds about 17 to 22 bytes a witness.
 
 Each runner imports the modules it uses when it runs, so a closed-form
-request loads neither the oracle nor the enumerators, only ``count`` loads
-``json`` (``enumerate --json`` writes its records by hand), and only a
-histogram that starts a worker pool (``--jobs`` > 1 on a class of at least
-``oracle.POOL_MIN_CLASS`` elements, with two workers or more) loads it.  No
+request loads neither the oracle nor the enumerators, and only ``count``
+loads ``json`` (``enumerate --json`` writes its records by hand).  No
 subcommand loads ``dataclasses``: the package's records are NamedTuples or
 ``__slots__`` classes.
 """
@@ -78,7 +75,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True, help="degree of beta")
     p.add_argument("--k", type=int, required=True, help="commutation distance")
     p.add_argument("--method", choices=("formula", "brute"), default="formula")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for brute")
+    p.add_argument("--jobs", type=int, default=1, help="ignored; brute force runs in one process")
     p.add_argument("--max-brute-n", type=int, default=None, help="raise the brute-force degree cap")
 
     p = sub.add_parser("enumerate", help="stream constructively built witnesses")
@@ -95,7 +92,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run every identity check and report pass/fail")
     p.add_argument("--n-max", type=int, default=6, help="largest degree to verify (<= brute cap)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="ignored; every check runs in one process")
     p.add_argument("--max-brute-n", type=int, default=None)
     p.add_argument(
         "--corrupt-f",
@@ -142,7 +139,14 @@ def run_count(args) -> int:
     else:
         from . import oracle
 
-        dist = oracle.distribution(beta, jobs=args.jobs, max_degree=args.max_brute_n)
+        # the library's own range check names its parameters; this one the flags
+        bound = oracle.exhaustive_bound(args.max_brute_n)
+        if args.n > bound:
+            raise ValueError(
+                f"degree {args.n} exceeds the exhaustive bound {bound}; "
+                f"raise it with --max-brute-n or {oracle.ENV_MAX_DEGREE}"
+            )
+        dist = oracle.distribution(beta, max_degree=args.max_brute_n)
         value, provenance = dist[args.k], "exhaustive"
     print(
         json.dumps(
@@ -242,9 +246,7 @@ def run_verify(args) -> int:
             f"raise it with --max-brute-n or {oracle.ENV_MAX_DEGREE}"
         )
     f_override = {5: formulas.successor_free_cycles(5) + 1} if args.corrupt_f else None
-    results = verify.verification_checks(
-        args.n_max, jobs=args.jobs, max_n=args.max_brute_n, f_override=f_override
-    )
+    results = verify.verification_checks(args.n_max, max_n=args.max_brute_n, f_override=f_override)
     checks = failed = 0
     # each verdict is flushed as its check finishes, so a reader sees it at
     # once, and one that has closed the pipe ends the run at the next flush

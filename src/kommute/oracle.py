@@ -20,10 +20,8 @@ over the n!/|C(beta)| elements of the class, which depend only on how the
 cycles of gamma weigh.  ``_cycle_weights`` counts, for each point set whose
 size is a cycle length of beta, the cycles of gamma on it at each weight (a
 Held-Karp table); a census memoised on (lengths left, points left) then
-picks the cycle through the lowest point left, so no gamma is built.  The
-class is sharded on the point set of the cycle through point 1; censuses
-merge by addition, so the result is identical for any shard or worker
-count.  Degrees above ``HISTOGRAM_MAX_DEGREE`` are refused whatever the cap.
+picks the cycle through the lowest point left, so no gamma is built.
+Degrees above ``HISTOGRAM_MAX_DEGREE`` are refused whatever the cap.
 
 The filters and ``parity_split`` need the actual alpha, so each is one
 pass over ``_scan``, the one scan kernel: it walks S_n in the
@@ -42,7 +40,6 @@ arguments when you can wait.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from collections import Counter, defaultdict
 from typing import Iterator, NamedTuple, Sequence
@@ -59,21 +56,18 @@ HISTOGRAM_MAX_DEGREE = 16
 
 ENV_MAX_DEGREE = "KOMMUTE_MAX_BRUTE_N"
 
-# the least class size n!/|C(beta)| at which jobs > 1 starts a worker pool;
-# smaller classes run their shards in this process.  Every shard rebuilds
-# the path table and a pool takes tens of ms to start: on 2 vCPUs (Python
-# 3.11) a pool of two took 0.6 to 6.9 times the serial time over all types
-# of S_12 and S_13, and saved at most 0.21 s on a class below 10**8, which
-# holds all of S_12
-POOL_MIN_CLASS = 10**8
-
 
 def exhaustive_bound(max_degree: int | None = None) -> int:
     """The degree cap in force: explicit argument, else env var, else 8."""
     if max_degree is not None:
         return max_degree
     env = os.environ.get(ENV_MAX_DEGREE)
-    return int(env) if env else DEFAULT_MAX_DEGREE
+    if not env:
+        return DEFAULT_MAX_DEGREE
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"{ENV_MAX_DEGREE} must be an integer, got {env!r}") from None
 
 
 def _check_degree(n: int, max_degree: int | None) -> None:
@@ -154,25 +148,15 @@ def _first_cycles(lengths: tuple[int, ...], left: int) -> Iterator[tuple[tuple[i
             yield lengths[:i] + lengths[i + 1 :], sum([1 << p for p in tail], 1 << low)
 
 
-def _class_census(task: tuple) -> Counter:
-    # one shard of beta's class, split on the point set of the cycle through
-    # point 0: how many gamma have each profile; pure, merged by addition
-    b, lengths, start, stop = task
-    weights = _cycle_weights(b, set(lengths))
-    return _profile_census(lengths, (1 << len(b)) - 1, weights, {}, start, stop)
-
-
-def _profile_census(
-    lengths: tuple[int, ...], left: int, weights: dict, memo: dict, start=0, stop=None
-) -> Counter:
+def _profile_census(lengths: tuple[int, ...], left: int, weights: dict, memo: dict) -> Counter:
     # how many permutations of the points ``left`` with cycle lengths
-    # ``lengths`` have each profile, over the first choices start..stop.
-    # ``memo`` maps (lengths, left) to a whole census; passed down as a plain
-    # dict, it forms no reference cycle that keeps the tables after the call
+    # ``lengths`` have each profile.  ``memo`` maps (lengths, left) to a
+    # whole census; passed down as a plain dict, it forms no reference cycle
+    # that keeps the tables after the call
     if not left:
         return Counter({(): 1})
     out: Counter = Counter()
-    for others, cycle in itertools.islice(_first_cycles(lengths, left), start, stop):
+    for others, cycle in _first_cycles(lengths, left):
         key = others, left & ~cycle
         if key not in memo:
             memo[key] = _profile_census(*key, weights, memo)
@@ -214,18 +198,13 @@ class KDistribution(NamedTuple):
 
 
 def distribution(
-    beta: Permutation,
-    jobs: int = 1,
-    shards: int | None = None,
-    max_degree: int | None = None,
+    beta: Permutation, jobs: int = 1, max_degree: int | None = None
 ) -> KDistribution:
     """
     The full histogram {k: #alpha at commutation distance k from beta} and
     the profile counts {profile: #alpha}, computed exhaustively from beta's
-    conjugacy class.  ``jobs`` > 1 fans the shards out over a process pool
-    of at most ``jobs`` workers, capped by the CPU and shard counts, once
-    the class has ``POOL_MIN_CLASS`` elements and the cap leaves at least
-    two workers; the result does not depend on jobs or shard count.
+    conjugacy class in this process.  ``jobs`` is accepted for old callers
+    and ignored.
 
     >>> {p: c for p, c in distribution(
     ...     Permutation.from_cycles([(1, 2, 3), (4, 5)], 5)
@@ -242,29 +221,8 @@ def distribution(
     ctype = beta.cycle_type()
     lengths = ctype.parts()
     order = ctype.centralizer_order()
-    pool = jobs > 1 and math.factorial(n) // order >= POOL_MIN_CLASS
-    firsts = sum(math.comb(n - 1, length - 1) for length in set(lengths))
-    if shards is None:
-        shards = jobs if pool else 1
-    bounds = [(firsts * i) // shards for i in range(shards + 1)]
-    tasks = [
-        (beta.word, lengths, bounds[i], bounds[i + 1])
-        for i in range(shards)
-        if bounds[i] < bounds[i + 1]
-    ]
-    # one worker (an n-cycle has one non-empty shard; a host may have one
-    # CPU) would only add a second process's start-up and pickling
-    workers = min(jobs, os.cpu_count() or 1, len(tasks)) if pool else 1
-    if workers > 1:
-        # imported here, so that serial runs skip the pool's tens of
-        # milliseconds of imports
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as executor:
-            partials = list(executor.map(_class_census, tasks))
-    else:
-        partials = [_class_census(t) for t in tasks]
-    census: Counter = sum(partials, Counter())
+    weights = _cycle_weights(beta.word, set(lengths))
+    census = _profile_census(lengths, (1 << n) - 1, weights, {})
     counts = dict.fromkeys(range(n + 1), 0)
     profiles: Counter = Counter()
     for prof, c in census.items():

@@ -345,7 +345,6 @@ def _check_egfs(n_max, tkn) -> list[str]:
 
 def verification_checks(
     n_max: int,
-    jobs: int = 1,
     max_n: int | None = None,
     f_override: dict[int, int] | None = None,
 ) -> Iterator[tuple[str, list[str]]]:
@@ -368,14 +367,14 @@ def verification_checks(
             f"n_max {n_max} exceeds the brute-force cap {bound}; "
             f"raise it with max_n or {oracle.ENV_MAX_DEGREE}"
         )
-    return _run_checks(n_max, jobs, max_n, f_override)
+    return _run_checks(n_max, max_n, f_override)
 
 
-def _run_checks(n_max, jobs, max_n, f_override) -> Iterator[tuple[str, list[str]]]:
+def _run_checks(n_max, max_n, f_override) -> Iterator[tuple[str, list[str]]]:
     # one exhaustive scan per distinct beta, shared by every histogram check
     @functools.lru_cache(maxsize=None)
     def hist(beta: Permutation) -> oracle.KDistribution:
-        return oracle.distribution(beta, jobs=jobs, max_degree=max_n)
+        return oracle.distribution(beta, max_degree=max_n)
 
     # one walk of S_n per beta, shared by the pair and parity checks
     walk = _walks(max_n)

@@ -136,9 +136,11 @@ class TestBlockDecomposition:
         dec = blocks.block_decomposition(ALPHA7, BETA7, 1)
         assert dec.blocks == ((2, 4),)
         assert dec.bad_points == (6,)
-        # the single image row is a proper block in a cycle of beta
+        # the single image row is a proper block in a cycle of beta: a block
+        # shorter than its host cycle
         assert blocks.is_block([2, 4], BETA7)
-        assert blocks._is_proper_block([2, 4], BETA7)
+        host = next(c for c in BETA7.cycles() if 2 in c)
+        assert len([2, 4]) < len(host)
 
     def test_commuting_cycle_rejected(self):
         beta = parse_permutation("(1 2 3)(4 5)", 5)

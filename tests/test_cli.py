@@ -74,7 +74,18 @@ class TestCount:
             capsys, *"count --beta (1,2) --n 9 --k 3 --method brute".split()
         )
         assert code == 1
-        assert "bound" in err
+        assert err == (
+            "kommute: error: degree 9 exceeds the exhaustive bound 8; "
+            "raise it with --max-brute-n or KOMMUTE_MAX_BRUTE_N\n"
+        )
+
+    def test_brute_bound_env_not_an_integer_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setenv("KOMMUTE_MAX_BRUTE_N", "abc")
+        code, out, err = run_cli(
+            capsys, *"count --beta (1,2) --n 4 --k 3 --method brute".split()
+        )
+        assert (code, out) == (1, "")
+        assert err == "kommute: error: KOMMUTE_MAX_BRUTE_N must be an integer, got 'abc'\n"
 
     def test_jobs_do_not_change_output(self, capsys):
         argv = "count --beta (1,2,3)(4,5) --n 5 --k 3 --method brute".split()
@@ -697,7 +708,7 @@ def child_env(**extra):
 
 
 class TestSubprocess:
-    # end-to-end through the real interpreter, including a worker pool
+    # end-to-end through the real interpreter
 
     def run(self, *argv):
         return subprocess.run(
@@ -860,8 +871,13 @@ class TestColdStart:
             assert not loaded & (POOL_MODULES | HEAVY_MODULES), argv
 
     def test_no_serial_request_loads_the_worker_pool(self):
+        # --jobs is ignored: every histogram runs in this process, also the
+        # (11,1,1) class of S_13, 2.8e8 elements
         for argv in [
             "count --beta (1,2,3)(4,5) --n 5 --k 3 --method brute --jobs 1",
+            "count --beta (1,2)(3,4) --n 9 --k 4 --method brute --max-brute-n 9 --jobs 2",
+            "count --beta (1,2,3,4,5,6,7,8,9,10,11) --n 13 --k 4 --method brute --max-brute-n 13 --jobs 2",
+            "verify --n-max 5 --jobs 2",
             "enumerate --beta (1,2,3,4,5) --n 5 --k 3",
             "enumerate --beta (1,2,3,4,5) --n 5 --k 3 --json",
             "verify --n-max 4",
@@ -896,13 +912,3 @@ class TestColdStart:
         loaded = set(proc.stdout.split())
         assert "kommute.verify" in loaded
         assert not loaded & {"dataclasses", "inspect", "json", "kommute.series", "fractions"}
-
-    def test_jobs_start_no_pool_below_the_class_threshold(self):
-        # every class up to S_12 is below oracle.POOL_MIN_CLASS
-        for argv in [
-            "count --beta (1,2)(3,4) --n 9 --k 4 --method brute --max-brute-n 9 --jobs 2",
-            "verify --n-max 5 --jobs 2",
-        ]:
-            loaded = self.loaded(argv)
-            assert "kommute.oracle" in loaded
-            assert not loaded & POOL_MODULES, argv

@@ -1,4 +1,3 @@
-import concurrent.futures
 import gc
 import itertools
 import json
@@ -53,6 +52,14 @@ class TestEnumerateSn:
         monkeypatch.delenv(oracle.ENV_MAX_DEGREE)
         assert sum(1 for _ in oracle.enumerate_sn(5)) == 120
 
+    def test_bound_env_not_an_integer(self, monkeypatch):
+        monkeypatch.setenv(oracle.ENV_MAX_DEGREE, "abc")
+        with pytest.raises(ValueError) as err:
+            oracle.exhaustive_bound()
+        assert str(err.value) == "KOMMUTE_MAX_BRUTE_N must be an integer, got 'abc'"
+        # an explicit cap does not read the variable
+        assert oracle.exhaustive_bound(5) == 5
+
 
 class TestDistribution:
     def test_identity(self):
@@ -67,73 +74,6 @@ class TestDistribution:
     def test_five_cycle(self):
         d = oracle.distribution(parse_permutation("(1 2 3 4 5)", 5))
         assert {k: c for k, c in d.counts.items() if c} == {0: 5, 3: 50, 4: 25, 5: 40}
-
-    def test_shard_count_does_not_matter(self):
-        for text, n in [("(1 2 3)(4 5)", 5), ("(1 2 3 4 5 6)", 6), ("(1 2)(3 4)", 6), ("()", 4)]:
-            beta = parse_permutation(text, n)
-            one = oracle.distribution(beta, shards=1)
-            assert oracle.distribution(beta, shards=7) == one
-            assert oracle.distribution(beta, shards=1000) == one
-
-    def test_worker_pool_smoke(self, monkeypatch):
-        # a real pool, started for this small class by lowering the threshold
-        monkeypatch.setattr(oracle, "POOL_MIN_CLASS", 0)
-        beta = parse_permutation("(1 2 3 4)", 5)
-        assert oracle.distribution(beta, jobs=2).counts == oracle.distribution(beta).counts
-
-    @staticmethod
-    def serial_pool(monkeypatch):
-        # a serial stand-in for the pool: no worker process is ever started;
-        # returns the worker counts it was asked for
-        started = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        return started
-
-    def test_small_class_starts_no_pool(self, monkeypatch):
-        started = self.serial_pool(monkeypatch)
-        beta = parse_permutation("(1 2)(3 4)", 9)
-        want = oracle.distribution(beta, max_degree=9)
-        for jobs in (2, 8):
-            assert oracle.distribution(beta, jobs=jobs, max_degree=9) == want
-        assert math.factorial(9) // beta.cycle_type().centralizer_order() < oracle.POOL_MIN_CLASS
-        assert started == []
-
-    def test_worker_pool_is_capped(self, monkeypatch):
-        started = self.serial_pool(monkeypatch)
-        monkeypatch.setattr(oracle, "POOL_MIN_CLASS", 0)
-        monkeypatch.setattr(oracle.os, "cpu_count", lambda: 4)
-        beta = parse_permutation("(1 2 3)(4 5)", 5)
-        want = oracle.distribution(beta)
-        # 1000 first-choice shards leave 10 non-empty ones: the 6 point sets of
-        # a three-cycle and the 4 of a two-cycle through point 1
-        assert oracle.distribution(beta, jobs=1000) == want
-        assert oracle.distribution(beta, jobs=3, shards=2) == want
-        # one CPU caps the pool at one worker, so the shards run in process
-        monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)
-        assert oracle.distribution(beta, jobs=8) == want
-        assert started == [4, 2]
-
-    def test_one_shard_starts_no_pool(self, monkeypatch):
-        # an n-cycle has one first choice, hence one non-empty shard
-        started = self.serial_pool(monkeypatch)
-        monkeypatch.setattr(oracle, "POOL_MIN_CLASS", 0)
-        beta = parse_permutation("(1 2 3 4 5 6)", 6)
-        assert oracle.distribution(beta, jobs=2) == oracle.distribution(beta)
-        assert started == []
 
     def test_census_matches_per_alpha_slow_path(self):
         for n in range(1, 7):
