@@ -871,13 +871,8 @@ class TestColdStart:
             assert not loaded & (POOL_MODULES | HEAVY_MODULES), argv
 
     def test_no_serial_request_loads_the_worker_pool(self):
-        # --jobs is ignored: every histogram runs in this process, also the
-        # (11,1,1) class of S_13, 2.8e8 elements
         for argv in [
             "count --beta (1,2,3)(4,5) --n 5 --k 3 --method brute --jobs 1",
-            "count --beta (1,2)(3,4) --n 9 --k 4 --method brute --max-brute-n 9 --jobs 2",
-            "count --beta (1,2,3,4,5,6,7,8,9,10,11) --n 13 --k 4 --method brute --max-brute-n 13 --jobs 2",
-            "verify --n-max 5 --jobs 2",
             "enumerate --beta (1,2,3,4,5) --n 5 --k 3",
             "enumerate --beta (1,2,3,4,5) --n 5 --k 3 --json",
             "verify --n-max 4",
@@ -886,6 +881,18 @@ class TestColdStart:
         ]:
             loaded = self.loaded(argv)
             assert "kommute.cli" in loaded
+            assert not loaded & POOL_MODULES, argv
+
+    def test_jobs_start_no_pool_below_the_class_threshold(self):
+        # --jobs is ignored and no class threshold is left: every histogram
+        # runs in this process, also the (11,1,1) class of S_13, 2.8e8 elements
+        for argv in [
+            "count --beta (1,2)(3,4) --n 9 --k 4 --method brute --max-brute-n 9 --jobs 2",
+            "count --beta (1,2,3,4,5,6,7,8,9,10,11) --n 13 --k 4 --method brute --max-brute-n 13 --jobs 2",
+            "verify --n-max 5 --jobs 2",
+        ]:
+            loaded = self.loaded(argv)
+            assert "kommute.oracle" in loaded
             assert not loaded & POOL_MODULES, argv
 
     def test_no_dataclasses_and_only_count_loads_json(self):
