@@ -192,17 +192,19 @@ def run_enumerate(args) -> int:
 
 def _sorted_words(words: Iterable[tuple[int, ...]], n: int) -> Iterator[Sequence[int]]:
     # the zero-based words in the order of the one-line images (images =
-    # word + 1).  While every entry is below 256, each word is held as n
-    # bytes in one bytearray per leading entry, and a bucket is cut into
-    # bytes keys and sorted only when its turn comes, so the keys of one
-    # bucket exist at a time; bytes sort as the words do, and the buckets
-    # in ascending order give the whole order.  Above that the word tuples
-    # are sorted whole.  No request under MAX_WITNESSES seems to reach
-    # degree 257: the least nonzero single-cycle count found there is
-    # 707,461,120 (type (256, 1), k = 3), and fpf counts are 0 or larger
-    if n > 256:
-        yield from sorted(words)
-        return
+    # word + 1), held as n bytes each in one bytearray per leading entry; a
+    # bucket is cut into bytes keys and sorted only when its turn comes, so
+    # the keys of one bucket exist at a time, and bytes sort as the words do.
+    # Entries fit a byte: for n >= 257 every nonzero witness count is above
+    # MAX_WITNESSES = 10**6, so the stream is empty.  An fpf count has m >=
+    # 129 couples, so it is at least 2**129.  A single-cycle count is at
+    # least |C(beta)| * C(L, k) * f(k), with L >= k the longest cycle.  With
+    # 10 or more fixed points |C(beta)| >= 10!; otherwise the other cycles
+    # cover at least 248 points and |C(beta)| >= L**(248/L), above 2 * 10**8
+    # for 4 <= L <= 50 and at least 2**83 for L = 3.  For L >= 51, either
+    # k >= 11 and f(k) >= 1,214,673, or 3 <= k <= L - 3 and the count is at
+    # least L * C(L, 3).  A nonempty stream would still fail safe:
+    # bytearray.extend raises ValueError (exit 1) and prints no wrong bytes
     buckets = [bytearray() for _ in range(n)]
     for word in words:
         buckets[word[0]].extend(word)

@@ -30,10 +30,10 @@ each outer map once per (source, target) pair, raising ``ValueError``
 from __future__ import annotations
 
 import itertools
-import math
 import operator
-from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Collection, Iterator, NamedTuple, Sequence
 
+from .blocks import _cut as _cut_cycle
 from .perm import Permutation
 
 
@@ -100,27 +100,11 @@ def outer_assignments(
     points outside the target cycles that commute with beta there: cycles
     map onto cycles of the same length, each with a free rotation.
     ``sources`` and ``targets`` index cycles of beta in canonical cycle
-    order and must have the same multiset of lengths.  Deterministic order
-    (lengths ascending, then cycle order, rotations last), decoded from the
-    index of each map, so ``build_single_cycle`` can jump to one.
+    order and must have the same multiset of lengths.  Deterministic
+    order: the choices for the shortest length vary fastest; within a
+    length the rotations of the domain cycles (the last one fastest) vary
+    faster than the lexicographic pick of each domain cycle's target cycle.
     """
-    layout = _outer_layout(beta, sources, targets)
-    total = math.prod(
-        length ** len(dcycles) * math.factorial(len(dcycles))
-        for length, dcycles, _ in layout
-    )
-    for index in range(total):
-        yield _outer_map(layout, index)
-
-
-# (length, domain cycles, codomain cycles) outside the source and the target
-# cycles, lengths ascending
-_OuterLayout = list[tuple[int, list[tuple[int, ...]], list[tuple[int, ...]]]]
-
-
-def _outer_layout(
-    beta: Permutation, sources: Collection[int], targets: Collection[int]
-) -> _OuterLayout:
     cycles = beta.cycles()
     if not all(0 <= i < len(cycles) for i in (*sources, *targets)):
         raise ValueError("cycle index out of range")
@@ -135,28 +119,20 @@ def _outer_layout(
             dom.setdefault(len(cycle), []).append(cycle)
         if i not in targets:
             cod.setdefault(len(cycle), []).append(cycle)
-    return [(length, dom[length], cod[length]) for length in sorted(dom)]
-
-
-def _outer_map(layout: _OuterLayout, index: int) -> dict[int, int]:
-    # mixed-radix decode; per length, shortest first: the rotations of the
-    # domain cycles (the last one fastest), then the lexicographic rank of
-    # the permutation that picks each domain cycle's target cycle
-    mapping: dict[int, int] = {}
-    for length, dcycles, ccycles in layout:
-        c = len(dcycles)
-        index, rots = divmod(index, length**c)
-        index, rank = divmod(index, math.factorial(c))
-        free = list(ccycles)
-        for i, d in enumerate(dcycles):
-            pick, rank = divmod(rank, math.factorial(c - 1 - i))
-            target = free.pop(pick)
-            rot = rots // length ** (c - 1 - i) % length
-            for pos, point in enumerate(d):
-                mapping[point] = target[(pos + rot) % length]
-    if index:
-        raise ValueError("outer index out of range")
-    return mapping
+    # per length, longest first so that the shortest varies fastest in the
+    # product: the images of that length's domain points under each choice
+    lengths = sorted(dom, reverse=True)
+    points = [p for length in lengths for d in dom[length] for p in d]
+    per_length = [
+        [
+            [q for c, rot in zip(picked, rots) for q in c[rot:] + c[:rot]]
+            for picked in itertools.permutations(cod[length])
+            for rots in itertools.product(range(length), repeat=len(dom[length]))
+        ]
+        for length in lengths
+    ]
+    for images in itertools.product(*per_length):
+        yield dict(zip(points, itertools.chain.from_iterable(images)))
 
 
 def _cut(
@@ -166,7 +142,8 @@ def _cut(
     endpoint: int,
 ) -> list[list[int]]:
     # cut the target cycle into k blocks, each ending at a selected point,
-    # the improper one at endpoint; with a free endpoint every witness is
+    # the improper one at endpoint, with the cutter the characterization
+    # uses on alpha's images; with a free endpoint every witness is
     # produced k times (once per selected point), with the canonical
     # endpoint (the largest selected point) exactly once
     m = len(cycle_from)
@@ -182,15 +159,7 @@ def _cut(
         raise ValueError(f"cycle length {m} is below k={k}")
     if endpoint not in selected:
         raise ValueError("the improper block must end at a selected point")
-    pos = cycle_to.index(endpoint) + 1
-    blocks: list[list[int]] = []
-    run: list[int] = []
-    for p in cycle_to[pos:] + cycle_to[:pos]:
-        run.append(p)
-        if p in selected:
-            blocks.append(run)
-            run = []
-    return blocks
+    return _cut_cycle(cycle_to, selected, cycle_to.index(endpoint) + 1)
 
 
 def _tau_order(tau: Permutation, k: int) -> tuple[int, ...]:
@@ -236,11 +205,23 @@ def _checked(images: list[int], points: list[int]) -> list[int]:
     return images
 
 
-def _split(n: int, cycles: Iterable[tuple[int, ...]]) -> tuple[list[int], list[int]]:
-    # the zero-based points of the given cycles and the other points, sorted:
-    # what a row and what an outer map must hit
-    inside = {p - 1 for cycle in cycles for p in cycle}
-    return sorted(inside), [p for p in range(n) if p not in inside]
+def _frame(
+    beta: Permutation, sources: Sequence[int], targets: Sequence[int]
+) -> tuple[Callable[[list[int]], tuple[int, ...]], list[int], list[list[int]]]:
+    # for source and target cycles of beta with the same lengths: the gather
+    # that reads the images of the source cycles' points (in cycle order)
+    # then an outer row, the sorted zero-based target points those images
+    # must hit, and the zero-based outer rows of the commuting outer maps in
+    # outer-index order, each checked to hit exactly the other points
+    cycles = beta.cycles()
+    gather, outer_points = _layout(beta.degree, [p for i in sources for p in cycles[i]])
+    inside = {p - 1 for i in targets for p in cycles[i]}
+    others = [p for p in range(beta.degree) if p not in inside]
+    outers = [
+        _checked([outer[p] - 1 for p in outer_points], others)
+        for outer in outer_assignments(beta, sources, targets)
+    ]
+    return gather, sorted(inside), outers
 
 
 def build_single_cycle(beta: Permutation, choice: SingleCycleChoice) -> Permutation:
@@ -252,38 +233,24 @@ def build_single_cycle(beta: Permutation, choice: SingleCycleChoice) -> Permutat
     """
     cycles = beta.cycles()
     cycle_from = cycles[choice.source]
-    cycle_to = cycles[choice.target]
     # canonical form: the improper block ends at the largest selected point,
     # which is what makes the parameterization duplicate-free
-    blocks = _cut(cycle_from, cycle_to, choice.points, max(choice.points))
-    inner, others = _split(beta.degree, [cycle_to])
-    row = _checked(_image_row(blocks, _tau_order(choice.tau, len(choice.points))), inner)
+    blocks = _cut(cycle_from, cycles[choice.target], choice.points, max(choice.points))
+    order = _tau_order(choice.tau, len(choice.points))
     if choice.start not in cycle_from:
         raise ValueError("start must lie in the source cycle")
-    core = _rotate(row, cycle_from.index(choice.start))
-    layout = _outer_layout(beta, (choice.source,), (choice.target,))
-    outer = _outer_map(layout, choice.outer)
-    gather, outer_points = _layout(beta.degree, cycle_from)
+    gather, inner, outers = _frame(beta, (choice.source,), (choice.target,))
+    if not 0 <= choice.outer < len(outers):
+        raise ValueError("outer index out of range")
+    row = _checked(_image_row(blocks, order), inner)
     return Permutation._from_word(
-        gather(core + _checked([outer[p] - 1 for p in outer_points], others))
+        gather(_rotate(row, cycle_from.index(choice.start)) + outers[choice.outer])
     )
 
 
 # a choice prefix (the choice tuple without its outer index) and the words
 # its outer maps give, in outer-index order
 _Groups = Iterator[tuple[tuple, Iterator[tuple[int, ...]]]]
-
-
-def _outer_rows(
-    beta: Permutation, sources: Collection[int], targets: Collection[int],
-    outer_points: list[int], others: list[int],
-) -> list[list[int]]:
-    # the zero-based images of outer_points under each commuting outer map,
-    # each checked to hit exactly the other points
-    return [
-        _checked([outer[p] - 1 for p in outer_points], others)
-        for outer in outer_assignments(beta, sources, targets)
-    ]
 
 
 def _single_cycle_groups(beta: Permutation, k: int) -> _Groups:
@@ -293,19 +260,19 @@ def _single_cycle_groups(beta: Permutation, k: int) -> _Groups:
     if k < 3:
         raise ValueError("the construction needs k >= 3")
     cycles = beta.cycles()
-    n = beta.degree
-    taus = list(successor_free_kcycles(k)) if k <= n else []
+    # with no cycle of k or more points there is no witness, and the walk
+    # over the (k-1)! k-cycles would be wasted; with one, each of the f(k)
+    # taus kept (about (k-1)!/e) gives a witness, so the output bounds the walk
+    taus = list(successor_free_kcycles(k)) if any(len(c) >= k for c in cycles) else []
     orders = [_tau_order(tau, k) for tau in taus]
     for source, cycle_from in enumerate(cycles):
         m = len(cycle_from)
         if m < k:
             continue
-        gather, outer_points = _layout(n, cycle_from)
         for target, cycle_to in enumerate(cycles):
             if len(cycle_to) != m:
                 continue
-            inner, others = _split(n, [cycle_to])
-            outers = _outer_rows(beta, (source,), (target,), outer_points, others)
+            gather, inner, outers = _frame(beta, (source,), (target,))
             for points in itertools.combinations(sorted(cycle_to), k):
                 blocks = _cut(cycle_from, cycle_to, points, max(points))
                 for tau, order in zip(taus, orders):
@@ -374,16 +341,11 @@ def _fpf_groups(beta: Permutation, j: int) -> _Groups:
     m = len(cycles)
     if not 0 <= j <= m:
         raise ValueError(f"j={j} out of range 0..{m}")
-    n = beta.degree
     for sources in itertools.combinations(range(m), j):
-        source_couples = [cycles[i] for i in sources]
-        gather, outer_points = _layout(n, [p for c in source_couples for p in c])
         for targets in itertools.combinations(range(m), j):
             target_couples = {cycles[i] for i in targets}
-            target_points = sorted(p for c in target_couples for p in c)
-            inner_points, others = _split(n, target_couples)
-            outers = _outer_rows(beta, sources, targets, outer_points, others)
-            for matching in perfect_matchings(target_points):
+            gather, inner_points, outers = _frame(beta, sources, targets)
+            for matching in perfect_matchings([p + 1 for p in inner_points]):
                 if any(pair in target_couples for pair in matching):
                     continue
                 for assigned in itertools.permutations(matching):

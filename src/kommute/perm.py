@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from typing import Iterable, Iterator, Sequence
 
 
@@ -374,69 +375,56 @@ def parse_permutation(text: str, n: int) -> Permutation:
     return _parse_one_line(text, n)
 
 
+# the tokens of permutation text: each run of decimal digits whole and each
+# other non-space character alone (in str patterns \d and \S are exactly
+# str.isdecimal and not str.isspace)
+_tokens = re.compile(r"\d+|\S").finditer
+
+
 def _parse_cycles(text: str, n: int) -> Permutation:
     cycles: list[list[int]] = []
     seen: set[int] = set()
-    i = 0
-    length = len(text)
-    while i < length:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch != "(":
-            raise ParseError(f"expected '(' but found {ch!r}", i)
-        i += 1
+    tokens = _tokens(text)
+    for opener in tokens:
+        if opener[0] != "(":
+            raise ParseError(f"expected '(' but found {text[opener.start()]!r}", opener.start())
         cycle: list[int] = []
-        while True:
-            while i < length and (text[i].isspace() or text[i] == ","):
-                i += 1
-            if i >= length:
-                raise ParseError("unclosed cycle", i)
-            if text[i] == ")":
-                i += 1
+        for token in tokens:
+            tok, start = token[0], token.start()
+            if tok == ")":
                 break
-            start = i
-            while i < length and text[i].isdecimal():
-                i += 1
-            if i == start:
-                raise ParseError(f"expected a point but found {text[i]!r}", i)
-            point = int(text[start:i])
+            if tok == ",":
+                continue
+            if not tok.isdecimal():
+                raise ParseError(f"expected a point but found {tok!r}", start)
+            point = int(tok)
             if not 1 <= point <= n:
                 raise ParseError(f"point {point} out of range 1..{n}", start)
             if point in seen:
                 raise ParseError(f"point {point} repeated", start)
             seen.add(point)
             cycle.append(point)
+        else:
+            raise ParseError("unclosed cycle", len(text))
         if cycle:
             cycles.append(cycle)
     return Permutation.from_cycles(cycles, n)
 
 
 def _parse_one_line(text: str, n: int) -> Permutation:
-    images: list[int] = []
-    positions: list[int] = []
-    i = 0
-    length = len(text)
-    while i < length:
-        if text[i].isspace() or text[i] == ",":
-            i += 1
-            continue
-        start = i
-        while i < length and text[i].isdecimal():
-            i += 1
-        if i == start:
-            raise ParseError(f"expected an image but found {text[i]!r}", i)
-        images.append(int(text[start:i]))
-        positions.append(start)
-    if len(images) != n:
-        raise ParseError(f"one-line notation needs {n} images, got {len(images)}", 0)
-    for img, pos in zip(images, positions):
+    tokens = [token for token in _tokens(text) if token[0] != ","]
+    for token in tokens:
+        if not token[0].isdecimal():
+            raise ParseError(f"expected an image but found {token[0]!r}", token.start())
+    if len(tokens) != n:
+        raise ParseError(f"one-line notation needs {n} images, got {len(tokens)}", 0)
+    images = [int(token[0]) for token in tokens]
+    for img, token in zip(images, tokens):
         if not 1 <= img <= n:
-            raise ParseError(f"image {img} out of range 1..{n}", pos)
+            raise ParseError(f"image {img} out of range 1..{n}", token.start())
     if len(set(images)) != n:
         dup = next(x for x in images if images.count(x) > 1)
-        raise ParseError(f"image {dup} repeated", positions[images.index(dup)])
+        raise ParseError(f"image {dup} repeated", tokens[images.index(dup)].start())
     return Permutation(images)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from . import formulas
 
@@ -252,29 +252,21 @@ def fpf_involution_egf_coeff(s: BivariateSeries, m: int, j: int) -> int:
     return value.numerator
 
 
-def deranged_matching_egf_ok(
-    order: int, values: Sequence[int] | None = None
-) -> bool:
+def deranged_matching_egf_ok(order: int) -> bool:
     """
     Check the deranged-matching generating function to the given order:
 
         ( sum_j a(j) x**j / j! ) * e**x * sqrt(1 - 2x)  ==  1
 
-    ``values`` overrides the a(j) table (for negative controls); by
-    default the closed-form values are used.
+    with a(j) the closed-form values.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if values is None:
-        values = [formulas.deranged_matchings(j) for j in range(order + 1)]
-    if len(values) < order + 1:
-        raise ValueError(f"need {order + 1} values, got {len(values)}")
+    a = formulas.deranged_matchings
     # at order 0 the variable truncates to the zero series
     x = BivariateSeries(order, 0, {(1, 0): 1} if order >= 1 else None)
     series_a = BivariateSeries(
-        order,
-        0,
-        {(j, 0): Fraction(values[j], math.factorial(j)) for j in range(order + 1)},
+        order, 0, {(j, 0): Fraction(a(j), math.factorial(j)) for j in range(order + 1)}
     )
     product = series_a * exp(x) * sqrt_one_plus(x.scale(-2))
     return product == one(order, 0)

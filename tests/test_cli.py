@@ -265,26 +265,19 @@ class TestWitnessPrinter:
             alpha = parse_permutation(record["alpha"], n)
             assert record["bad_points"] == sorted(blocks.bad_points(alpha, beta))
 
-    def test_degree_above_256_keys_by_tuple(self):
-        # bytes keys need every word entry below 256; no enumerate request
-        # under the witness cap gets there, so the tuple branch runs here
-        rng = random.Random(13)
-        n = 300
-        beta = Permutation.from_cycles([tuple(range(1, n + 1))], n)
-        witnesses = []
-        for _ in range(40):
-            # three transpositions, so words share long prefixes
-            images = list(range(1, n + 1))
-            for _ in range(3):
-                i, j = rng.sample(range(n), 2)
-                images[i], images[j] = images[j], images[i]
-            witnesses.append(Permutation(images))
-        words = list(cli._sorted_words((alpha.word for alpha in witnesses), n))
-        assert all(type(w) is tuple for w in words)
-        assert words == sorted(alpha.word for alpha in witnesses)
-        for as_json in (False, True):
-            got = "".join(cli._witness_lines(words, beta.word, as_json))
-            assert got == reference_enumerate_output(beta, witnesses, as_json)
+    def test_degree_above_256_refuses_or_prints_nothing(self, capsys):
+        # bytes keys need every word entry below 256; above degree 256 every
+        # nonzero witness count is above the cap, so the printer sees only
+        # empty streams
+        cap = f"kommute: error: the witnesses outnumber the witness cap {cli.MAX_WITNESSES}\n"
+        fpf = "".join(f"({2 * i + 1} {2 * i + 2})" for i in range(150))
+        for argv, want in [
+            (["--beta", "(1 2 3)", "--n", "300", "--k", "3"], (1, "", cap)),
+            (["--beta", "(1 2 3)", "--n", "300", "--k", "4"], (0, "", "")),
+            (["--beta", fpf, "--n", "300", "--k", "4", "--mode", "fpf"], (1, "", cap)),
+        ]:
+            assert run_cli(capsys, "enumerate", *argv) == want, argv
+        assert list(cli._sorted_words(iter(()), 300)) == []
 
     def test_bytes_and_tuple_keys_sort_alike(self):
         beta = parse_permutation("(1 2 3 4 5 6)", 6)
@@ -777,6 +770,18 @@ class TestSubprocess:
         )
         assert proc.returncode == 1
         assert "bound 4" in proc.stderr
+
+    def test_request_without_witnesses_exits_0_at_once(self):
+        # (1 2 3) has no cycle of 15 points, so no witness; the timeout
+        # stands for a walk over the 14! cycles of 15 points
+        proc = subprocess.run(
+            [sys.executable, "-m", "kommute.cli", "enumerate", "--beta", "(1 2 3)", "--n", "20", "--k", "15"],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            timeout=20,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
 
     def test_size_caps_exit_1_at_once(self):
         # without the caps each request runs for many seconds or more; with

@@ -140,6 +140,28 @@ class TestBuildSingleCycle:
                 seen.add(choice.outer)
             assert seen == set(range(outers))
 
+    def test_characterization_reads_back_the_choice(self):
+        # the characterization cuts alpha's images of the source cycle into
+        # the blocks the construction cut the target cycle into, at the
+        # alpha-preimages of the selected points
+        cases = [
+            ("(1 2 3 4 5)", 5, 4), ("(1 2 3 4)(5 6)(7 8)", 8, 3), ("(1 2 3)(4 5 6)", 8, 3),
+            ("(2 5 1 4)(3 6 7 8)", 8, 4), ("(1 2 3 4 5 6)", 7, 5),
+        ]
+        seen = 0
+        for text, n, k in cases:
+            beta = parse_permutation(text, n)
+            cycles = beta.cycles()
+            for choice, alpha in construct.single_cycle_pairs(beta, k):
+                seen += 1
+                cut = construct._cut(
+                    cycles[choice.source], cycles[choice.target], choice.points, max(choice.points)
+                )
+                decomposition = blocks.block_decomposition(alpha, beta, choice.source)
+                assert set(decomposition.blocks) == set(map(tuple, cut))
+                assert set(decomposition.bad_points) == {alpha.inverse()(p) for p in choice.points}
+        assert seen == 577
+
     def test_outer_index_out_of_range(self):
         beta = parse_permutation("(1 2 3 4)(5 6)(7 8)", 8)
         tau = Permutation.from_cycles([(1, 3, 2)], 3)
@@ -184,7 +206,6 @@ class TestBijectionCheck:
 
 def reference_outer_assignments(beta, sources, targets):
     # the nested-loop generator that defined the order of outer_assignments
-    # before it became a mixed-radix decode
     cycles = beta.cycles()
     dom, cod = {}, {}
     for i, cycle in enumerate(cycles):
@@ -275,6 +296,16 @@ class TestEnumerateSingleCycle:
         beta = parse_permutation("(1 2 3)(4 5 6)", 6)
         pairs = list(construct.single_cycle_pairs(beta, 3))
         assert len(pairs) == len({alpha for _, alpha in pairs})
+
+    def test_no_cycle_of_k_points_walks_no_kcycles(self, monkeypatch):
+        # (1 2 3) has no witness at k = 15, and the walk over the 14! cycles
+        # of 15 points would take days
+        def walk(k):
+            raise AssertionError(f"walked the {k}-cycles")
+
+        monkeypatch.setattr(construct, "successor_free_kcycles", walk)
+        beta = parse_permutation("(1 2 3)", 20)
+        assert list(construct.single_cycle_words(beta, 15)) == []
 
     def test_k_below_three(self):
         beta = parse_permutation("(1 2 3)", 3)

@@ -147,10 +147,10 @@ class TestMatchingEgfIdentity:
     def test_order_zero(self):
         assert series.deranged_matching_egf_ok(0)
 
-    def test_perturbation_detected(self):
-        values = [formulas.deranged_matchings(j) for j in range(8)]
-        values[3] += 1
-        assert not series.deranged_matching_egf_ok(7, values)
+    def test_perturbation_detected(self, monkeypatch):
+        exact = formulas.deranged_matchings
+        monkeypatch.setattr(formulas, "deranged_matchings", lambda j: exact(j) + (j == 3))
+        assert not series.deranged_matching_egf_ok(7)
 
 
 class TestSuccessorFreeEgfIdentity:
