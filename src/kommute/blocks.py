@@ -154,13 +154,6 @@ class BlockDecomposition(NamedTuple):
     blocks: tuple[tuple[int, ...], ...]
     bad_points: tuple[int, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "cycle": list(self.domain),
-            "blocks": [list(b) for b in self.blocks],
-            "bad_points": list(self.bad_points),
-        }
-
 
 def block_decomposition(
     alpha: Permutation, beta: Permutation, cycle_index: int

@@ -33,7 +33,7 @@ import itertools
 import operator
 from typing import Callable, Collection, Iterator, NamedTuple, Sequence
 
-from .blocks import _cut as _cut_cycle
+from .blocks import _cut
 from .perm import Permutation
 
 
@@ -135,40 +135,6 @@ def outer_assignments(
         yield dict(zip(points, itertools.chain.from_iterable(images)))
 
 
-def _cut(
-    cycle_from: tuple[int, ...],
-    cycle_to: tuple[int, ...],
-    points: Sequence[int],
-    endpoint: int,
-) -> list[list[int]]:
-    # cut the target cycle into k blocks, each ending at a selected point,
-    # the improper one at endpoint, with the cutter the characterization
-    # uses on alpha's images; with a free endpoint every witness is
-    # produced k times (once per selected point), with the canonical
-    # endpoint (the largest selected point) exactly once
-    m = len(cycle_from)
-    k = len(points)
-    selected = set(points)
-    if not selected <= set(cycle_to):
-        raise ValueError("selected points must lie in the target cycle")
-    if len(selected) != k:
-        raise ValueError("selected points must be distinct")
-    if k < 3:
-        raise ValueError("the construction needs k >= 3")
-    if m < k:
-        raise ValueError(f"cycle length {m} is below k={k}")
-    if endpoint not in selected:
-        raise ValueError("the improper block must end at a selected point")
-    return _cut_cycle(cycle_to, selected, cycle_to.index(endpoint) + 1)
-
-
-def _tau_order(tau: Permutation, k: int) -> tuple[int, ...]:
-    # the order in which tau arranges the blocks
-    if tau.degree != k or len(tau.cycles()) != 1 or not _successor_free(tau):
-        raise ValueError("tau must be a successor-free k-cycle")
-    return canonical_cycle_word(tau)
-
-
 def _image_row(blocks: list[list[int]], order: Sequence[int]) -> list[int]:
     # the zero-based images of the source cycle read from its start: the
     # blocks in tau's order
@@ -224,30 +190,6 @@ def _frame(
     return gather, sorted(inside), outers
 
 
-def build_single_cycle(beta: Permutation, choice: SingleCycleChoice) -> Permutation:
-    """
-    Realize one choice tuple as a permutation alpha.  The result is at
-    distance k = len(choice.points) from beta, its bad points are exactly
-    the alpha-preimages of the selected points, and they all lie in the
-    source cycle.
-    """
-    cycles = beta.cycles()
-    cycle_from = cycles[choice.source]
-    # canonical form: the improper block ends at the largest selected point,
-    # which is what makes the parameterization duplicate-free
-    blocks = _cut(cycle_from, cycles[choice.target], choice.points, max(choice.points))
-    order = _tau_order(choice.tau, len(choice.points))
-    if choice.start not in cycle_from:
-        raise ValueError("start must lie in the source cycle")
-    gather, inner, outers = _frame(beta, (choice.source,), (choice.target,))
-    if not 0 <= choice.outer < len(outers):
-        raise ValueError("outer index out of range")
-    row = _checked(_image_row(blocks, order), inner)
-    return Permutation._from_word(
-        gather(_rotate(row, cycle_from.index(choice.start)) + outers[choice.outer])
-    )
-
-
 # a choice prefix (the choice tuple without its outer index) and the words
 # its outer maps give, in outer-index order
 _Groups = Iterator[tuple[tuple, Iterator[tuple[int, ...]]]]
@@ -264,7 +206,8 @@ def _single_cycle_groups(beta: Permutation, k: int) -> _Groups:
     # over the (k-1)! k-cycles would be wasted; with one, each of the f(k)
     # taus kept (about (k-1)!/e) gives a witness, so the output bounds the walk
     taus = list(successor_free_kcycles(k)) if any(len(c) >= k for c in cycles) else []
-    orders = [_tau_order(tau, k) for tau in taus]
+    # the order in which each tau arranges the blocks
+    orders = [canonical_cycle_word(tau) for tau in taus]
     for source, cycle_from in enumerate(cycles):
         m = len(cycle_from)
         if m < k:
@@ -274,7 +217,11 @@ def _single_cycle_groups(beta: Permutation, k: int) -> _Groups:
                 continue
             gather, inner, outers = _frame(beta, (source,), (target,))
             for points in itertools.combinations(sorted(cycle_to), k):
-                blocks = _cut(cycle_from, cycle_to, points, max(points))
+                # cut the target cycle into k blocks, each ending at a
+                # selected point, with the cutter the characterization uses
+                # on alpha's images; ending the improper block at the
+                # largest selected point makes each witness come once
+                blocks = _cut(cycle_to, set(points), cycle_to.index(points[-1]) + 1)
                 for tau, order in zip(taus, orders):
                     row = _checked(_image_row(blocks, order), inner)
                     for s, start in enumerate(cycle_from):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .perm import CycleType
 
@@ -96,16 +96,6 @@ def count_k0(t: CycleType) -> int:
     return t.centralizer_order()
 
 
-def count_k1(t: CycleType) -> int:
-    """Always 0: no two permutations are at Hamming distance 1."""
-    return 0
-
-
-def count_k2(t: CycleType) -> int:
-    """Always 0: distance 2 would make a commutator a transposition."""
-    return 0
-
-
 def count_k3(t: CycleType) -> int:
     """
     Exact count at distance 3 for any cycle type:
@@ -181,40 +171,6 @@ def single_cycle_count(t: CycleType, k: int) -> int:
     return t.centralizer_order() * sum(
         c * math.comb(l, k) * f for l, c in t.lengths().items()
     )
-
-
-def touched_cycles_count(
-    core_ways: int, t: CycleType, touched: Mapping[int, int]
-) -> int:
-    """
-    Number of permutations failing to commute on exactly touched[l] cycles
-    of each length l (and commuting elsewhere), given ``core_ways`` ways to
-    build the failing restriction once the touched cycles are fixed:
-
-        core_ways * |centralizer| * prod_l C(c_l, h_l) / (h_l! * l**h_l)
-
-    Every division is checked exact; a remainder means the caller's
-    core_ways is wrong.
-    """
-    if core_ways < 0:
-        raise ValueError("core_ways cannot be negative")
-    numerator = core_ways * t.centralizer_order()
-    denominator = 1
-    for length, h in touched.items():
-        if h < 0:
-            raise ValueError("touched counts cannot be negative")
-        c = t.count(length)
-        if h > c:
-            raise ValueError(
-                f"cannot touch {h} cycles of length {length}; type has {c}"
-            )
-        numerator *= math.comb(c, h)
-        denominator *= math.factorial(h) * length**h
-    if numerator % denominator:
-        raise ArithmeticError(
-            "touched-cycle count is not an integer; core_ways is inconsistent"
-        )
-    return numerator // denominator
 
 
 # -- special reference permutations ------------------------------------------

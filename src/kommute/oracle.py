@@ -189,13 +189,6 @@ class KDistribution(NamedTuple):
     def __getitem__(self, k: int) -> int:
         return self.counts.get(k, 0)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "beta": self.beta.cycle_string(),
-            "counts": {str(k): str(c) for k, c in sorted(self.counts.items()) if c},
-        }
-
 
 def distribution(
     beta: Permutation, jobs: int = 1, max_degree: int | None = None

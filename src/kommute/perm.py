@@ -278,6 +278,8 @@ class CycleType:
         (2, 0, 1, 0, 0)
         """
         parts = list(parts)
+        if any(p < 1 for p in parts):
+            raise ValueError("cycle lengths must be positive")
         n = sum(parts)
         counts = [0] * n
         for p in parts:

@@ -252,6 +252,13 @@ def fpf_involution_egf_coeff(s: BivariateSeries, m: int, j: int) -> int:
     return value.numerator
 
 
+def _variable(order: int) -> BivariateSeries:
+    # the series x truncated at x**order: the zero series at order 0
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    return BivariateSeries(order, 0, {(1, 0): 1} if order else None)
+
+
 def deranged_matching_egf_ok(order: int) -> bool:
     """
     Check the deranged-matching generating function to the given order:
@@ -260,11 +267,8 @@ def deranged_matching_egf_ok(order: int) -> bool:
 
     with a(j) the closed-form values.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
     a = formulas.deranged_matchings
-    # at order 0 the variable truncates to the zero series
-    x = BivariateSeries(order, 0, {(1, 0): 1} if order >= 1 else None)
+    x = _variable(order)
     series_a = BivariateSeries(
         order, 0, {(j, 0): Fraction(a(j), math.factorial(j)) for j in range(order + 1)}
     )
@@ -274,7 +278,7 @@ def deranged_matching_egf_ok(order: int) -> bool:
 
 def successor_free_egf_ok(order: int) -> bool:
     """Check sum_k f(k) x**k / k! == e**(-x) * (1 - log(1 - x)) to the given order."""
+    x = _variable(order)
     f = formulas.successor_free_cycles
     lhs = {(k, 0): Fraction(f(k), math.factorial(k)) for k in range(order + 1)}
-    x = monomial(1, 0, order, 0)
     return BivariateSeries(order, 0, lhs) == exp(-x) * (one(order, 0) - log_one_plus(-x))

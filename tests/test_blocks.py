@@ -168,10 +168,6 @@ class TestBlockDecomposition:
             blocks._cut((1, 2, 3), frozenset({2}), 0)
         assert blocks._cut((1, 2, 3), frozenset({2}), 2) == [[3, 1, 2]]
 
-    def test_json_shape(self):
-        d = blocks.block_decomposition(ALPHA7, BETA7, 1).to_json_dict()
-        assert d == {"cycle": [7, 6], "blocks": [[2, 4]], "bad_points": [6]}
-
 
 class TestBlockDecompositionValue:
     def dec(self):

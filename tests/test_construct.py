@@ -115,31 +115,6 @@ class TestBuildSingleCycle:
                 dst = set(cycles[choice.target])
                 assert {alpha(p) for p in src} == dst
 
-    def test_invalid_tau_rejected(self):
-        beta = parse_permutation("(1 2 3 4)", 4)
-        has_successor = Permutation.from_cycles([(1, 2, 3)], 3)  # 1 -> 2
-        choice = SingleCycleChoice(0, 0, (1, 2, 3), has_successor, 1, 0)
-        with pytest.raises(ValueError, match="successor-free"):
-            construct.build_single_cycle(beta, choice)
-
-    def test_short_cycle_rejected(self):
-        beta = parse_permutation("(1 2)(3 4)", 4)
-        tau = Permutation.from_cycles([(1, 3, 2)], 3)
-        choice = SingleCycleChoice(0, 0, (1, 2), tau, 1, 0)
-        with pytest.raises(ValueError):
-            construct.build_single_cycle(beta, choice)
-
-    def test_matches_pair_stream(self):
-        # (beta, n, k, outer maps per (source, target) pair)
-        cases = [("(1 2 3 4 5)", 5, 4, 1), ("(1 2 3 4)(5 6)(7 8)", 8, 3, 8), ("(1 2 3)(4 5 6)", 8, 3, 6)]
-        for text, n, k, outers in cases:
-            beta = parse_permutation(text, n)
-            seen = set()
-            for choice, alpha in construct.single_cycle_pairs(beta, k):
-                assert construct.build_single_cycle(beta, choice) == alpha
-                seen.add(choice.outer)
-            assert seen == set(range(outers))
-
     def test_characterization_reads_back_the_choice(self):
         # the characterization cuts alpha's images of the source cycle into
         # the blocks the construction cut the target cycle into, at the
@@ -154,21 +129,12 @@ class TestBuildSingleCycle:
             cycles = beta.cycles()
             for choice, alpha in construct.single_cycle_pairs(beta, k):
                 seen += 1
-                cut = construct._cut(
-                    cycles[choice.source], cycles[choice.target], choice.points, max(choice.points)
-                )
+                cycle = cycles[choice.target]
+                cut = blocks._cut(cycle, set(choice.points), cycle.index(max(choice.points)) + 1)
                 decomposition = blocks.block_decomposition(alpha, beta, choice.source)
                 assert set(decomposition.blocks) == set(map(tuple, cut))
                 assert set(decomposition.bad_points) == {alpha.inverse()(p) for p in choice.points}
         assert seen == 577
-
-    def test_outer_index_out_of_range(self):
-        beta = parse_permutation("(1 2 3 4)(5 6)(7 8)", 8)
-        tau = Permutation.from_cycles([(1, 3, 2)], 3)
-        for outer in (8, -1):
-            choice = SingleCycleChoice(0, 0, (1, 2, 3), tau, 1, outer)
-            with pytest.raises(ValueError, match="outer index out of range"):
-                construct.build_single_cycle(beta, choice)
 
 
 class TestBijectionCheck:
@@ -323,7 +289,7 @@ class TestEndpointCanonicalization:
         cycle = beta.cycles()[0]
         k = 3
         taus = construct.successor_free_kcycles(k)
-        orders = [construct._tau_order(tau, k) for tau in taus]
+        orders = [construct.canonical_cycle_word(tau) for tau in taus]
         gather, rest = construct._layout(5, cycle)
         outers = [
             [outer[p] - 1 for p in rest]
@@ -332,7 +298,7 @@ class TestEndpointCanonicalization:
         hits: Counter = Counter()
         for points in itertools.combinations(sorted(cycle), k):
             for endpoint in points:
-                cut = construct._cut(cycle, cycle, points, endpoint)
+                cut = blocks._cut(cycle, set(points), cycle.index(endpoint) + 1)
                 for order in orders:
                     row = construct._image_row(cut, order)
                     for s in range(len(cycle)):
@@ -397,8 +363,8 @@ class TestPerfectMatchings:
 
 
 class TestPairStreamOrder:
-    # (count, SHA-256) of the full (choice, alpha) sequence; build_single_cycle
-    # indexes into this order, so it must not drift
+    # (count, SHA-256) of the full (choice, alpha) sequence; the order must
+    # not drift
     SINGLE = {
         ("(1 2 3 4)(5 6)(7 8)", 8, 3): (
             128, "f838b35d050119a146ba0bdfdd7ac9bad8c20b166c20fd7af799100caef2aaaf"),

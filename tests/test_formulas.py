@@ -159,8 +159,8 @@ class TestSmallDistances:
 
     def test_k1_k2_zero(self):
         for t in CycleType.all_types(6):
-            assert formulas.count_k1(t) == 0
-            assert formulas.count_k2(t) == 0
+            assert formulas.count(t, 1) == (0, "low_distance_zero")
+            assert formulas.count(t, 2) == (0, "low_distance_zero")
 
     def test_k3_mixed_example(self):
         assert formulas.count_k3(T(3, 2)) == 42
@@ -245,50 +245,6 @@ class TestSingleCycleCount:
         for n in range(3, 9):
             for k in range(3, n + 1):
                 assert formulas.single_cycle_count(T(n), k) == formulas.count_for_ncycle(k, n)
-
-
-class TestTouchedCyclesCount:
-    def test_zero_core(self):
-        assert formulas.touched_cycles_count(0, T(3, 2), {3: 1}) == 0
-
-    def test_empty_touched(self):
-        t = T(3, 2)
-        assert formulas.touched_cycles_count(7, t, {}) == 7 * t.centralizer_order()
-
-    def test_reproduces_single_cycle_count(self):
-        # summing the one-cycle core over lengths rebuilds the closed form
-        for t in CycleType.all_types(7):
-            for k in (3, 4):
-                total = 0
-                for length in range(k, 8):
-                    if not t.count(length):
-                        continue
-                    core = (
-                        length
-                        * math.comb(length, k)
-                        * formulas.successor_free_cycles(k)
-                    )
-                    total += formulas.touched_cycles_count(core, t, {length: 1})
-                assert total == formulas.single_cycle_count(t, k)
-
-    def test_too_many_touched(self):
-        with pytest.raises(ValueError, match="cannot touch"):
-            formulas.touched_cycles_count(1, T(3, 2), {3: 2})
-
-    def test_always_exact_for_integer_cores(self):
-        # the scaling factor times the centralizer order is an integer for
-        # any integer core, so the result equals the rational computation
-        for t in CycleType.all_types(6):
-            for length in range(1, 7):
-                for h in range(t.count(length) + 1):
-                    got = formulas.touched_cycles_count(5, t, {length: h})
-                    want = (
-                        5
-                        * t.centralizer_order()
-                        * math.comb(t.count(length), h)
-                        * Fraction(1, math.factorial(h) * length**h)
-                    )
-                    assert got == want
 
 
 class TestNCycleCounts:

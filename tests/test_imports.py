@@ -1,12 +1,15 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package and of its tests uses each name it imports."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "kommute"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "kommute"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + sorted(
+    TESTS.glob("test_*.py")
+)
 
 
 def unused_imports(source: str) -> set[str]:

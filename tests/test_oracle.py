@@ -143,14 +143,6 @@ class TestDistribution:
         finally:
             gc.enable()
 
-    def test_json_serialization(self):
-        d = oracle.distribution(parse_permutation("(1 2)", 3))
-        assert d.to_json_dict() == {
-            "n": 3,
-            "beta": "(1 2)",
-            "counts": {"0": "2", "3": "4"},
-        }
-
 
 class TestKDistributionValue:
     BETA = parse_permutation("(1 2)", 3)

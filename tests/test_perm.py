@@ -211,6 +211,11 @@ class TestCycleType:
         assert (t.degree, t.lengths()) == (12, {1: 1, 3: 2, 5: 1})
         assert CycleType.from_parts([1] * 4).lengths() == {1: 4}
 
+    def test_nonpositive_part_rejected(self):
+        for parts in ([0], [-1], [3, -1], [2, 0]):
+            with pytest.raises(ValueError, match="cycle lengths must be positive"):
+                CycleType.from_parts(parts)
+
     def test_all_types_count(self):
         # number of cycle types is the partition count
         assert sum(1 for _ in CycleType.all_types(6)) == 11

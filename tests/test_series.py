@@ -173,6 +173,16 @@ class TestSuccessorFreeEgfIdentity:
     def test_library_check_holds_to_order_nine(self):
         assert series.successor_free_egf_ok(9)
 
+    def test_order_zero(self):
+        # at order 0 the variable truncates to the zero series, as in the
+        # deranged-matching check
+        assert series.successor_free_egf_ok(0)
+
+    def test_negative_order_rejected(self):
+        for check in (series.successor_free_egf_ok, series.deranged_matching_egf_ok):
+            with pytest.raises(ValueError, match="order must be nonnegative"):
+                check(-1)
+
     def test_perturbation_detected(self, monkeypatch):
         exact = formulas.successor_free_cycles
         monkeypatch.setattr(
