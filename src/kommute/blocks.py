@@ -23,8 +23,9 @@ into the pair's (image masks disjoint, bad counts adding up to the
 distance), so a caller checking many pairs against one beta can decide
 each distinct cycle once.
 
-Indexing convention: all cyclic index arithmetic is 1-based, wrapping m+1
-back to 1 inside a length-m cycle.
+Indexing convention: the private kernels work on zero-based points, as
+the permutations' words do; the public functions take and return 1-based
+points and convert once, at their edge.
 """
 
 from __future__ import annotations
@@ -32,23 +33,23 @@ from __future__ import annotations
 import functools
 from typing import Collection, Iterable, NamedTuple, Sequence
 
-from .perm import Permutation
+from .perm import Permutation, word_cycles
 
 
 class _Frame(NamedTuple):
     """What every check against one beta needs of beta, computed once."""
 
-    cycles: tuple[tuple[int, ...], ...]  # beta.cycles(), canonical order
-    host: tuple[int, ...]  # host[p - 1]: length of the cycle through p
+    cycles: tuple[tuple[int, ...], ...]  # word_cycles(word), canonical order
+    host: tuple[int, ...]  # host[p]: length of the cycle through p
 
 
 @functools.lru_cache(maxsize=64)
 def _frame(word: tuple[int, ...]) -> _Frame:
-    cycles = Permutation._from_word(word).cycles()
+    cycles = word_cycles(word)
     host = [0] * len(word)
     for cycle in cycles:
         for p in cycle:
-            host[p - 1] = len(cycle)
+            host[p] = len(cycle)
     return _Frame(cycles, tuple(host))
 
 
@@ -75,7 +76,7 @@ def profile(alpha: Permutation, beta: Permutation) -> tuple[int, ...]:
     >>> profile(a, b)
     (4, 1)
     """
-    return _profile(bad_points(alpha, beta), _frame(beta.word).cycles)
+    return _profile({p - 1 for p in bad_points(alpha, beta)}, _frame(beta.word).cycles)
 
 
 def _profile(bad: Collection[int], cycles: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
@@ -94,9 +95,7 @@ def as_profile(parts: Sequence[int]) -> tuple[int, ...]:
 def _is_block(points: list[int], word: tuple[int, ...], host: tuple[int, ...]) -> bool:
     # a nonempty list, each point followed by its beta-image and no longer
     # than the host cycle; such a string cannot repeat a point
-    return len(points) <= host[points[0] - 1] and [
-        word[a - 1] + 1 for a in points[:-1]
-    ] == points[1:]
+    return len(points) <= host[points[0]] and [word[a] for a in points[:-1]] == points[1:]
 
 
 def is_block(points: Sequence[int], beta: Permutation) -> bool:
@@ -113,11 +112,10 @@ def is_block(points: Sequence[int], beta: Permutation) -> bool:
     >>> is_block([1, 2, 8], pi)
     False
     """
-    points = list(points)
-    n = beta.degree
-    if not points or not all(1 <= p <= n for p in points):
-        return False
-    return _is_block(points, beta.word, _frame(beta.word).host)
+    points = [p - 1 for p in points]
+    if points and all(0 <= p < beta.degree for p in points):
+        return _is_block(points, beta.word, _frame(beta.word).host)
+    return False
 
 
 def _cut(cycle: tuple[int, ...], bad: frozenset[int], start: int) -> list[list[int]]:
@@ -165,7 +163,7 @@ def block_decomposition(
     Raises ValueError when alpha commutes with beta on that cycle: with no
     bad points there is nothing to cut.
     """
-    cycles = _frame(beta.word).cycles
+    cycles = beta.cycles()
     if not 0 <= cycle_index < len(cycles):
         raise ValueError(f"cycle index {cycle_index} out of range")
     cycle = cycles[cycle_index]
@@ -201,16 +199,15 @@ def verify_characterization(alpha: Permutation, beta: Permutation) -> bool:
     """
     alpha._check_degree(beta)
     w = beta.word
-    return _characterized(
-        alpha.word, w, _frame(w), bad_points(alpha, beta), alpha.commute_distance(beta)
-    )
+    bad = frozenset(p - 1 for p in bad_points(alpha, beta))
+    return _characterized(alpha.word, w, _frame(w), bad, alpha.commute_distance(beta))
 
 
 def _characterized(
     a: tuple[int, ...], w: tuple[int, ...], frame: _Frame, bad: frozenset[int], k: int
 ) -> bool:
     # ``verify_characterization`` on the words of alpha and beta, with beta's
-    # frame, the bad points and the commutation distance k given
+    # frame, the zero-based bad points and the commutation distance k given
     cycles, host = frame
     return _fold((_cycle_verdict(a, cycle, bad, w, host) for cycle in cycles), k)
 
@@ -240,8 +237,8 @@ def _cycle_verdict(
     # only alpha's images of the cycle and which of its points are bad
     ends = [i for i, p in enumerate(cycle) if p in bad]
     if not ends:
-        image = [a[p - 1] + 1 for p in cycle]
-        if len(image) != host[image[0] - 1] or not _is_block(image, w, host):
+        image = [a[p] for p in cycle]
+        if len(image) != host[image[0]] or not _is_block(image, w, host):
             return None
         return 0, 0
     # any rotation will do: every condition below is cyclic
@@ -252,10 +249,10 @@ def _cycle_verdict(
     ki = len(runs)
     if ki != len(ends):
         return None
-    images = [[a[p - 1] + 1 for p in run] for run in runs]
+    images = [[a[p] for p in run] for run in runs]
     if ki == 1:
         first = images[0]
-        if len(first) >= host[first[0] - 1] or not _is_block(first, w, host):
+        if len(first) >= host[first[0]] or not _is_block(first, w, host):
             return None
     else:
         if not all(_is_block(b, w, host) for b in images):
@@ -263,7 +260,7 @@ def _cycle_verdict(
         # x and y are blocks, so x + y is one iff beta takes the end of
         # x to the start of y and x + y fits in the host cycle
         for x, y in zip(images[-1:] + images[:-1], images):
-            if w[x[-1] - 1] + 1 == y[0] and len(x) + len(y) <= host[x[0] - 1]:
+            if w[x[-1]] == y[0] and len(x) + len(y) <= host[x[0]]:
                 return None
     # a sum of distinct powers of two has one bit per term: fewer bits
     # mean a repeated point

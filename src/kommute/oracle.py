@@ -23,10 +23,11 @@ Held-Karp table); a census memoised on (lengths left, points left) then
 picks the cycle through the lowest point left, so no gamma is built.
 Degrees above ``HISTOGRAM_MAX_DEGREE`` are refused whatever the cap.
 
-The filters and ``parity_split`` need the actual alpha, so each is one
-pass over ``_scan``, the one scan kernel: it walks S_n in the
-lexicographic order of zero-based one-line words and yields each alpha's
-word with its bad points.  ``_census`` over that scan is the independent
+The filters need the actual alpha, so each is one pass over ``_scan``,
+the one scan kernel: it walks S_n in the lexicographic order of zero-based
+one-line words and yields each alpha's word with its bad points.
+``parity_split`` reads each alpha's parity off that order
+(``perm.lex_parities``).  ``_census`` over that scan is the independent
 reference the histogram is tested against, and ``kommute.verify`` walks it
 once per beta for its pair and parity checks; its enumerator checks read
 the histogram.
@@ -46,7 +47,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .blocks import _profile
 from .construct import perfect_matchings, successor_free_kcycles
-from .perm import Permutation, all_permutations, word_is_even
+from .perm import Permutation, all_permutations, lex_parities, word_cycles
 
 DEFAULT_MAX_DEGREE = 8
 
@@ -241,8 +242,7 @@ def filter_by_profile(
     """All alpha whose per-cycle bad-point multiset equals ``profile``."""
     _check_degree(beta.degree, max_degree)
     want = tuple(sorted(profile, reverse=True))
-    # beta's cycles zero-based, as ``_scan``'s bad points are
-    cycles = [tuple(p - 1 for p in cycle) for cycle in beta.cycles()]
+    cycles = word_cycles(beta.word)
     return {
         Permutation._from_word(a) for bad, a in _scan(beta.word) if _profile(bad, cycles) == want
     }
@@ -265,13 +265,10 @@ def parity_split(
     """
     n = beta.degree
     _check_degree(n, max_degree)
-    even, odd = [0] * (n + 1), [0] * (n + 1)
-    for bad, a in _scan(beta.word):
-        if word_is_even(a):
-            even[len(bad)] += 1
-        else:
-            odd[len(bad)] += 1
-    return {k: (even[k], odd[k]) for k in range(n + 1)}
+    tally = [0] * (2 * n + 2)  # alphas at distance k: even at 2k, odd at 2k + 1
+    for is_odd, (bad, _) in zip(lex_parities(n), _scan(beta.word)):
+        tally[2 * len(bad) + is_odd] += 1
+    return {k: (tally[2 * k], tally[2 * k + 1]) for k in range(n + 1)}
 
 
 def even_odd_split(

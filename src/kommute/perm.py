@@ -4,7 +4,8 @@ Permutations of the points {1, ..., n}.
 A permutation is stored as a tuple in one-line notation; externally every
 point is 1-based, so ``p(i)`` is the image of point ``i``.  Values are
 immutable and hashable, and every operation is a pure function, so they can
-be shared freely between workers.
+be shared freely between workers.  ``word_cycles`` walks the cycles of a
+zero-based word; ``cycles()``, ``cycle_type()`` and ``word_is_even`` use it.
 
 The degree ``n`` is carried explicitly by each permutation and two
 permutations interact only when their degrees agree; mixing degrees raises
@@ -189,26 +190,10 @@ class Permutation:
         >>> Permutation([2, 1, 4, 5, 3]).cycles()
         ((1, 2), (3, 4, 5))
         """
-        w = self.word
-        seen = [False] * len(w)
-        out = []
-        for i in range(len(w)):
-            if seen[i]:
-                continue
-            cycle = []
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                cycle.append(j + 1)
-                j = w[j]
-            out.append(tuple(cycle))
-        return tuple(out)
+        return tuple(tuple(p + 1 for p in cycle) for cycle in word_cycles(self.word))
 
     def cycle_type(self) -> "CycleType":
-        counts = [0] * len(self.word)
-        for cycle in self.cycles():
-            counts[len(cycle) - 1] += 1
-        return CycleType(tuple(counts))
+        return CycleType.from_parts(map(len, word_cycles(self.word)))
 
     def parity(self) -> str:
         """'even' or 'odd'; even iff n minus the number of cycles is even."""
@@ -445,18 +430,31 @@ def all_permutations(n: int) -> Iterator[Permutation]:
         yield Permutation._from_word(word)
 
 
-def word_is_even(word: Sequence[int]) -> bool:
-    """Whether the zero-based one-line ``word`` is even: n minus its cycle count is."""
+def word_cycles(word: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """
+    The cycles of the zero-based one-line ``word`` as zero-based points,
+    fixed points included, in the canonical order of ``Permutation.cycles()``.
+
+    >>> word_cycles((1, 0, 3, 4, 2))
+    ((0, 1), (2, 3, 4))
+    """
     seen = bytearray(len(word))
-    cycles = 0
+    out = []
     for i in range(len(word)):
         if not seen[i]:
-            cycles += 1
+            cycle = []
             j = i
             while not seen[j]:
                 seen[j] = 1
+                cycle.append(j)
                 j = word[j]
-    return (len(word) - cycles) % 2 == 0
+            out.append(tuple(cycle))
+    return tuple(out)
+
+
+def word_is_even(word: Sequence[int]) -> bool:
+    """Whether the zero-based one-line ``word`` is even: n minus its cycle count is."""
+    return (len(word) - len(word_cycles(word))) % 2 == 0
 
 
 def lex_parities(n: int) -> bytes:

@@ -136,57 +136,39 @@ def one(order_z: int, order_u: int) -> BivariateSeries:
     return monomial(0, 0, order_z, order_u)
 
 
-def _require_no_constant(s: BivariateSeries, op: str) -> None:
+def _power_sum(s: BivariateSeries, op: str, start, coeff) -> BivariateSeries:
+    # start + sum coeff(r) * s**r over r >= 1, until the power truncates to zero
     if s.constant_term():
         raise ValueError(f"{op} needs a series with zero constant term")
-
-
-def _powers(s: BivariateSeries):
-    # s, s^2, s^3, ... until the truncation kills everything
-    power = s
+    out = monomial(0, 0, s.order_z, s.order_u, start)
+    power, r = s, 1
     while not power.is_zero():
-        yield power
-        power = power * s
+        out = out + power.scale(coeff(r))
+        power, r = power * s, r + 1
+    return out
 
 
 def exp(s: BivariateSeries) -> BivariateSeries:
     """exp(s) = sum s**r / r! for s with zero constant term."""
-    _require_no_constant(s, "exp")
-    out = one(s.order_z, s.order_u)
-    for r, power in enumerate(_powers(s), start=1):
-        out = out + power.scale(Fraction(1, math.factorial(r)))
-    return out
+    return _power_sum(s, "exp", 1, lambda r: Fraction(1, math.factorial(r)))
 
 
 def log_one_plus(s: BivariateSeries) -> BivariateSeries:
     """log(1 + s) = sum (-1)**(r+1) s**r / r for s with zero constant term."""
-    _require_no_constant(s, "log_one_plus")
-    out = BivariateSeries(s.order_z, s.order_u)
-    for r, power in enumerate(_powers(s), start=1):
-        out = out + power.scale(Fraction((-1) ** (r + 1), r))
-    return out
+    return _power_sum(s, "log_one_plus", 0, lambda r: Fraction((-1) ** (r + 1), r))
 
 
 def inv_one_minus(s: BivariateSeries) -> BivariateSeries:
     """1 / (1 - s) = sum s**r for s with zero constant term."""
-    _require_no_constant(s, "inv_one_minus")
-    out = one(s.order_z, s.order_u)
-    for power in _powers(s):
-        out = out + power
-    return out
+    return _power_sum(s, "inv_one_minus", 1, lambda r: 1)
 
 
 def sqrt_one_plus(s: BivariateSeries) -> BivariateSeries:
-    """sqrt(1 + s) = exp(log(1 + s) / 2) for s with zero constant term."""
-    _require_no_constant(s, "sqrt_one_plus")
-    return exp(log_one_plus(s).scale(Fraction(1, 2)))
-
-
-def _inverse_of_unit(s: BivariateSeries) -> BivariateSeries:
-    # 1/s for s with constant term 1
-    if s.constant_term() != 1:
-        raise ValueError("inverse needs constant term 1")
-    return inv_one_minus(one(s.order_z, s.order_u) - s)
+    """sqrt(1 + s) = sum C(1/2, r) s**r for s with zero constant term."""
+    # C(1/2, r) = C(2r, r) / ((-4)**r (1 - 2r))
+    return _power_sum(
+        s, "sqrt_one_plus", 1, lambda r: Fraction(math.comb(2 * r, r), (-4) ** r * (1 - 2 * r))
+    )
 
 
 # -- the two generating functions --------------------------------------------
@@ -236,12 +218,10 @@ def fpf_involution_egf(order: int) -> BivariateSeries:
     if order < 2:
         raise ValueError("order must be at least 2")
     nz = nu = order
-    z = monomial(1, 0, nz, nu)
-    zu = monomial(1, 1, nz, nu)
-    unit = one(nz, nu)
-    w = zu * inv_one_minus(z.scale(2))  # zu / (1 - 2z)
-    denom = (unit - z.scale(2)) * sqrt_one_plus(w.scale(-4)) * exp(w.scale(2))
-    return _inverse_of_unit(denom)
+    g = inv_one_minus(monomial(1, 0, nz, nu, 2))  # 1 / (1 - 2z)
+    w = monomial(1, 1, nz, nu) * g  # zu / (1 - 2z)
+    # g / (sqrt(1 - 4w) e**(2w)) = g * exp(-log(1 - 4w) / 2 - 2w)
+    return g * exp(log_one_plus(w.scale(-4)).scale(Fraction(-1, 2)) - w.scale(2))
 
 
 def fpf_involution_egf_coeff(s: BivariateSeries, m: int, j: int) -> int:

@@ -144,9 +144,8 @@ def _walk(beta: Permutation, max_n: int | None) -> _Walk:
     oracle._check_degree(n, max_n)
     w = beta.word
     cycles, host = blocks._frame(w)
-    zero = [tuple(p - 1 for p in cycle) for cycle in cycles]
     points = [frozenset(cycle) for cycle in cycles]
-    gets = [operator.itemgetter(*cycle) for cycle in zero]
+    gets = [operator.itemgetter(*cycle) for cycle in cycles]
     # alpha's images of n - 1 points fix alpha, so a cycle that long never
     # repeats a key: it is decided directly, with no memo
     memos = [None if len(cycle) >= n - 1 else {} for cycle in cycles]
@@ -161,13 +160,12 @@ def _walk(beta: Permutation, max_n: int | None) -> _Walk:
     for is_odd, (bad, a) in zip(odd, oracle._scan(w)):
         entry = bad_sets.get(bad)
         if entry is None:
-            one = frozenset([p + 1 for p in bad])
-            split = list(zip(cycles, gets, memos, [one & s for s in points]))
-            entry = bad_sets[bad] = (split, blocks._profile(bad, zero), {})
+            split = list(zip(cycles, gets, memos, [s.intersection(bad) for s in points]))
+            entry = bad_sets[bad] = (split, blocks._profile(bad, cycles), {})
         if n <= 5:
             key = bad, tuple(map(a.__getitem__, bad))
             if key not in census:
-                census[key] = _touched(bad, zero) == _touched(key[1], zero)
+                census[key] = _touched(bad, cycles) == _touched(key[1], cycles)
             if not census[key]:
                 census_bad.append(f"image census: alpha={Permutation._from_word(a)} beta={beta}")
         k = 0
@@ -189,7 +187,7 @@ def _walk(beta: Permutation, max_n: int | None) -> _Walk:
         else:
             broken = entry[2].get(k)
             if broken is None:
-                broken = _broken_invariants(entry[1], bad, k, zero, max_len, bound)
+                broken = _broken_invariants(entry[1], bad, k, cycles, max_len, bound)
                 entry[2][k] = broken
         for what in broken:
             block_bad.append(f"{what}: alpha={Permutation._from_word(a)} beta={beta}")
@@ -201,7 +199,7 @@ def _decided(a, cycle, part, w, host) -> tuple[int, tuple[int, int] | None]:
     # one cycle of beta against alpha's word ``a``, given its bad points
     # ``part``: how many of its points alpha*beta and beta*alpha move
     # differently, and its ``blocks._cycle_verdict``
-    d = sum([a[w[p - 1]] != w[a[p - 1]] for p in cycle])
+    d = sum([a[w[p]] != w[a[p]] for p in cycle])
     return d, blocks._cycle_verdict(a, cycle, part, w, host)
 
 
@@ -239,12 +237,15 @@ def _check_centralizer_divisibility(n_max, hist) -> list[str]:
     return bad
 
 
-def _check_conjugation_invariance(n_max, hist, taus=5, seed=2024) -> list[str]:
+_CONJUGATION_TAUS, _CONJUGATION_SEED = 5, 2024  # random relabelings per beta, their seed
+
+
+def _check_conjugation_invariance(n_max, hist) -> list[str]:
     bad = []
-    rng = random.Random(seed)
+    rng = random.Random(_CONJUGATION_SEED)
     for n, t, beta in _representatives(min(n_max, 6)):
         want = hist(beta).counts
-        for _ in range(taus):
+        for _ in range(_CONJUGATION_TAUS):
             images = list(range(1, n + 1))
             rng.shuffle(images)
             tau = Permutation(images)

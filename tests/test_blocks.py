@@ -244,8 +244,8 @@ class TestVerifyCharacterization:
             for b in perms:
                 frame = blocks._frame(b.word)
                 for a in perms:
-                    bad = blocks.bad_points(a, b)
-                    for p in set(range(1, n + 1)) - bad:
+                    bad = frozenset(p - 1 for p in blocks.bad_points(a, b))
+                    for p in set(range(n)) - bad:
                         cases += 1
                         assert not blocks._characterized(
                             a.word, b.word, frame, bad | {p}, len(bad) + 1
@@ -260,11 +260,11 @@ class TestVerifyCharacterization:
             for b in perms:
                 cycles, host = blocks._frame(b.word)
                 for a in perms:
-                    bad = blocks.bad_points(a, b)
+                    bad = frozenset(p - 1 for p in blocks.bad_points(a, b))
                     for cycle in cycles:
                         local = [None] * n
                         for p in cycle:
-                            local[p - 1] = a.word[p - 1]
+                            local[p] = a.word[p]
                         assert blocks._cycle_verdict(
                             tuple(local), cycle, bad & frozenset(cycle), b.word, host
                         ) == blocks._cycle_verdict(a.word, cycle, bad, b.word, host)
@@ -285,17 +285,17 @@ class TestVerifyCharacterization:
         assert not blocks._fold([(1, 0b0110), (1, 0b1000)], 3)
 
     def test_a_repeated_image_point_fails_the_cycle(self, monkeypatch):
-        # a cut that reads the run [1, 2] of (1 2 3 4) twice: both images are
-        # blocks and neither merges with the other, so only the image mask's
-        # popcount sees the repeated points
+        # a cut that reads the run [1, 2] of (1 2 3 4), zero-based [0, 1],
+        # twice: both images are blocks and neither merges with the other, so
+        # only the image mask's popcount sees the repeated points
         beta = Permutation.from_cycles([(1, 2, 3, 4)], 4)
         cycles, host = blocks._frame(beta.word)
         exact = blocks._cut
         monkeypatch.setattr(
             blocks, "_cut", lambda cycle, bad, start: [exact(cycle, bad, start)[0]] * 2
         )
-        assert blocks._cut(cycles[0], frozenset({2, 4}), 0) == [[1, 2], [1, 2]]
-        verdict = blocks._cycle_verdict((0, 1, 2, 3), cycles[0], frozenset({2, 4}), beta.word, host)
+        assert blocks._cut(cycles[0], frozenset({1, 3}), 0) == [[0, 1], [0, 1]]
+        verdict = blocks._cycle_verdict((0, 1, 2, 3), cycles[0], frozenset({1, 3}), beta.word, host)
         assert verdict is None
 
 

@@ -10,7 +10,7 @@ from kommute import blocks, construct, formulas, oracle, perm, series, verify
 @pytest.mark.parametrize(
     "module,examples",
     [
-        (perm, 10), (blocks, 6), (construct, 1), (formulas, 2), (oracle, 3), (series, 0),
+        (perm, 11), (blocks, 6), (construct, 1), (formulas, 2), (oracle, 3), (series, 0),
         (verify, 1),
     ],
 )

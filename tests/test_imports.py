@@ -51,3 +51,41 @@ def test_unused_imports_are_found():
     assert unused_imports("from t import List, Set\ndef f(x: 'List[int]') -> 'Set': ...") == set()
     source = "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    from x import Y\n"
     assert unused_imports(source) == {"Y"}
+
+
+def unread_private_names(sources: dict[str, str]) -> set[str]:
+    """
+    The module-level ``_names`` (functions, classes and assigned names) of
+    the modules in ``sources``, {module: source}, that no module reads: by
+    name in its own module, or as an attribute or an import in any.
+    """
+    defined, local, anywhere = set(), set(), set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined.update((module, n) for n in names if n[:1] == "_" and n[:2] != "__")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                local.add((module, node.id))
+            elif isinstance(node, ast.Attribute):
+                anywhere.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                anywhere.update(a.name for a in node.names)
+    return {f"{m}.{n}" for m, n in defined if (m, n) not in local and n not in anywhere}
+
+
+def test_every_private_name_is_read():
+    # a private helper that only the tests read is code nothing needs;
+    # oracle._census stays, the scan reference the histogram tests compare with
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert unread_private_names(sources) == {"oracle._census"}
+    toy = {"a": "def _used(): ...\ndef _unused(): _used()\n_K, _L = 1, 2\nx = _K\n",
+           "b": "from a import _L\n"}
+    assert unread_private_names(toy) == {"a._unused"}

@@ -17,6 +17,7 @@ from kommute.perm import (
     parse_permutation,
     point_labels,
     word_cycle_string,
+    word_cycles,
     word_is_even,
 )
 
@@ -165,6 +166,18 @@ class TestCycles:
             rng.shuffle(imgs)
             p = Permutation(imgs)
             assert Permutation.from_cycles(p.cycles(), 7) == p
+
+    def test_word_cycles_are_cycles_minus_one(self):
+        # and canonical on their own: each cycle follows the word from its
+        # smallest point, the cycles ordered by it and covering every point
+        for n in range(1, 7):
+            for p in all_permutations(n):
+                got = word_cycles(p.word)
+                assert got == tuple(tuple(q - 1 for q in c) for c in p.cycles())
+                assert [c[0] for c in got] == sorted(min(c) for c in got)
+                assert sorted(q for c in got for q in c) == list(range(n))
+                for c in got:
+                    assert [p.word[q] for q in c] == list(c[1:] + c[:1])
 
     def test_cycle_string_matches_cycles(self):
         # cycle_string reads the word directly; its definition is cycles()

@@ -133,11 +133,21 @@ class TestFpfInvolutionEgf:
             assert series.fpf_involution_egf_coeff(s, m, 1) == 0
 
     def test_full_box_matches_formula(self):
-        s = series.fpf_involution_egf(8)
-        for m in range(2, 9):
-            for j in range(m + 1):
-                want = formulas.fpf_involution_count(2 * j, m)
-                assert series.fpf_involution_egf_coeff(s, m, j) == want
+        for order in (8, 12):
+            s = series.fpf_involution_egf(order)
+            for m in range(2, order + 1):
+                for j in range(m + 1):
+                    want = formulas.fpf_involution_count(2 * j, m)
+                    assert series.fpf_involution_egf_coeff(s, m, j) == want
+
+    def test_inverts_the_paper_denominator(self):
+        # the series times (1 - 2z) sqrt(1 - 4w) e^(2w), w = zu / (1 - 2z),
+        # is one: the docstring's form, built without the exp-log rewrite
+        for o in (8, 12):
+            z, zu = monomial(1, 0, o, o), monomial(1, 1, o, o)
+            w = zu * series.inv_one_minus(z.scale(2))
+            denom = (one(o, o) - z.scale(2)) * series.sqrt_one_plus(w.scale(-4))
+            assert series.fpf_involution_egf(o) * denom * series.exp(w.scale(2)) == one(o, o)
 
 
 class TestMatchingEgfIdentity:

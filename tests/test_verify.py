@@ -20,10 +20,10 @@ def per_pair_check_pairs(n_max, max_n):
         max_len = max(len(c) for c in cycles)
         bound = formulas.support_bound(t)
         for alpha in oracle.enumerate_sn(n, max_degree=max_n):
-            bp = blocks.bad_points(alpha, beta)
+            bp = frozenset(p - 1 for p in blocks.bad_points(alpha, beta))
             k = alpha.commute_distance(beta)
             if n <= 5:
-                images = {alpha(p) for p in bp}
+                images = {alpha.word[p] for p in bp}
                 touched = sorted(len(c) for c in cycles if not bp.isdisjoint(c))
                 if touched != sorted(len(c) for c in cycles if not images.isdisjoint(c)):
                     census_bad.append(f"image census: alpha={alpha} beta={beta}")
