@@ -112,7 +112,7 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--sequence",
         required=True,
-        choices=("A000757", "A053871", "A233440", "A208529", "A208528", "A098916"),
+        choices=tuple(_OEIS_CAPS),
     )
     p.add_argument("--count", type=int, required=True, help="number of terms")
     return parser
@@ -340,26 +340,27 @@ def run_gf(args) -> int:
 # -- OEIS ------------------------------------------------------------------
 
 
+# the sequences in the order --sequence lists them, and the most terms of each
+_OEIS_CAPS = {
+    "A000757": 500, "A053871": 500, "A233440": 2000,
+    "A208529": 200, "A208528": 200, "A098916": 200,
+}
+
+
 def _oeis_terms(sequence: str, count: int) -> list[int]:
+    if count > _OEIS_CAPS[sequence]:
+        raise ValueError(f"at most {_OEIS_CAPS[sequence]} terms")
     if sequence == "A000757":
-        if count > 500:
-            raise ValueError("at most 500 terms")
         return [formulas.successor_free_cycles(k) for k in range(count)]
     if sequence == "A053871":
-        if count > 500:
-            raise ValueError("at most 500 terms")
         return [formulas.deranged_matchings(j) for j in range(count)]
     if sequence == "A233440":
-        if count > 2000:
-            raise ValueError("at most 2000 terms")
         triangle = (
             formulas.count_for_ncycle(k, n)
             for n in itertools.count(1)
             for k in range(n + 1)
         )
         return list(itertools.islice(triangle, count))
-    if count > 200:
-        raise ValueError("at most 200 terms")
     k = {"A208529": 0, "A208528": 3, "A098916": 4}[sequence]
     return [formulas.transposition_count(k, n) for n in range(2, count + 2)]
 

@@ -25,16 +25,20 @@ image row (or fpf inner assignment) hits exactly the target points and its
 outer map exactly the other points; the kernel checks each row once and
 each outer map once per (source, target) pair, raising ``ValueError``
 (not an assert, so ``python -O`` keeps it) before any word of the group.
+
+Indexing convention: the kernels work on zero-based points, read from
+``word_cycles`` of beta's word; ``single_cycle_pairs`` and ``fpf_pairs``
+lift each choice prefix to 1-based points once per group, at their edge.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from typing import Callable, Collection, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .blocks import _cut
-from .perm import Permutation
+from .perm import Permutation, word_cycles
 
 
 def canonical_cycle_word(p: Permutation) -> tuple[int, ...]:
@@ -92,26 +96,15 @@ class SingleCycleChoice(NamedTuple):
     outer: int
 
 
-def outer_assignments(
-    beta: Permutation, sources: Collection[int], targets: Collection[int]
-) -> Iterator[dict[int, int]]:
-    """
-    All bijections from the points outside the source cycles onto the
-    points outside the target cycles that commute with beta there: cycles
-    map onto cycles of the same length, each with a free rotation.
-    ``sources`` and ``targets`` index cycles of beta in canonical cycle
-    order and must have the same multiset of lengths.  Deterministic
-    order: the choices for the shortest length vary fastest; within a
-    length the rotations of the domain cycles (the last one fastest) vary
-    faster than the lexicographic pick of each domain cycle's target cycle.
-    """
-    cycles = beta.cycles()
-    if not all(0 <= i < len(cycles) for i in (*sources, *targets)):
-        raise ValueError("cycle index out of range")
-    if sorted(len(cycles[i]) for i in sources) != sorted(
-        len(cycles[i]) for i in targets
-    ):
-        raise ValueError("source and target cycles must have equal lengths")
+def _outer_rows(
+    cycles: Sequence[tuple[int, ...]], sources: Sequence[int], targets: Sequence[int]
+) -> tuple[list[int], Iterator[list[int]]]:
+    # the points outside the source cycles, and their images under each
+    # bijection onto the points outside the target cycles that commutes with
+    # beta there: cycles onto cycles of the same length, each freely rotated.
+    # Order: the choices for the shortest length vary fastest; within a length
+    # the rotations of the domain cycles (the last one fastest) vary faster
+    # than the lexicographic pick of each domain cycle's target cycle
     dom: dict[int, list[tuple[int, ...]]] = {}
     cod: dict[int, list[tuple[int, ...]]] = {}
     for i, cycle in enumerate(cycles):
@@ -131,14 +124,13 @@ def outer_assignments(
         ]
         for length in lengths
     ]
-    for images in itertools.product(*per_length):
-        yield dict(zip(points, itertools.chain.from_iterable(images)))
+    return points, (list(itertools.chain(*images)) for images in itertools.product(*per_length))
 
 
 def _image_row(blocks: list[list[int]], order: Sequence[int]) -> list[int]:
-    # the zero-based images of the source cycle read from its start: the
-    # blocks in tau's order
-    return [p - 1 for label in order for p in blocks[label - 1]]
+    # the images of the source cycle read from its start: the blocks in
+    # tau's order (tau's labels are 1-based)
+    return [p for label in order for p in blocks[label - 1]]
 
 
 def _rotate(row: list[int], s: int) -> list[int]:
@@ -146,19 +138,6 @@ def _rotate(row: list[int], s: int) -> list[int]:
     # holds them read from position s
     m = len(row)
     return row[m - s :] + row[: m - s]
-
-
-def _layout(
-    n: int, inner_points: Sequence[int]
-) -> tuple[Callable[[list[int]], tuple[int, ...]], list[int]]:
-    # a gather that turns the zero-based images of inner_points (in that
-    # order) followed by those of the other points (ascending) into a
-    # zero-based one-line word, and the other points; n >= 2 here, so the
-    # gather returns a tuple
-    inner = set(inner_points)
-    outer_points = [p for p in range(1, n + 1) if p not in inner]
-    slot = {p: i for i, p in enumerate([*inner_points, *outer_points])}
-    return operator.itemgetter(*(slot[p] for p in range(1, n + 1))), outer_points
 
 
 def _checked(images: list[int], points: list[int]) -> list[int]:
@@ -172,22 +151,20 @@ def _checked(images: list[int], points: list[int]) -> list[int]:
 
 
 def _frame(
-    beta: Permutation, sources: Sequence[int], targets: Sequence[int]
+    cycles: Sequence[tuple[int, ...]], sources: Sequence[int], targets: Sequence[int]
 ) -> tuple[Callable[[list[int]], tuple[int, ...]], list[int], list[list[int]]]:
-    # for source and target cycles of beta with the same lengths: the gather
-    # that reads the images of the source cycles' points (in cycle order)
-    # then an outer row, the sorted zero-based target points those images
-    # must hit, and the zero-based outer rows of the commuting outer maps in
-    # outer-index order, each checked to hit exactly the other points
-    cycles = beta.cycles()
-    gather, outer_points = _layout(beta.degree, [p for i in sources for p in cycles[i]])
-    inside = {p - 1 for i in targets for p in cycles[i]}
-    others = [p for p in range(beta.degree) if p not in inside]
-    outers = [
-        _checked([outer[p] - 1 for p in outer_points], others)
-        for outer in outer_assignments(beta, sources, targets)
-    ]
-    return gather, sorted(inside), outers
+    # for source and target cycles of the same lengths: the gather from the
+    # images of the source cycles' points (in cycle order) then an outer row
+    # to a one-line word, the sorted target points those images must hit, and
+    # the outer rows in outer-index order, each checked to hit the other points
+    domain = [p for i in sources for p in cycles[i]]
+    points, rows = _outer_rows(cycles, sources, targets)
+    slot = {p: i for i, p in enumerate(domain + points)}
+    # n >= 2 here, so the gather returns a tuple
+    gather = operator.itemgetter(*(slot[p] for p in range(len(slot))))
+    inside = {p for i in targets for p in cycles[i]}
+    others = [p for p in range(len(slot)) if p not in inside]
+    return gather, sorted(inside), [_checked(row, others) for row in rows]
 
 
 # a choice prefix (the choice tuple without its outer index) and the words
@@ -201,7 +178,7 @@ def _single_cycle_groups(beta: Permutation, k: int) -> _Groups:
     # group is built, so every word yielded is a bijection
     if k < 3:
         raise ValueError("the construction needs k >= 3")
-    cycles = beta.cycles()
+    cycles = word_cycles(beta.word)
     # with no cycle of k or more points there is no witness, and the walk
     # over the (k-1)! k-cycles would be wasted; with one, each of the f(k)
     # taus kept (about (k-1)!/e) gives a witness, so the output bounds the walk
@@ -215,7 +192,7 @@ def _single_cycle_groups(beta: Permutation, k: int) -> _Groups:
         for target, cycle_to in enumerate(cycles):
             if len(cycle_to) != m:
                 continue
-            gather, inner, outers = _frame(beta, (source,), (target,))
+            gather, inner, outers = _frame(cycles, (source,), (target,))
             for points in itertools.combinations(sorted(cycle_to), k):
                 # cut the target cycle into k blocks, each ending at a
                 # selected point, with the cutter the characterization uses
@@ -245,7 +222,8 @@ def single_cycle_pairs(
     choice -> permutation is injective, so consuming this stream counts
     the construction.
     """
-    for prefix, words in _single_cycle_groups(beta, k):
+    for (source, target, points, tau, start), words in _single_cycle_groups(beta, k):
+        prefix = (source, target, tuple(p + 1 for p in points), tau, start + 1)
         for oi, word in enumerate(words):
             yield SingleCycleChoice(*prefix, oi), Permutation._from_word(word)
 
@@ -282,7 +260,7 @@ def _fpf_groups(beta: Permutation, j: int) -> _Groups:
     # the construction's loops, one group per (sources, targets, matching,
     # assigned, orient); each inner assignment and each outer map is
     # checked before any word of its group is built
-    cycles = beta.cycles()
+    cycles = word_cycles(beta.word)
     if any(len(c) != 2 for c in cycles):
         raise ValueError("beta must be a fixed-point-free involution")
     m = len(cycles)
@@ -291,8 +269,8 @@ def _fpf_groups(beta: Permutation, j: int) -> _Groups:
     for sources in itertools.combinations(range(m), j):
         for targets in itertools.combinations(range(m), j):
             target_couples = {cycles[i] for i in targets}
-            gather, inner_points, outers = _frame(beta, sources, targets)
-            for matching in perfect_matchings([p + 1 for p in inner_points]):
+            gather, inner_points, outers = _frame(cycles, sources, targets)
+            for matching in perfect_matchings(inner_points):
                 if any(pair in target_couples for pair in matching):
                     continue
                 for assigned in itertools.permutations(matching):
@@ -300,7 +278,7 @@ def _fpf_groups(beta: Permutation, j: int) -> _Groups:
                         # source couple (x, y) goes to (u, v), or to (v, u)
                         # when flipped
                         inner = [
-                            p - 1
+                            p
                             for (u, v), flip in zip(assigned, orient)
                             for p in ((v, u) if flip else (u, v))
                         ]
@@ -316,16 +294,16 @@ def fpf_words(beta: Permutation, j: int) -> Iterator[tuple[int, ...]]:
     return itertools.chain.from_iterable(words for _, words in _fpf_groups(beta, j))
 
 
-def fpf_pairs(
-    beta: Permutation, j: int
-) -> Iterator[tuple[tuple, Permutation]]:
+def fpf_pairs(beta: Permutation, j: int) -> Iterator[tuple[tuple, Permutation]]:
     """
     Choice tuples and permutations for the fixed-point-free involution
     construction at distance 2j: pick j source and j target 2-cycles, push
     the source couples onto a matching of the target points that avoids
     every target couple, and extend by a commuting bijection elsewhere.
     """
-    for prefix, words in _fpf_groups(beta, j):
+    for (sources, targets, matching, assigned, orient), words in _fpf_groups(beta, j):
+        lifted = [tuple((u + 1, v + 1) for u, v in pairs) for pairs in (matching, assigned)]
+        prefix = (sources, targets, *lifted, orient)
         for oi, word in enumerate(words):
             yield (*prefix, oi), Permutation._from_word(word)
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections import Counter
 from typing import Iterable, Iterator, Sequence
 
 
@@ -91,7 +92,7 @@ class Permutation:
                 if not 1 <= p <= n:
                     raise ValueError(f"point {p} out of range 1..{n}")
                 if p in seen:
-                    raise ValueError(f"point {p} appears in two cycles")
+                    raise ValueError(f"point {p} appears more than once in the cycles")
                 seen.add(p)
             for a, b in zip(cycle, cycle[1:]):
                 word[a - 1] = b - 1
@@ -409,8 +410,9 @@ def _parse_one_line(text: str, n: int) -> Permutation:
     for img, token in zip(images, tokens):
         if not 1 <= img <= n:
             raise ParseError(f"image {img} out of range 1..{n}", token.start())
-    if len(set(images)) != n:
-        dup = next(x for x in images if images.count(x) > 1)
+    counts = Counter(images)
+    if len(counts) != n:
+        dup = next(x for x in images if counts[x] > 1)
         raise ParseError(f"image {dup} repeated", tokens[images.index(dup)].start())
     return Permutation(images)
 

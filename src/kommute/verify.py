@@ -24,6 +24,7 @@ import functools
 import math
 import operator
 import random
+from collections import Counter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import blocks, construct, formulas, oracle
@@ -284,9 +285,8 @@ def _check_single_cycle_enumerator(hist, max_n) -> list[str]:
     for beta in [beta for beta in cases if beta.degree <= bound]:
         profiles = hist(beta).profiles
         for k in (3, 4, 5):
-            pairs = list(construct.single_cycle_pairs(beta, k))
-            got = {alpha for _, alpha in pairs}
-            if len(pairs) != len(got):
+            got = Counter(alpha for _, alpha in construct.single_cycle_pairs(beta, k))
+            if got.total() != len(got):
                 bad.append(f"duplicate choices: beta={beta} k={k}")
             if len(got) != profiles[(k,)] or any(
                 blocks.profile(alpha, beta) != (k,) for alpha in got
@@ -305,9 +305,8 @@ def _check_fpf_enumerator(hist, max_n) -> list[str]:
         beta = CycleType.from_parts([2] * m).representative()
         dist = hist(beta)
         for j in range(m + 1):
-            pairs = list(construct.fpf_pairs(beta, j))
-            got = {alpha for _, alpha in pairs}
-            if len(pairs) != len(got):
+            got = Counter(alpha for _, alpha in construct.fpf_pairs(beta, j))
+            if got.total() != len(got):
                 bad.append(f"duplicate choices: m={m} j={j}")
             if len(got) != dist[2 * j] or any(
                 alpha.commute_distance(beta) != 2 * j for alpha in got

@@ -692,6 +692,15 @@ class TestOeis:
     def test_count_cap(self, capsys):
         assert run_cli(capsys, "oeis", "--sequence", "A000757", "--count", "501")[0] == 1
 
+    @pytest.mark.parametrize(
+        "sequence,cap",
+        [("A000757", 500), ("A053871", 500), ("A233440", 2000),
+         ("A208529", 200), ("A208528", 200), ("A098916", 200)],
+    )
+    def test_each_sequence_stops_at_its_cap(self, capsys, sequence, cap):
+        code, out, err = run_cli(capsys, "oeis", "--sequence", sequence, "--count", str(cap + 1))
+        assert (code, out, err) == (1, "", f"kommute: error: at most {cap} terms\n")
+
 
 def child_env(**extra):
     # a child interpreter imports the kommute this process imported, also

@@ -11,7 +11,7 @@ import pytest
 import kommute
 from kommute import blocks, construct, formulas, oracle
 from kommute.construct import SingleCycleChoice
-from kommute.perm import CycleType, Permutation, all_permutations, parse_permutation
+from kommute.perm import CycleType, Permutation, all_permutations, parse_permutation, word_cycles
 
 
 class TestCanonicalCycleWord:
@@ -141,8 +141,8 @@ class TestBijectionCheck:
     # an outer map that sends two points to the same image
     CHECK = (
         "from kommute import construct\n"
-        "gather, rest = construct._layout(4, [1, 2])\n"
-        "assert rest == [3, 4]\n"
+        "gather, inner, outers = construct._frame(((0, 1), (2, 3)), (0,), (0,))\n"
+        "assert (inner, outers) == ([0, 1], [[2, 3], [3, 2]])\n"
         "try:\n"
         "    construct._checked([2, 2], [2, 3])\n"
         "except ValueError as e:\n"
@@ -150,7 +150,7 @@ class TestBijectionCheck:
     )
 
     def test_collision_raises(self):
-        gather, rest = construct._layout(4, [1, 2])
+        gather, _, _ = construct._frame(((0, 1), (2, 3)), (0,), (0,))
         core = construct._checked([1, 0], [0, 1])
         word = gather(core + construct._checked([3, 2], [2, 3]))
         assert Permutation._from_word(word) == Permutation([2, 1, 4, 3])
@@ -170,8 +170,14 @@ class TestBijectionCheck:
         assert "not a bijection" in proc.stdout
 
 
+def outer_maps(beta, sources, targets):
+    # the outer rows of construct._outer_rows as 1-based point -> image dicts
+    points, rows = construct._outer_rows(word_cycles(beta.word), sources, targets)
+    return [{p + 1: q + 1 for p, q in zip(points, row)} for row in rows]
+
+
 def reference_outer_assignments(beta, sources, targets):
-    # the nested-loop generator that defined the order of outer_assignments
+    # the nested-loop generator that defined the order of the outer maps
     cycles = beta.cycles()
     dom, cod = {}, {}
     for i, cycle in enumerate(cycles):
@@ -214,13 +220,13 @@ class TestOuterAssignments:
                     lengths = sorted(len(cycles[i]) for i in sources)
                     if lengths != sorted(len(cycles[i]) for i in targets):
                         continue
-                    got = list(construct.outer_assignments(beta, sources, targets))
+                    got = outer_maps(beta, sources, targets)
                     assert got == list(reference_outer_assignments(beta, sources, targets))
 
     def test_commuting_bijections_brute_force(self):
         # every bijection between the complements that commutes with beta there
         beta = parse_permutation("(1 2 3)(4 5 6)(7 8)(9 10)", 10)
-        got = list(construct.outer_assignments(beta, [0], [1]))
+        got = outer_maps(beta, [0], [1])
         dom = [4, 5, 6, 7, 8, 9, 10]
         cod = [1, 2, 3, 7, 8, 9, 10]
         want = []
@@ -232,11 +238,6 @@ class TestOuterAssignments:
         assert sorted(map(sorted, map(dict.items, got))) == sorted(
             map(sorted, map(dict.items, want))
         )
-
-    def test_rejects_unequal_lengths(self):
-        beta = parse_permutation("(1 2 3)(4 5)", 5)
-        with pytest.raises(ValueError, match="equal lengths"):
-            list(construct.outer_assignments(beta, [0], [1]))
 
 
 class TestEnumerateSingleCycle:
@@ -290,17 +291,13 @@ class TestEndpointCanonicalization:
         k = 3
         taus = construct.successor_free_kcycles(k)
         orders = [construct.canonical_cycle_word(tau) for tau in taus]
-        gather, rest = construct._layout(5, cycle)
-        outers = [
-            [outer[p] - 1 for p in rest]
-            for outer in construct.outer_assignments(beta, [0], [0])
-        ]
+        gather, _, outers = construct._frame(word_cycles(beta.word), (0,), (0,))
         hits: Counter = Counter()
         for points in itertools.combinations(sorted(cycle), k):
             for endpoint in points:
                 cut = blocks._cut(cycle, set(points), cycle.index(endpoint) + 1)
                 for order in orders:
-                    row = construct._image_row(cut, order)
+                    row = construct._image_row([[p - 1 for p in b] for b in cut], order)
                     for s in range(len(cycle)):
                         for outer in outers:
                             word = gather(construct._rotate(row, s) + outer)
@@ -447,16 +444,14 @@ def _collision_outcomes():
     # second map of every group), a colliding image row, or a colliding
     # fpf inner assignment (a matching that uses a point twice).  The
     # outcome is the first thing the stream gives: an error or a word
-    real_outers, real_row = construct.outer_assignments, construct._image_row
+    real_outers, real_row = construct._outer_rows, construct._image_row
     real_matchings = construct.perfect_matchings
 
-    def colliding_outers(beta, sources, targets):
-        maps = list(real_outers(beta, sources, targets))
-        bad = dict(maps[1])
-        a, b = list(bad)[:2]
-        bad[a] = bad[b]
-        maps[1] = bad
-        return iter(maps)
+    def colliding_outers(cycles, sources, targets):
+        points, rows = real_outers(cycles, sources, targets)
+        rows = list(rows)
+        rows[1][0] = rows[1][1]
+        return points, iter(rows)
 
     def colliding_row(blocks, order):
         row = real_row(blocks, order)
@@ -476,7 +471,7 @@ def _collision_outcomes():
         "fpf_pairs": (construct.fpf_pairs, fpf),
     }
     faults = {
-        "outer map": ("outer_assignments", colliding_outers, list(streams)),
+        "outer map": ("_outer_rows", colliding_outers, list(streams)),
         "row": ("_image_row", colliding_row, ["single_cycle_words", "single_cycle_pairs"]),
         "inner assignment": ("perfect_matchings", colliding_matchings, ["fpf_words", "fpf_pairs"]),
     }
