@@ -14,7 +14,6 @@ from .perm import (
     ParseError,
     Permutation,
     all_permutations,
-    format_permutation,
     parse_permutation,
 )
 
@@ -23,6 +22,5 @@ __all__ = [
     "ParseError",
     "Permutation",
     "all_permutations",
-    "format_permutation",
     "parse_permutation",
 ]

@@ -27,10 +27,10 @@ in the order of the one-line images, and writes every line straight from
 its key, so it holds about 17 to 22 bytes a witness.
 
 Each runner imports the modules it uses when it runs, so a closed-form
-request loads neither the oracle nor the enumerators, and only ``count``
-loads ``json`` (``enumerate --json`` writes its records by hand).  No
-subcommand loads ``dataclasses``: the package's records are NamedTuples or
-``__slots__`` classes.
+request loads neither the oracle nor the enumerators.  No subcommand loads
+``json`` or ``csv``: ``count`` and ``enumerate --json`` write their records,
+and ``table`` and ``gf`` their rows, by hand.  None loads ``dataclasses``
+either: the package's records are NamedTuples or ``__slots__`` classes.
 """
 
 from __future__ import annotations
@@ -128,8 +128,6 @@ def _parse_beta(args):
 
 
 def run_count(args) -> int:
-    import json
-
     beta = _parse_beta(args)
     if args.k < 0:
         raise ValueError("k must be nonnegative")
@@ -148,18 +146,11 @@ def run_count(args) -> int:
             )
         dist = oracle.distribution(beta, max_degree=args.max_brute_n)
         value, provenance = dist[args.k], "exhaustive"
+    # the record json.dumps(..., sort_keys=True) prints: cycle notation, the
+    # methods and the provenance tags hold no character JSON escapes
     print(
-        json.dumps(
-            {
-                "n": args.n,
-                "beta": beta.cycle_string(),
-                "k": args.k,
-                "count": str(value),
-                "method": args.method,
-                "provenance": provenance,
-            },
-            sort_keys=True,
-        )
+        f'{{"beta": "{beta.cycle_string()}", "count": "{value}", "k": {args.k}, '
+        f'"method": "{args.method}", "n": {args.n}, "provenance": "{provenance}"}}'
     )
     return EXIT_OK
 
@@ -217,9 +208,9 @@ def _witness_lines(
     words: Iterable[Sequence[int]], beta_word: tuple[int, ...], as_json: bool
 ) -> Iterator[str]:
     # one output line per zero-based word: its cycle notation or, under
-    # --json, the record json.dumps(..., sort_keys=True) prints, since cycle
-    # notation needs no escaping; the bad points are where alpha*beta and
-    # beta*alpha disagree, ascending
+    # --json, the record json.dumps(..., sort_keys=True) prints (no escaping,
+    # as in run_count); the bad points are where alpha*beta and beta*alpha
+    # disagree, ascending
     b = beta_word
     points = range(len(b))
     labels = point_labels(len(b))
@@ -272,12 +263,11 @@ def run_verify(args) -> int:
 
 
 def _write_csv(header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    import csv
-
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    # the lines csv.writer(lineterminator="\n") writes: every cell is an
+    # integer, "" or a header label, so none needs quoting, and every row has
+    # two cells or more, so none is a lone ""
+    lines = itertools.chain([header], rows)
+    sys.stdout.writelines(",".join(map(str, row)) + "\n" for row in lines)
 
 
 def run_table(args) -> int:

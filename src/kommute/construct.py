@@ -28,7 +28,8 @@ each outer map once per (source, target) pair, raising ``ValueError``
 
 Indexing convention: the kernels work on zero-based points, read from
 ``word_cycles`` of beta's word; ``single_cycle_pairs`` and ``fpf_pairs``
-lift each choice prefix to 1-based points once per group, at their edge.
+lift each part of a choice prefix to 1-based points once, when the kernel
+hands over a new one, at their edge.
 """
 
 from __future__ import annotations
@@ -222,8 +223,12 @@ def single_cycle_pairs(
     choice -> permutation is injective, so consuming this stream counts
     the construction.
     """
+    last = None
     for (source, target, points, tau, start), words in _single_cycle_groups(beta, k):
-        prefix = (source, target, tuple(p + 1 for p in points), tau, start + 1)
+        # the kernel hands over one points tuple for all its taus and starts
+        if points is not last:
+            last, lifted = points, tuple(p + 1 for p in points)
+        prefix = (source, target, lifted, tau, start + 1)
         for oi, word in enumerate(words):
             yield SingleCycleChoice(*prefix, oi), Permutation._from_word(word)
 
@@ -301,9 +306,16 @@ def fpf_pairs(beta: Permutation, j: int) -> Iterator[tuple[tuple, Permutation]]:
     the source couples onto a matching of the target points that avoids
     every target couple, and extend by a commuting bijection elsewhere.
     """
+    last_matching = last_assigned = None
     for (sources, targets, matching, assigned, orient), words in _fpf_groups(beta, j):
-        lifted = [tuple((u + 1, v + 1) for u, v in pairs) for pairs in (matching, assigned)]
-        prefix = (sources, targets, *lifted, orient)
+        # the kernel hands over one matching for all its assignments, and one
+        # assignment, made of the matching's pairs, for all its orientations
+        if matching is not last_matching:
+            last_matching, up = matching, {(u, v): (u + 1, v + 1) for u, v in matching}
+            lifted_matching = tuple(up.values())
+        if assigned is not last_assigned:
+            last_assigned, lifted = assigned, tuple(map(up.__getitem__, assigned))
+        prefix = (sources, targets, lifted_matching, lifted, orient)
         for oi, word in enumerate(words):
             yield (*prefix, oi), Permutation._from_word(word)
 

@@ -45,7 +45,7 @@ import os
 from collections import Counter, defaultdict
 from typing import Iterator, NamedTuple, Sequence
 
-from .blocks import _profile
+from .blocks import _profile, as_profile
 from .construct import perfect_matchings, successor_free_kcycles
 from .perm import Permutation, all_permutations, lex_parities, word_cycles
 
@@ -77,6 +77,14 @@ def _check_degree(n: int, max_degree: int | None) -> None:
         raise ValueError(
             f"degree {n} exceeds the exhaustive bound {bound}; "
             f"raise it via {ENV_MAX_DEGREE} or max_degree if you mean it"
+        )
+
+
+def _check_histogram_degree(n: int) -> None:
+    if n > HISTOGRAM_MAX_DEGREE:
+        raise ValueError(
+            f"degree {n} exceeds {HISTOGRAM_MAX_DEGREE}, the ceiling of the "
+            "exhaustive histogram, whose memory about doubles with each degree"
         )
 
 
@@ -207,11 +215,7 @@ def distribution(
     """
     n = beta.degree
     _check_degree(n, max_degree)
-    if n > HISTOGRAM_MAX_DEGREE:
-        raise ValueError(
-            f"degree {n} exceeds {HISTOGRAM_MAX_DEGREE}, the ceiling of the "
-            "exhaustive histogram, whose memory about doubles with each degree"
-        )
+    _check_histogram_degree(n)
     ctype = beta.cycle_type()
     lengths = ctype.parts()
     order = ctype.centralizer_order()
@@ -241,7 +245,7 @@ def filter_by_profile(
 ) -> set[Permutation]:
     """All alpha whose per-cycle bad-point multiset equals ``profile``."""
     _check_degree(beta.degree, max_degree)
-    want = tuple(sorted(profile, reverse=True))
+    want = as_profile(profile)
     cycles = word_cycles(beta.word)
     return {
         Permutation._from_word(a) for bad, a in _scan(beta.word) if _profile(bad, cycles) == want

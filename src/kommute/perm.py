@@ -417,15 +417,6 @@ def _parse_one_line(text: str, n: int) -> Permutation:
     return Permutation(images)
 
 
-def format_permutation(p: Permutation, style: str = "cycles") -> str:
-    """Render in 'cycles' or 'one_line' style; inverse of parse_permutation."""
-    if style == "cycles":
-        return p.cycle_string()
-    if style == "one_line":
-        return p.one_line_string()
-    raise ValueError(f"unknown style {style!r}")
-
-
 def all_permutations(n: int) -> Iterator[Permutation]:
     """All of S_n in lexicographic one-line order (no degree guard)."""
     for word in itertools.permutations(range(n)):

@@ -351,10 +351,11 @@ def verification_checks(
     """
     All identity checks as (name, failures) pairs, empty failures = pass,
     in a fixed order.  ``n_max`` must lie in [2, the exhaustive bound]
-    (``max_n``, else KOMMUTE_MAX_BRUTE_N, else 8), else ``ValueError`` at
-    call time; the checks themselves run one at a
-    time as the returned iterator is advanced.  ``f_override`` replaces
-    f(k) in T(k, n), as a negative control.
+    (``max_n``, else KOMMUTE_MAX_BRUTE_N, else 8) and not exceed the
+    histogram's ceiling ``oracle.HISTOGRAM_MAX_DEGREE``, else ``ValueError``
+    at call time; the checks themselves run one at a time as the returned
+    iterator is advanced.  ``f_override`` replaces f(k) in T(k, n), as a
+    negative control.
 
     >>> [name for name, failures in verification_checks(3) if failures]
     []
@@ -367,6 +368,7 @@ def verification_checks(
             f"n_max {n_max} exceeds the brute-force cap {bound}; "
             f"raise it with max_n or {oracle.ENV_MAX_DEGREE}"
         )
+    oracle._check_histogram_degree(n_max)
     return _run_checks(n_max, max_n, f_override)
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import functools
 import hashlib
 import json
@@ -7,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 
@@ -326,6 +328,18 @@ class TestVerify:
         assert "FAIL" in out
         assert "T(5," in out
 
+    def test_histogram_ceiling_refused_at_once(self, capsys):
+        # refused before any histogram is built; the 16-cycle alone takes 15 s
+        start = time.perf_counter()
+        got = run_cli(capsys, "verify", "--n-max", "17", "--max-brute-n", "17")
+        assert time.perf_counter() - start < 1
+        assert got == (
+            1,
+            "",
+            "kommute: error: degree 17 exceeds 16, the ceiling of the exhaustive "
+            "histogram, whose memory about doubles with each degree\n",
+        )
+
     def test_n_max_above_bound_rejected(self, capsys, monkeypatch):
         # the CLI names its flags, the library its parameters
         monkeypatch.delenv(oracle.ENV_MAX_DEGREE, raising=False)
@@ -620,6 +634,97 @@ COUNT_BRUTE_S7 = {
 }
 
 
+def random_beta_text(rng, n):
+    # cycle notation of a random permutation of degree n, fixed points omitted
+    points = list(range(1, n + 1))
+    rng.shuffle(points)
+    cycles, i = [], 0
+    while i < n:
+        length = rng.randint(1, n - i)
+        cycles.append(points[i : i + length])
+        i += length
+    return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles if len(c) > 1)
+
+
+def reference_count_output(beta_text, n, k, method):
+    # the record as json.dumps(..., sort_keys=True) prints it, from the
+    # library's own values; None where no closed form applies
+    beta = parse_permutation(beta_text, n)
+    if method == "brute":
+        value, provenance = oracle.distribution(beta, max_degree=n)[k], "exhaustive"
+    else:
+        try:
+            value, provenance = formulas.count(beta.cycle_type(), k)
+        except formulas.NoClosedFormError:
+            return None
+    record = {
+        "n": n,
+        "beta": beta.cycle_string(),
+        "k": k,
+        "count": str(value),
+        "method": method,
+        "provenance": provenance,
+    }
+    return json.dumps(record, sort_keys=True) + "\n"
+
+
+def count_requests():
+    # seeded (beta, n, k, method): formula for n <= 30, brute force for n <= 7,
+    # k in 0..5, n, n + 3 and 10**25, and one request of degree 10,000
+    rng = random.Random(25)
+    requests = [("(" + " ".join(map(str, range(1, 10001))) + ")", 10_000, 4, "formula")]
+    while len(requests) < 121:
+        method = rng.choice(["formula", "formula", "brute"])
+        n = rng.randint(1, 7 if method == "brute" else 30)
+        k = rng.choice([0, 1, 2, 3, 4, 5, n, n + 3, 10**25])
+        requests.append((random_beta_text(rng, n), n, k, method))
+    return requests
+
+
+class TestHandWrittenRecords:
+    # count and table/gf write their lines by hand; these pin the bytes to
+    # what json.dumps(sort_keys=True) and csv.writer(lineterminator="\n") give
+
+    def test_count_matches_json_dumps(self, capsys):
+        exits = Counter()
+        for beta_text, n, k, method in count_requests():
+            argv = ["count", "--beta", beta_text, "--n", str(n), "--k", str(k), "--method", method]
+            code, out, err = run_cli(capsys, *argv, "--max-brute-n", "7")
+            want = reference_count_output(beta_text, n, k, method)
+            exits[code] += 1
+            if want is None:
+                assert (code, out) == (2, ""), argv
+            else:
+                assert (code, out, err) == (0, want, ""), argv
+        # both outcomes occur, and most requests print a record
+        assert exits[2] and exits[0] > 60 and set(exits) == {0, 2}, exits
+
+    @pytest.mark.parametrize(
+        "kind, n_maxes",
+        [
+            ("table tkn", (0, 1, 2, 3, 7, 15, 30, 31)),
+            ("table transposition", (0, 1, 2, 3, 7, 15, 30, 31)),
+            ("table fpf", (0, 1, 2, 3, 7, 15, 30, 31)),
+            ("gf tkn", (0, 1, 2, 5, 11, 14, 20, 21)),
+            ("gf fpf", (0, 1, 2, 5, 11, 14, 20, 21)),
+        ],
+    )
+    def test_tables_match_csv_writer(self, capsys, monkeypatch, kind, n_maxes):
+        def csv_writer_rows(header, rows):
+            writer = csv.writer(sys.stdout, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+
+        command, kind = kind.split()
+        for n_max in n_maxes:
+            argv = [command, "--kind", kind, "--n-max", str(n_max)]
+            got = run_cli(capsys, *argv)
+            with monkeypatch.context() as m:
+                m.setattr(cli, "_write_csv", csv_writer_rows)
+                want = run_cli(capsys, *argv)
+            assert got == want, argv
+
+
 class TestTable:
     def test_tkn_row(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--kind", "tkn", "--n-max", "5")
@@ -909,7 +1014,7 @@ class TestColdStart:
             assert "kommute.oracle" in loaded
             assert not loaded & POOL_MODULES, argv
 
-    def test_no_dataclasses_and_only_count_loads_json(self):
+    def test_no_request_loads_dataclasses_json_or_csv(self):
         for argv in [
             "count --beta (1,2,3)(4,5) --n 5 --k 3",
             "count --beta (1,2,3)(4,5) --n 5 --k 3 --method brute",
@@ -921,8 +1026,7 @@ class TestColdStart:
             "enumerate --beta (1,2,3,4,5) --n 5 --k 3 --json",
         ]:
             loaded = self.loaded(argv)
-            assert not loaded & {"dataclasses", "inspect"}, argv
-            assert ("json" in loaded) == argv.startswith("count"), argv
+            assert not loaded & {"dataclasses", "inspect", "json", "csv"}, argv
 
     def test_imports_load_no_dataclasses_json_or_series(self):
         probe = "import sys, kommute.cli, kommute.verify; print(*sorted(sys.modules))"
@@ -932,4 +1036,4 @@ class TestColdStart:
         assert proc.returncode == 0, proc.stderr
         loaded = set(proc.stdout.split())
         assert "kommute.verify" in loaded
-        assert not loaded & {"dataclasses", "inspect", "json", "kommute.series", "fractions"}
+        assert not loaded & {"dataclasses", "inspect", "json", "csv", "kommute.series", "fractions"}

@@ -302,6 +302,13 @@ class TestFilters:
         for prof, count in oracle.count_by_profile(beta, 3).items():
             assert len(oracle.filter_by_profile(beta, prof)) == count
 
+    def test_filter_by_profile_rejects_parts_below_one(self):
+        # the profile is read through blocks.as_profile, the one canonical form
+        beta = parse_permutation("(1 2 3 4)(5 6)", 6)
+        for profile in [(3, 0), (0,), (2, -1)]:
+            with pytest.raises(ValueError, match="profile parts must be positive"):
+                oracle.filter_by_profile(beta, profile)
+
 
 class TestConjugationInvariance:
     def test_distribution_invariant(self):

@@ -13,7 +13,6 @@ from kommute.perm import (
     Permutation,
     all_permutations,
     cycle_pieces,
-    format_permutation,
     lex_parities,
     parse_permutation,
     point_labels,
@@ -387,8 +386,8 @@ class TestParseFormat:
             imgs = list(range(1, 8))
             rng.shuffle(imgs)
             p = Permutation(imgs)
-            for style in ("cycles", "one_line"):
-                assert parse_permutation(format_permutation(p, style), 7) == p
+            for text in (p.cycle_string(), p.one_line_string()):
+                assert parse_permutation(text, 7) == p
 
     def test_point_out_of_range(self):
         with pytest.raises(ParseError, match="out of range"):

@@ -306,6 +306,12 @@ class TestLazyChecks:
             with pytest.raises(ValueError):
                 verify.verification_checks(n_max)
 
+    def test_histogram_ceiling_is_checked_at_call_time(self):
+        # the stream is never advanced: no histogram is built before the refusal
+        ceiling = oracle.HISTOGRAM_MAX_DEGREE
+        with pytest.raises(ValueError, match=f"degree {ceiling + 1} exceeds {ceiling}, the ceiling"):
+            verify.verification_checks(ceiling + 1, max_n=ceiling + 1)
+
     def test_one_step_runs_only_the_first_check(self, monkeypatch):
         def not_yet(*args):
             pytest.fail("a later check ran before the stream reached it")
