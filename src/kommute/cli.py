@@ -137,13 +137,7 @@ def run_count(args) -> int:
     else:
         from . import oracle
 
-        # the library's own range check names its parameters; this one the flags
-        bound = oracle.exhaustive_bound(args.max_brute_n)
-        if args.n > bound:
-            raise ValueError(
-                f"degree {args.n} exceeds the exhaustive bound {bound}; "
-                f"raise it with --max-brute-n or {oracle.ENV_MAX_DEGREE}"
-            )
+        oracle._check_degree(args.n, args.max_brute_n, "--max-brute-n")
         dist = oracle.distribution(beta, max_degree=args.max_brute_n)
         value, provenance = dist[args.k], "exhaustive"
     # the record json.dumps(..., sort_keys=True) prints: cycle notation, the
@@ -227,19 +221,10 @@ def _witness_lines(
 
 
 def run_verify(args) -> int:
-    from . import oracle, verify
+    from . import verify
 
-    # the library's own range check names its parameters; this one the flags
-    bound = oracle.exhaustive_bound(args.max_brute_n)
-    if args.n_max < 2:
-        raise ValueError(f"--n-max must be between 2 and {bound}")
-    if args.n_max > bound:
-        raise ValueError(
-            f"--n-max {args.n_max} exceeds the brute-force cap {bound}; "
-            f"raise it with --max-brute-n or {oracle.ENV_MAX_DEGREE}"
-        )
-    f_override = {5: formulas.successor_free_cycles(5) + 1} if args.corrupt_f else None
-    results = verify.verification_checks(args.n_max, max_n=args.max_brute_n, f_override=f_override)
+    verify._check_n_max(args.n_max, args.max_brute_n, "--n-max", "--max-brute-n")
+    results = verify.verification_checks(args.n_max, args.max_brute_n, args.corrupt_f)
     checks = failed = 0
     # each verdict is flushed as its check finishes, so a reader sees it at
     # once, and one that has closed the pipe ends the run at the next flush

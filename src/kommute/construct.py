@@ -66,15 +66,12 @@ def successor_free_kcycles(k: int) -> Iterator[Permutation]:
     """
     if k < 1:
         raise ValueError("k must be positive")
+    # the cycle (1, *rest) sends each point a to the next one b; only the
+    # taus that pass are built
     for rest in itertools.permutations(range(2, k + 1)):
-        tau = Permutation.from_cycles([(1,) + rest], k)
-        if _successor_free(tau):
-            yield tau
-
-
-def _successor_free(tau: Permutation) -> bool:
-    k = tau.degree
-    return all(tau(a) != a % k + 1 for a in range(1, k + 1))
+        cycle = (1,) + rest
+        if all(b != a % k + 1 for a, b in zip(cycle, rest + (1,))):
+            yield Permutation.from_cycles([cycle], k)
 
 
 class SingleCycleChoice(NamedTuple):

@@ -71,12 +71,13 @@ def exhaustive_bound(max_degree: int | None = None) -> int:
         raise ValueError(f"{ENV_MAX_DEGREE} must be an integer, got {env!r}") from None
 
 
-def _check_degree(n: int, max_degree: int | None) -> None:
+def _check_degree(n: int, max_degree: int | None, knob: str = "max_degree") -> None:
+    # ``knob`` names the cap as the caller's user sets it: a parameter, or a flag
     bound = exhaustive_bound(max_degree)
     if n > bound:
         raise ValueError(
             f"degree {n} exceeds the exhaustive bound {bound}; "
-            f"raise it via {ENV_MAX_DEGREE} or max_degree if you mean it"
+            f"raise it with {knob} or {ENV_MAX_DEGREE}"
         )
 
 

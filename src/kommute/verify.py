@@ -142,7 +142,7 @@ def _walk(beta: Permutation, max_n: int | None) -> _Walk:
     # and also on pairs that fail the characterization: the cycles holding a
     # bad point and those holding an image of one have equal lengths
     n = beta.degree
-    oracle._check_degree(n, max_n)
+    oracle._check_degree(n, max_n, "max_n")
     w = beta.word
     cycles, host = blocks._frame(w)
     points = [frozenset(cycle) for cycle in cycles]
@@ -343,10 +343,22 @@ def _check_egfs(n_max, tkn) -> list[str]:
     return bad
 
 
+def _check_n_max(n_max: int, max_n: int | None, name: str = "n_max", knob: str = "max_n") -> None:
+    # ``name`` and ``knob`` name the degree and the cap as the caller's user
+    # sets them: parameters, or flags
+    bound = oracle.exhaustive_bound(max_n)
+    if n_max < 2:
+        raise ValueError(f"{name} must be between 2 and {bound}")
+    if n_max > bound:
+        raise ValueError(
+            f"{name} {n_max} exceeds the brute-force cap {bound}; "
+            f"raise it with {knob} or {oracle.ENV_MAX_DEGREE}"
+        )
+    oracle._check_histogram_degree(n_max)
+
+
 def verification_checks(
-    n_max: int,
-    max_n: int | None = None,
-    f_override: dict[int, int] | None = None,
+    n_max: int, max_n: int | None = None, corrupt_f: bool = False
 ) -> Iterator[tuple[str, list[str]]]:
     """
     All identity checks as (name, failures) pairs, empty failures = pass,
@@ -354,25 +366,18 @@ def verification_checks(
     (``max_n``, else KOMMUTE_MAX_BRUTE_N, else 8) and not exceed the
     histogram's ceiling ``oracle.HISTOGRAM_MAX_DEGREE``, else ``ValueError``
     at call time; the checks themselves run one at a time as the returned
-    iterator is advanced.  ``f_override`` replaces f(k) in T(k, n), as a
-    negative control.
+    iterator is advanced.  ``corrupt_f`` is a negative control: T(5, n) is
+    computed with f(5) + 1 successor-free 5-cycles, so the checks reading it
+    fail.
 
     >>> [name for name, failures in verification_checks(3) if failures]
     []
     """
-    bound = oracle.exhaustive_bound(max_n)
-    if n_max < 2:
-        raise ValueError(f"n_max must be between 2 and {bound}")
-    if n_max > bound:
-        raise ValueError(
-            f"n_max {n_max} exceeds the brute-force cap {bound}; "
-            f"raise it with max_n or {oracle.ENV_MAX_DEGREE}"
-        )
-    oracle._check_histogram_degree(n_max)
-    return _run_checks(n_max, max_n, f_override)
+    _check_n_max(n_max, max_n)
+    return _run_checks(n_max, max_n, corrupt_f)
 
 
-def _run_checks(n_max, max_n, f_override) -> Iterator[tuple[str, list[str]]]:
+def _run_checks(n_max, max_n, corrupt_f) -> Iterator[tuple[str, list[str]]]:
     # one exhaustive scan per distinct beta, shared by every histogram check
     @functools.lru_cache(maxsize=None)
     def hist(beta: Permutation) -> oracle.KDistribution:
@@ -382,8 +387,8 @@ def _run_checks(n_max, max_n, f_override) -> Iterator[tuple[str, list[str]]]:
     walk = _walks(max_n)
 
     def tkn(k: int, n: int) -> int:
-        if f_override and k in f_override:
-            return n * math.comb(n, k) * f_override[k]
+        if corrupt_f and k == 5:
+            return n * math.comb(n, 5) * (formulas.successor_free_cycles(5) + 1)
         return formulas.count_for_ncycle(k, n)
 
     yield "closed forms k<=4 vs brute force", _check_formula_matrix(n_max, hist)

@@ -70,8 +70,13 @@ class TestCount:
     def test_usage_error_exits_1(self, capsys):
         assert run_cli(capsys, "count", "--beta", "(1 2)")[0] == 1
         assert run_cli(capsys, "nonsense")[0] == 1
+        assert run_cli(
+            capsys, *"count --beta (1,2) --n 4 --k -1 --method brute".split()
+        ) == (1, "", "kommute: error: k must be nonnegative\n")
 
-    def test_brute_bound_exits_1(self, capsys):
+    def test_brute_bound_exits_1(self, capsys, monkeypatch):
+        # the CLI names its flag, the library its parameter
+        monkeypatch.delenv(oracle.ENV_MAX_DEGREE, raising=False)
         code, _, err = run_cli(
             capsys, *"count --beta (1,2) --n 9 --k 3 --method brute".split()
         )
@@ -79,6 +84,11 @@ class TestCount:
         assert err == (
             "kommute: error: degree 9 exceeds the exhaustive bound 8; "
             "raise it with --max-brute-n or KOMMUTE_MAX_BRUTE_N\n"
+        )
+        with pytest.raises(ValueError) as raised:
+            oracle.distribution(Permutation.from_cycles([(1, 2)], 9))
+        assert str(raised.value) == (
+            "degree 9 exceeds the exhaustive bound 8; raise it with max_degree or KOMMUTE_MAX_BRUTE_N"
         )
 
     def test_brute_bound_env_not_an_integer_exits_1(self, capsys, monkeypatch):
@@ -796,6 +806,9 @@ class TestOeis:
 
     def test_count_cap(self, capsys):
         assert run_cli(capsys, "oeis", "--sequence", "A000757", "--count", "501")[0] == 1
+        assert run_cli(capsys, "oeis", "--sequence", "A000757", "--count", "0") == (
+            1, "", "kommute: error: --count must be positive\n"
+        )
 
     @pytest.mark.parametrize(
         "sequence,cap",

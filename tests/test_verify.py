@@ -320,3 +320,141 @@ class TestLazyChecks:
             monkeypatch.setattr(verify, name, not_yet)
         checks = verify.verification_checks(5, max_n=5)
         assert next(checks) == ("closed forms k<=4 vs brute force", [])
+
+
+def plus_one(module, name, at=None):
+    # the patch making ``module.name`` return its value + 1: at every
+    # argument, or only at ``at``
+    exact = getattr(module, name)
+    if at is None:
+        return module, name, lambda *args: exact(*args) + 1
+    return module, name, lambda i: exact(i) + (i == at)
+
+
+def parts_plus_one():
+    exact = formulas.count_k4_parts
+    return formulas, "count_k4_parts", lambda t: {prof: c + 1 for prof, c in exact(t).items()}
+
+
+def first_twice(module, name):
+    # the patch making the pair stream ``module.name`` yield its first pair twice
+    exact = getattr(module, name)
+
+    def twice(*args):
+        pairs = list(exact(*args))
+        return pairs[:1] + pairs
+
+    return module, name, twice
+
+
+def one_more_alpha(k, where=lambda beta: True):
+    # the exact histogram, with one more alpha at distance k for the betas ``where`` picks
+    def hist(beta):
+        dist = oracle.distribution(beta)
+        if not where(beta):
+            return dist
+        return dist._replace(counts={**dist.counts, k: dist[k] + 1})
+
+    return hist
+
+
+def relabeled(beta):
+    return beta != beta.cycle_type().representative()
+
+
+def uneven_walk(beta):
+    # the exact walk, with one more even alpha at each distance
+    w = verify._walk(beta, None)
+    return w._replace(parity=[(even + 1, odd) for even, odd in w.parity])
+
+
+HIST = oracle.distribution
+TKN = formulas.count_for_ncycle
+
+# (the patch, if any; a check on a perturbed source; its first failure
+# line).  At n_max = 4 the EGF check reads f(k) for k <= 6 and a(j) for j
+# <= 4, so f(9) + 1 and a(7) + 1 break only the two series identities
+FAILURE_LINES = [
+    pytest.param(
+        plus_one(formulas, "count_k0"), lambda: verify._check_formula_matrix(4, HIST),
+        "c(0) n=2 type=(2,): 3 != 2", id="c0"),
+    pytest.param(
+        None, lambda: verify._check_formula_matrix(4, one_more_alpha(1)),
+        "c(1)/c(2) nonzero for n=2 type=(2,)", id="c1-c2"),
+    pytest.param(
+        plus_one(formulas, "count_k3"), lambda: verify._check_formula_matrix(4, HIST),
+        "c(3) n=2 type=(2,): 1 != 0", id="c3"),
+    pytest.param(
+        plus_one(formulas, "count_k4"), lambda: verify._check_formula_matrix(4, HIST),
+        "c(4) n=2 type=(2,): 1 != 0", id="c4"),
+    pytest.param(
+        None, lambda: verify._check_formula_matrix(4, one_more_alpha(5)),
+        "counts sum != n! for n=2 type=(2,)", id="n-factorial"),
+    pytest.param(
+        parts_plus_one(), lambda: verify._check_profile_components(4, HIST),
+        "c(4) profile (4,) n=2 type=(2,): 1 != 0", id="profile"),
+    pytest.param(
+        None, lambda: verify._check_profile_components(4, one_more_alpha(4)),
+        "c(4) profile totals n=2 type=(2,)", id="profile-totals"),
+    pytest.param(
+        plus_one(formulas, "transposition_count"), lambda: verify._check_transposition(4, HIST),
+        "transposition n=2 k=0: 3 != 2", id="transposition"),
+    pytest.param(
+        plus_one(formulas, "fpf_involution_count"), lambda: verify._check_fpf(4, HIST),
+        "fpf m=2 k=0: 9 != 8", id="fpf"),
+    pytest.param(
+        None, lambda: verify._check_centralizer_divisibility(4, one_more_alpha(0)),
+        "count not divisible n=2 type=(2,) k=0", id="centralizer"),
+    pytest.param(
+        None, lambda: verify._check_conjugation_invariance(4, one_more_alpha(0, relabeled)),
+        "conjugation changes counts: beta=(1 2 3) tau=(1 2)", id="conjugation"),
+    pytest.param(
+        None, lambda: verify._check_parity_split(4, uneven_walk, HIST),
+        "parity split n=2 type=(2,) k=0: 2/1", id="parity"),
+    pytest.param(
+        first_twice(construct, "single_cycle_pairs"),
+        lambda: verify._check_single_cycle_enumerator(HIST, None),
+        "duplicate choices: beta=(1 2 3 4 5 6) k=3", id="single-cycle-duplicate"),
+    pytest.param(
+        plus_one(formulas, "single_cycle_count"),
+        lambda: verify._check_single_cycle_enumerator(HIST, None),
+        "single-cycle count mismatch: beta=(1 2 3 4 5 6) k=3", id="single-cycle-count"),
+    pytest.param(
+        first_twice(construct, "fpf_pairs"), lambda: verify._check_fpf_enumerator(HIST, None),
+        "duplicate choices: m=2 j=0", id="fpf-duplicate"),
+    pytest.param(
+        plus_one(formulas, "fpf_involution_count"),
+        lambda: verify._check_fpf_enumerator(HIST, None),
+        "fpf count mismatch: m=2 j=0", id="fpf-count"),
+    pytest.param(
+        plus_one(formulas, "fpf_involution_count"), lambda: verify._check_egfs(4, TKN),
+        "fpf EGF (2,0): 8 != 9", id="fpf-egf"),
+    pytest.param(
+        plus_one(formulas, "deranged_matchings", at=7), lambda: verify._check_egfs(4, TKN),
+        "deranged-matching EGF identity fails at order 7", id="deranged-matching-egf"),
+    pytest.param(
+        plus_one(formulas, "successor_free_cycles", at=9), lambda: verify._check_egfs(4, TKN),
+        "successor-free cycle EGF identity fails at order 9", id="successor-free-egf"),
+]
+
+
+class TestFailureLines:
+    # the bytes of verify's FAIL blocks: each check, fed one perturbed
+    # source, reports it first with exactly this line
+    @pytest.mark.parametrize("patch, check, first", FAILURE_LINES)
+    def test_first_failure_line(self, monkeypatch, patch, check, first):
+        if patch:
+            monkeypatch.setattr(*patch)
+        assert check()[0] == first
+
+    # "lonely 1-part" never comes alone: a profile with a 1 and no part
+    # above 1 is all ones, and it sums to k unless k = 0
+    @pytest.mark.parametrize("prof, bad, k, cycles, max_len, bound, want", [
+        ((2,), (0, 1), 3, [(0, 1, 2, 3)], 4, 4, ["profile sum != distance"]),
+        ((1, 1), (0, 2), 2, [(0, 1), (2, 3), (4, 5, 6)], 3, 6,
+         ["all-ones profile", "lonely 1-part"]),
+        ((3,), (0, 1, 2), 3, [(0, 1, 2)], 3, 2, ["distance above support bound"]),
+        ((2, 1), (0, 1, 3), 3, [(0, 1, 2), (3, 4, 5)], 3, 6, ["1 bad point on max cycle"]),
+    ], ids=["sum", "all-ones", "support-bound", "max-cycle"])
+    def test_broken_invariants(self, prof, bad, k, cycles, max_len, bound, want):
+        assert verify._broken_invariants(prof, bad, k, cycles, max_len, bound) == want
