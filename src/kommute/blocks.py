@@ -236,36 +236,30 @@ def _cycle_verdict(
     # of the points of its image blocks (0 for a commuting cycle).  Reads
     # only alpha's images of the cycle and which of its points are bad
     ends = [i for i, p in enumerate(cycle) if p in bad]
-    if not ends:
-        image = [a[p] for p in cycle]
-        if len(image) != host[image[0]] or not _is_block(image, w, host):
-            return None
-        return 0, 0
     # any rotation will do: every condition below is cyclic
     try:
-        runs = _cut(cycle, bad, ends[-1] + 1)
+        runs = _cut(cycle, bad, ends[-1] + 1) if ends else [cycle]
     except ValueError:
         return None
-    ki = len(runs)
-    if ki != len(ends):
-        return None
     images = [[a[p] for p in run] for run in runs]
-    if ki == 1:
-        first = images[0]
-        if len(first) >= host[first[0]] or not _is_block(first, w, host):
+    # every image run is a block, and a lone one is improper exactly when
+    # the cycle has no bad point
+    if not all(_is_block(b, w, host) for b in images):
+        return None
+    if len(images) == 1 and (len(images[0]) == host[images[0][0]]) == bool(ends):
+        return None
+    # x and y are blocks, so x + y is one iff beta takes the end of x to
+    # the start of y and x + y fits in the host cycle; a lone block, proper
+    # or whole, never merges with itself
+    for x, y in zip(images[-1:] + images[:-1], images):
+        if w[x[-1]] == y[0] and len(x) + len(y) <= host[x[0]]:
             return None
-    else:
-        if not all(_is_block(b, w, host) for b in images):
-            return None
-        # x and y are blocks, so x + y is one iff beta takes the end of
-        # x to the start of y and x + y fits in the host cycle
-        for x, y in zip(images[-1:] + images[:-1], images):
-            if w[x[-1]] == y[0] and len(x) + len(y) <= host[x[0]]:
-                return None
+    if not ends:
+        return 0, 0
     # a sum of distinct powers of two has one bit per term: fewer bits
     # mean a repeated point
     points = [p for b in images for p in b]
     mask = sum([1 << p for p in points])
     if mask.bit_count() != len(points):
         return None
-    return ki, mask
+    return len(runs), mask

@@ -16,20 +16,19 @@ formula, and the generated set equals the brute-force filter at small
 degree (both facts are exercised by the test suite).
 
 Each construction is one loop kernel, which yields every choice tuple
-without its outer index together with the zero-based one-line words of
-the commuting outer maps, in outer-index order.  ``single_cycle_words``
-and ``fpf_words`` flatten it into words, which is all ``kommute
-enumerate`` needs; ``single_cycle_pairs`` and ``fpf_pairs`` add the outer
-index and build each ``Permutation``.  A word is a bijection because its
-image row (or fpf inner assignment) hits exactly the target points and its
-outer map exactly the other points; the kernel checks each row once and
-each outer map once per (source, target) pair, raising ``ValueError``
+without its outer index together with the zero-based one-line words of the
+commuting outer maps, in outer-index order.  ``single_cycle_words`` and
+``fpf_words`` flatten it into the words that ``kommute enumerate`` and
+``kommute verify`` read; ``single_cycle_pairs`` and ``fpf_pairs`` add the
+outer index and build each ``Permutation``.  A word is a bijection because
+its image row (or fpf inner assignment) hits exactly the target points and
+its outer map exactly the other points; the kernel checks each row once
+and each outer map once per (source, target) pair, raising ``ValueError``
 (not an assert, so ``python -O`` keeps it) before any word of the group.
 
 Indexing convention: the kernels work on zero-based points, read from
 ``word_cycles`` of beta's word; ``single_cycle_pairs`` and ``fpf_pairs``
-lift each part of a choice prefix to 1-based points once, when the kernel
-hands over a new one, at their edge.
+lift each group's choice prefix to 1-based points once, at their edge.
 """
 
 from __future__ import annotations
@@ -220,12 +219,8 @@ def single_cycle_pairs(
     choice -> permutation is injective, so consuming this stream counts
     the construction.
     """
-    last = None
     for (source, target, points, tau, start), words in _single_cycle_groups(beta, k):
-        # the kernel hands over one points tuple for all its taus and starts
-        if points is not last:
-            last, lifted = points, tuple(p + 1 for p in points)
-        prefix = (source, target, lifted, tau, start + 1)
+        prefix = (source, target, tuple(p + 1 for p in points), tau, start + 1)
         for oi, word in enumerate(words):
             yield SingleCycleChoice(*prefix, oi), Permutation._from_word(word)
 
@@ -303,15 +298,9 @@ def fpf_pairs(beta: Permutation, j: int) -> Iterator[tuple[tuple, Permutation]]:
     the source couples onto a matching of the target points that avoids
     every target couple, and extend by a commuting bijection elsewhere.
     """
-    last_matching = last_assigned = None
     for (sources, targets, matching, assigned, orient), words in _fpf_groups(beta, j):
-        # the kernel hands over one matching for all its assignments, and one
-        # assignment, made of the matching's pairs, for all its orientations
-        if matching is not last_matching:
-            last_matching, up = matching, {(u, v): (u + 1, v + 1) for u, v in matching}
-            lifted_matching = tuple(up.values())
-        if assigned is not last_assigned:
-            last_assigned, lifted = assigned, tuple(map(up.__getitem__, assigned))
+        lifted_matching = tuple((u + 1, v + 1) for u, v in matching)
+        lifted = tuple((u + 1, v + 1) for u, v in assigned)
         prefix = (sources, targets, lifted_matching, lifted, orient)
         for oi, word in enumerate(words):
             yield (*prefix, oi), Permutation._from_word(word)

@@ -5,12 +5,12 @@ small degree.
 
 Two exhaustive sources serve the checks, each memoised for one run.
 ``oracle.distribution`` gives each distinct beta's histogram and profile
-counts from its conjugacy class; the enumerators are compared with these
-too.  ``_walk`` walks S_n once per beta over ``oracle._scan``'s zero-based
-words and serves everything that needs each alpha: the block
-characterization and its profile invariants, the image cycle census and
-the even/odd split at each distance.  The walk builds no Permutation
-unless a pair fails.
+counts from its conjugacy class; the enumerator checks compare these with
+``construct``'s word streams, which ``kommute enumerate`` prints.
+``_walk`` walks S_n once per beta over ``oracle._scan``'s zero-based words
+and serves everything that needs each alpha: the block characterization
+and its profile invariants, the image cycle census and the even/odd split
+at each distance.  The walk builds no Permutation unless a pair fails.
 
 ``verification_checks`` checks its arguments when called and returns a
 lazy stream of (name, failures) pairs: each check runs only when the
@@ -285,7 +285,7 @@ def _check_single_cycle_enumerator(hist, max_n) -> list[str]:
     for beta in [beta for beta in cases if beta.degree <= bound]:
         profiles = hist(beta).profiles
         for k in (3, 4, 5):
-            got = Counter(alpha for _, alpha in construct.single_cycle_pairs(beta, k))
+            got = Counter(map(Permutation._from_word, construct.single_cycle_words(beta, k)))
             if got.total() != len(got):
                 bad.append(f"duplicate choices: beta={beta} k={k}")
             if len(got) != profiles[(k,)] or any(
@@ -305,7 +305,7 @@ def _check_fpf_enumerator(hist, max_n) -> list[str]:
         beta = CycleType.from_parts([2] * m).representative()
         dist = hist(beta)
         for j in range(m + 1):
-            got = Counter(alpha for _, alpha in construct.fpf_pairs(beta, j))
+            got = Counter(map(Permutation._from_word, construct.fpf_words(beta, j)))
             if got.total() != len(got):
                 bad.append(f"duplicate choices: m={m} j={j}")
             if len(got) != dist[2 * j] or any(

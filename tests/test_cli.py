@@ -510,6 +510,7 @@ class TestVerify:
         names = [name for name, failures in results if not failures]
         assert len(names) == 13
         assert alphas == 2 * 2 + 6 * 3 + 24 * 5 + 120 * 7 + 720 * 11 == 8902
+        assert len(calls) == 4  # one beta per single-cycle case
         assert sum(calls.values()) == sum(
             formulas.single_cycle_count(beta.cycle_type(), k)
             for beta in calls for k in (3, 4, 5)
@@ -561,8 +562,8 @@ class TestVerify:
         assert (code, out.splitlines()[-1]) == (0, "13/13 checks passed (n_max=4)")
 
     def test_repeating_fpf_stream_fails_verify(self, monkeypatch):
-        pairs = construct.fpf_pairs
-        monkeypatch.setattr(construct, "fpf_pairs", lambda beta, j: [*pairs(beta, j)] * 2)
+        words = construct.fpf_words
+        monkeypatch.setattr(construct, "fpf_words", lambda beta, j: [*words(beta, j)] * 2)
         assert "duplicate choices: m=2 j=2" in verify._check_fpf_enumerator(oracle.distribution, None)
 
 

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from kommute import blocks, construct, formulas, oracle, verify
-from kommute.perm import CycleType, Permutation, word_is_even
+from kommute.perm import CycleType, word_is_even
 
 
 def per_pair_check_pairs(n_max, max_n):
@@ -190,6 +190,17 @@ class TestEnumeratorChecks:
         assert verify._check_fpf_enumerator(oracle.distribution, None) == []
         assert not scans
 
+    def test_verify_reads_no_pair_stream(self, monkeypatch):
+        # the checks read the word streams that enumerate prints; the pair
+        # streams are the paper's parameterization for library callers
+        def refused(beta, k):
+            raise AssertionError("verify read a pair stream")
+
+        monkeypatch.setattr(construct, "single_cycle_pairs", refused)
+        monkeypatch.setattr(construct, "fpf_pairs", refused)
+        results = list(verify.verification_checks(6, max_n=6))
+        assert len(results) == 13 and not any(failures for _, failures in results)
+
     def test_a_missing_alpha_is_reported(self):
         # the histogram is one short on profile (3,) for each beta, and
         # every single-cycle case has some
@@ -206,15 +217,15 @@ class TestEnumeratorChecks:
     def test_a_foreign_alpha_is_reported(self, monkeypatch):
         # as many alphas as the bucket holds, no repeats, but one of another
         # profile: the set differs though the counts agree
-        pairs = construct.single_cycle_pairs
+        words = construct.single_cycle_words
 
         def swapping(beta, k):
-            found = list(pairs(beta, k))
+            found = list(words(beta, k))
             if k == 4 and found:
-                found[0] = (found[0][0], Permutation.identity(beta.degree))
+                found[0] = tuple(range(beta.degree))
             return found
 
-        monkeypatch.setattr(construct, "single_cycle_pairs", swapping)
+        monkeypatch.setattr(construct, "single_cycle_words", swapping)
         failures = verify._check_single_cycle_enumerator(oracle.distribution, None)
         assert failures == [
             "single-cycle set mismatch: beta=(1 2 3 4 5 6) k=4",
@@ -223,15 +234,15 @@ class TestEnumeratorChecks:
         ]
 
     def test_an_fpf_alpha_at_another_distance_is_reported(self, monkeypatch):
-        pairs = construct.fpf_pairs
+        words = construct.fpf_words
 
         def swapping(beta, j):
-            found = list(pairs(beta, j))
+            found = list(words(beta, j))
             if j == 2:
-                found[0] = (found[0][0], Permutation.identity(beta.degree))
+                found[0] = tuple(range(beta.degree))
             return found
 
-        monkeypatch.setattr(construct, "fpf_pairs", swapping)
+        monkeypatch.setattr(construct, "fpf_words", swapping)
         failures = verify._check_fpf_enumerator(oracle.distribution, None)
         assert failures == ["fpf set mismatch: m=2 j=2", "fpf set mismatch: m=3 j=2"]
 
@@ -337,12 +348,12 @@ def parts_plus_one():
 
 
 def first_twice(module, name):
-    # the patch making the pair stream ``module.name`` yield its first pair twice
+    # the patch making the stream ``module.name`` yield its first item twice
     exact = getattr(module, name)
 
     def twice(*args):
-        pairs = list(exact(*args))
-        return pairs[:1] + pairs
+        items = list(exact(*args))
+        return items[:1] + items
 
     return module, name, twice
 
@@ -412,7 +423,7 @@ FAILURE_LINES = [
         None, lambda: verify._check_parity_split(4, uneven_walk, HIST),
         "parity split n=2 type=(2,) k=0: 2/1", id="parity"),
     pytest.param(
-        first_twice(construct, "single_cycle_pairs"),
+        first_twice(construct, "single_cycle_words"),
         lambda: verify._check_single_cycle_enumerator(HIST, None),
         "duplicate choices: beta=(1 2 3 4 5 6) k=3", id="single-cycle-duplicate"),
     pytest.param(
@@ -420,7 +431,7 @@ FAILURE_LINES = [
         lambda: verify._check_single_cycle_enumerator(HIST, None),
         "single-cycle count mismatch: beta=(1 2 3 4 5 6) k=3", id="single-cycle-count"),
     pytest.param(
-        first_twice(construct, "fpf_pairs"), lambda: verify._check_fpf_enumerator(HIST, None),
+        first_twice(construct, "fpf_words"), lambda: verify._check_fpf_enumerator(HIST, None),
         "duplicate choices: m=2 j=0", id="fpf-duplicate"),
     pytest.param(
         plus_one(formulas, "fpf_involution_count"),
