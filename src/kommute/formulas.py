@@ -39,14 +39,27 @@ class FormulaResult(NamedTuple("FormulaResult", [("value", int), ("provenance", 
         return super().__new__(cls, value, provenance)
 
 
+# the last index whose term _term keeps: past every index the oeis caps
+# reach (A000757 and A053871 to 499, A233440 to 62), while a term far past
+# it, f(10000) of 118,444 bits, costs no cached list of every term below it
+_LAST_CACHED = 500
+
+
 def _term(
     terms: list[int], k: int, step: Callable[[int, Sequence[int]], int]
 ) -> int:
-    # term k of the recurrence a(n) = step(n, [..., a(n-2), a(n-1)]) whose
-    # first terms are `terms`; extends `terms` in place, without recursion
-    while len(terms) <= k:
+    # term k of the recurrence a(n) = step(n, [..., a(n-3), a(n-2), a(n-1)])
+    # whose first terms (three or more) are `terms`; extends `terms` in place
+    # up to _LAST_CACHED, without recursion, and rolls any later term from
+    # the last three cached ones, keeping nothing
+    while len(terms) <= min(k, _LAST_CACHED):
         terms.append(step(len(terms), terms))
-    return terms[k]
+    if k < len(terms):
+        return terms[k]
+    window = terms[-3:]
+    for n in range(len(terms), k + 1):
+        window = [window[1], window[2], step(n, window)]
+    return window[2]
 
 
 _SUCCESSOR_FREE = [1, 0, 0, 1]

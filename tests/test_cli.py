@@ -2,6 +2,8 @@ import contextlib
 import csv
 import functools
 import hashlib
+import io
+import itertools
 import json
 import math
 import os
@@ -11,6 +13,7 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -821,6 +824,154 @@ class TestOeis:
         assert (code, out, err) == (1, "", f"kommute: error: at most {cap} terms\n")
 
 
+# -- the option table and its two parsers ------------------------------------
+
+
+def argparse_vars(argv):
+    # what argparse parses argv to, or None where it exits (help or a usage error)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def option_words(flag, keywords, second=False):
+    # one option given once, with a valid value (another one when second)
+    if "action" in keywords:
+        return [flag]
+    if "choices" in keywords:
+        value = keywords["choices"][-1 if second else 0]
+    elif keywords.get("type") is int:
+        value = "5" if second else "3"
+    else:
+        value = "(1 2)(3 4)" if second else "(1,2,3)"
+    return [flag, value]
+
+
+def command_lines(command):
+    # (argv, whether the direct parser must take it) for one subcommand:
+    # every order of its options, with and without each optional one, then
+    # the table-order line changed in each way argparse alone may answer
+    options = cli._COMMANDS[command][1]
+    required = [f for f, kw in options.items() if kw.get("required")]
+    optional = [f for f in options if f not in required]
+    for r in range(len(optional) + 1):
+        for extra in itertools.combinations(optional, r):
+            for order in itertools.permutations(required + list(extra)):
+                words = [w for f in order for w in option_words(f, options[f])]
+                yield [command, *words], True
+    words = {f: option_words(f, kw) for f, kw in options.items()}
+    line = [w for f in options for w in words[f]]
+
+    def replaced(flag, new):
+        return [command] + [w for f in options for w in (new if f == flag else words[f])]
+
+    for flag, keywords in options.items():
+        yield [command, *line, *option_words(flag, keywords, second=True)], True
+        yield [command, *line, *words[flag]], True
+        if len(flag) > 3:
+            yield replaced(flag, [flag[:-1], *words[flag][1:]]), False
+        if "action" not in keywords:
+            yield replaced(flag, [f"{flag}={words[flag][1]}"]), False
+            yield replaced(flag, [flag]), False
+            # only a plain string option takes a value that is no int or choice
+            plain = keywords.get("type") is not int and "choices" not in keywords
+            for value in ("-1", "-x", "-", "--", "--beta", "", "nope", "1.5"):
+                yield replaced(flag, [flag, value]), plain and not value.startswith("-")
+            if keywords.get("type") is int:
+                for good in (" 3", "+3", "1_0", "٣", "007"):
+                    yield replaced(flag, [flag, good]), True
+        if keywords.get("required"):
+            yield replaced(flag, []), False
+    for i in range(1, len(line) + 2):
+        for word in ("-h", "--help", "--", "--bogus", "extra", "-x"):
+            yield [command, *line[: i - 1], word, *line[i - 1 :]], False
+    yield ["-h", command, *line], False
+    yield ["--", command, *line], False
+
+
+class TestDirectParser:
+    # the direct parser returns argparse's namespace or declines, and every
+    # plain command line, perfbench's among them, takes it
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_agrees_with_argparse(self, command):
+        direct = 0
+        for argv, must_parse in command_lines(command):
+            got = cli._direct_args(argv)
+            if got is not None:
+                direct += 1
+                assert vars(got) == argparse_vars(argv), argv
+            assert (got is not None) == must_parse, argv
+        assert direct > 0
+
+    def test_lines_without_a_subcommand_go_to_argparse(self):
+        for argv in ([], ["--help"], ["-h"], ["nonsense"], ["--beta", "(1,2)"], ["COUNT"]):
+            assert cli._direct_args(argv) is None, argv
+
+    def test_every_benchmark_request_parses_directly(self, monkeypatch):
+        # the decks are read from perfbench/workloads.py, which stays as it is
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import workloads
+
+        argvs = [workloads.WARMUP[w] for w in workloads.WORKLOADS]
+        for workload in workloads.WORKLOADS:
+            for deck in itertools.islice(workloads.decks(workload, 1), 2):
+                argvs += [request.argv for request in deck]
+        assert len(argvs) > 100
+        for argv in argvs:
+            got = cli._direct_args(list(argv))
+            assert got is not None, argv
+            assert vars(got) == argparse_vars(list(argv)), argv
+
+    def test_reads_sys_argv_without_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["kommute", "count", "--beta", "(1 2)", "--n", "4", "--k", "3"])
+        assert cli.main() == 0
+        assert json.loads(capsys.readouterr().out)["count"] == "16"
+
+    # `kommute --help` and `kommute count --help` at 80 columns, as argparse
+    # prints them on Python 3.10 and 3.11
+    HELP = {
+        (): """\
+usage: kommute [-h] {count,enumerate,verify,table,gf,oeis} ...
+
+permutations at a given Hamming commutation distance
+
+positional arguments:
+  {count,enumerate,verify,table,gf,oeis}
+    count               count permutations at distance k from beta
+    enumerate           stream constructively built witnesses
+    verify              run every identity check and report pass/fail
+    table               CSV table of closed-form counts
+    gf                  CSV of generating-function coefficients
+    oeis                terms of a related OEIS sequence, one per line
+
+options:
+  -h, --help            show this help message and exit
+""",
+        ("count",): """\
+usage: kommute count [-h] --beta BETA --n N --k K [--method {formula,brute}]
+                     [--jobs JOBS] [--max-brute-n MAX_BRUTE_N]
+
+options:
+  -h, --help            show this help message and exit
+  --beta BETA           cycle notation, e.g. '(1 2)(3 4 5)'
+  --n N                 degree of beta
+  --k K                 commutation distance
+  --method {formula,brute}
+  --jobs JOBS           ignored; brute force runs in one process
+  --max-brute-n MAX_BRUTE_N
+                        raise the brute-force degree cap
+""",
+    }
+
+    @pytest.mark.parametrize("command", list(HELP))
+    def test_help_text(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run_cli(capsys, *command, "--help") == (0, self.HELP[command], "")
+
+
 def child_env(**extra):
     # a child interpreter imports the kommute this process imported, also
     # when pytest found it through its own pythonpath setting
@@ -1040,7 +1191,24 @@ class TestColdStart:
             "enumerate --beta (1,2,3,4,5) --n 5 --k 3 --json",
         ]:
             loaded = self.loaded(argv)
-            assert not loaded & {"dataclasses", "inspect", "json", "csv"}, argv
+            assert not loaded & {"dataclasses", "inspect", "json", "csv", "argparse", "gettext"}, argv
+
+    def test_a_usage_error_loads_argparse(self):
+        # argparse parses and reports what the direct parser declines
+        proc = subprocess.run(
+            [sys.executable, "-c", MODULES_PROBE, "count", "--beta", "(1,2)"],
+            capture_output=True,
+            text=True,
+            env=child_env(COLUMNS="80"),
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "usage: kommute count [-h] --beta BETA --n N --k K [--method {formula,brute}]\n"
+            "                     [--jobs JOBS] [--max-brute-n MAX_BRUTE_N]\n"
+            "kommute count: error: the following arguments are required: --n, --k\n"
+        )
+        assert "argparse" in json.loads(proc.stdout)
 
     def test_imports_load_no_dataclasses_json_or_series(self):
         probe = "import sys, kommute.cli, kommute.verify; print(*sorted(sys.modules))"
@@ -1050,4 +1218,6 @@ class TestColdStart:
         assert proc.returncode == 0, proc.stderr
         loaded = set(proc.stdout.split())
         assert "kommute.verify" in loaded
-        assert not loaded & {"dataclasses", "inspect", "json", "csv", "kommute.series", "fractions"}
+        assert not loaded & {
+            "dataclasses", "inspect", "json", "csv", "kommute.series", "fractions", "argparse", "gettext"
+        }

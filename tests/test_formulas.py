@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -148,6 +149,47 @@ class TestDerangedMatchings:
     def test_known_values(self):
         got = [formulas.deranged_matchings(j) for j in range(6)]
         assert got == [1, 0, 2, 8, 60, 544]
+
+
+def recurrence_term(first, step, k):
+    # term k of a(n) = step(n, a) from a list of every term before it
+    a = list(first)
+    while len(a) <= k:
+        a.append(step(len(a), a))
+    return a[k]
+
+
+def reference_f(k):
+    def step(n, a):
+        return (n - 3) * a[n - 1] + (n - 2) * (2 * a[n - 2] + a[n - 3])
+
+    return recurrence_term([1, 0, 0, 1], step, k)
+
+
+def reference_a(j):
+    return recurrence_term([1, 0], lambda n, a: 2 * (n - 1) * (a[n - 1] + a[n - 2]), j)
+
+
+class TestRecurrenceCache:
+    # the terms past the cached ones roll from its tail and are not kept
+
+    def test_terms_past_the_cache_equal_the_whole_recurrence(self):
+        last = formulas._LAST_CACHED
+        for k in (last - 1, last, last + 1, last + 2, last + 3, 3000, 10000):
+            assert formulas.successor_free_cycles(k) == reference_f(k), k
+        for j in (last, last + 1, last + 2, 5000):
+            assert formulas.deranged_matchings(j) == reference_a(j), j
+        assert len(formulas._SUCCESSOR_FREE) == len(formulas._DERANGED_MATCHINGS) == last + 1
+
+    def test_a_far_term_holds_little_memory(self):
+        # every term up to f(10000) held 71 MB
+        tracemalloc.start()
+        try:
+            formulas.successor_free_cycles(10000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
 
 
 class TestSmallDistances:
