@@ -198,18 +198,11 @@ def verify_characterization(alpha: Permutation, beta: Permutation) -> bool:
     True on all inputs; any False indicates an implementation bug.
     """
     alpha._check_degree(beta)
-    w = beta.word
+    a, w = alpha.word, beta.word
+    cycles, host = _frame(w)
     bad = frozenset(p - 1 for p in bad_points(alpha, beta))
-    return _characterized(alpha.word, w, _frame(w), bad, alpha.commute_distance(beta))
-
-
-def _characterized(
-    a: tuple[int, ...], w: tuple[int, ...], frame: _Frame, bad: frozenset[int], k: int
-) -> bool:
-    # ``verify_characterization`` on the words of alpha and beta, with beta's
-    # frame, the zero-based bad points and the commutation distance k given
-    cycles, host = frame
-    return _fold((_cycle_verdict(a, cycle, bad, w, host) for cycle in cycles), k)
+    verdicts = (_cycle_verdict(a, cycle, bad, w, host) for cycle in cycles)
+    return _fold(verdicts, alpha.commute_distance(beta))
 
 
 def _fold(verdicts: Iterable[tuple[int, int] | None], k: int) -> bool:

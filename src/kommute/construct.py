@@ -5,8 +5,9 @@ Two cases admit a duplicate-free parameterization:
 
 * all bad points inside one cycle of beta (any distance k >= 3), built by
   choosing a source and a target cycle of equal length, k points of the
-  target, a successor-free k-cycle arranging the blocks, a starting point
-  for the domain row and a commuting map on the complement;
+  target, a successor-free k-cycle whose cycle, read from k, orders the
+  blocks, a starting point for the domain row and a commuting map on the
+  complement;
 * beta a fixed-point-free involution (distance 2j), built by re-pairing
   the points of j target 2-cycles so that no original couple survives.
 
@@ -39,23 +40,6 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .blocks import _cut
 from .perm import Permutation, word_cycles
-
-
-def canonical_cycle_word(p: Permutation) -> tuple[int, ...]:
-    """
-    Flatten the max-first canonical cycle notation: each cycle written with
-    its largest point first, cycles sorted by first point, parentheses
-    dropped.  A bijection from S_n onto one-line words.
-
-    >>> canonical_cycle_word(Permutation.from_cycles([(4, 3, 1), (6, 5), (7, 2)], 7))
-    (4, 3, 1, 6, 5, 7, 2)
-    """
-    rotated = []
-    for cycle in p.cycles():
-        i = cycle.index(max(cycle))
-        rotated.append(cycle[i:] + cycle[:i])
-    rotated.sort(key=lambda c: c[0])
-    return tuple(point for cycle in rotated for point in cycle)
 
 
 def successor_free_kcycles(k: int) -> Iterator[Permutation]:
@@ -180,8 +164,8 @@ def _single_cycle_groups(beta: Permutation, k: int) -> _Groups:
     # over the (k-1)! k-cycles would be wasted; with one, each of the f(k)
     # taus kept (about (k-1)!/e) gives a witness, so the output bounds the walk
     taus = list(successor_free_kcycles(k)) if any(len(c) >= k for c in cycles) else []
-    # the order in which each tau arranges the blocks
-    orders = [canonical_cycle_word(tau) for tau in taus]
+    # the order in which each tau arranges the blocks: its cycle read from k
+    orders = [c[c.index(k) :] + c[: c.index(k)] for c in (t.cycles()[0] for t in taus)]
     for source, cycle_from in enumerate(cycles):
         m = len(cycle_from)
         if m < k:

@@ -206,8 +206,10 @@ def distribution(
     """
     The full histogram {k: #alpha at commutation distance k from beta} and
     the profile counts {profile: #alpha}, computed exhaustively from beta's
-    conjugacy class in this process.  ``jobs`` is accepted for old callers
-    and ignored.
+    conjugacy class in this process.  ``jobs`` is ignored; its one caller
+    is the ``JOBS_PROBE`` in ``perfbench/run.py``, which ``--trace 1`` and
+    the CI step "perfbench answers under its tracer" run, so the keyword
+    goes together with that probe (ROADMAP item 5), not before it.
 
     >>> {p: c for p, c in distribution(
     ...     Permutation.from_cycles([(1, 2, 3), (4, 5)], 5)

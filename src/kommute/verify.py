@@ -138,9 +138,9 @@ def _walk(beta: Permutation, max_n: int | None) -> _Walk:
     # decided once per (cycle, alpha's images on it, its bad points), a key
     # shared by many pairs, and the verdicts go through ``blocks._fold``.
     # A bad set's split over the cycles and its profile are found once, the
-    # profile invariants once per (bad points, distance).  Census, on n <= 5
-    # and also on pairs that fail the characterization: the cycles holding a
-    # bad point and those holding an image of one have equal lengths
+    # profile invariants once per (bad points, distance).  Census, on every
+    # pair with n <= 5, with no memo (one saved nothing): the cycles holding
+    # a bad point and those holding an image of one have equal lengths
     n = beta.degree
     oracle._check_degree(n, max_n, "max_n")
     w = beta.word
@@ -156,19 +156,14 @@ def _walk(beta: Permutation, max_n: int | None) -> _Walk:
     tally = [0] * (2 * n + 2)  # alphas at distance k: even at 2k, odd at 2k + 1
     # bad -> ((cycle, get, memo, its bad points), profile, {k: broken invariants})
     bad_sets: dict = {}
-    census: dict = {}
     block_bad, census_bad = [], []
     for is_odd, (bad, a) in zip(odd, oracle._scan(w)):
         entry = bad_sets.get(bad)
         if entry is None:
             split = list(zip(cycles, gets, memos, [s.intersection(bad) for s in points]))
             entry = bad_sets[bad] = (split, blocks._profile(bad, cycles), {})
-        if n <= 5:
-            key = bad, tuple(map(a.__getitem__, bad))
-            if key not in census:
-                census[key] = _touched(bad, cycles) == _touched(key[1], cycles)
-            if not census[key]:
-                census_bad.append(f"image census: alpha={Permutation._from_word(a)} beta={beta}")
+        if n <= 5 and _touched(bad, cycles) != _touched(map(a.__getitem__, bad), cycles):
+            census_bad.append(f"image census: alpha={Permutation._from_word(a)} beta={beta}")
         k = 0
         verdicts = []
         for cycle, get, memo, part in entry[0]:

@@ -242,14 +242,16 @@ class TestVerifyCharacterization:
         for n in range(2, 6):
             perms = list(all_permutations(n))
             for b in perms:
-                frame = blocks._frame(b.word)
+                cycles, host = blocks._frame(b.word)
                 for a in perms:
                     bad = frozenset(p - 1 for p in blocks.bad_points(a, b))
                     for p in set(range(n)) - bad:
                         cases += 1
-                        assert not blocks._characterized(
-                            a.word, b.word, frame, bad | {p}, len(bad) + 1
-                        ), (a, b, p)
+                        verdicts = (
+                            blocks._cycle_verdict(a.word, c, bad | {p}, b.word, host)
+                            for c in cycles
+                        )
+                        assert not blocks._fold(verdicts, len(bad) + 1), (a, b, p)
         assert cases == 18830
 
     def test_cycle_verdict_is_local_to_the_cycle(self):

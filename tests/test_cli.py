@@ -294,6 +294,16 @@ class TestWitnessPrinter:
             assert run_cli(capsys, "enumerate", *argv) == want, argv
         assert list(cli._sorted_words(iter(()), 300)) == []
 
+    def test_an_entry_above_255_fails_before_any_line(self, capsys, monkeypatch):
+        # the fail-safe behind the byte keys: a word with an entry >= 256
+        # raises before any word is yielded, so no wrong line is printed
+        word = tuple(range(257))[::-1]
+        with pytest.raises(ValueError, match=r"^byte must be in range\(0, 256\)$"):
+            next(cli._sorted_words(iter([word]), 257))
+        monkeypatch.setattr(construct, "single_cycle_words", lambda beta, k: iter([word]))
+        argv = ["enumerate", "--beta", "(1 2 3)", "--n", "257", "--k", "4"]
+        assert run_cli(capsys, *argv) == (1, "", "kommute: error: byte must be in range(0, 256)\n")
+
     def test_bytes_and_tuple_keys_sort_alike(self):
         beta = parse_permutation("(1 2 3 4 5 6)", 6)
         witnesses = list(all_permutations(6))

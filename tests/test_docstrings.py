@@ -1,16 +1,17 @@
 import ast
 import doctest
+import shlex
 from pathlib import Path
 
 import pytest
 
-from kommute import blocks, construct, formulas, oracle, perm, series, verify
+from kommute import blocks, cli, construct, formulas, oracle, perm, series, verify
 
 
 @pytest.mark.parametrize(
     "module,examples",
     [
-        (perm, 11), (blocks, 6), (construct, 1), (formulas, 2), (oracle, 3), (series, 0),
+        (perm, 11), (blocks, 6), (construct, 0), (formulas, 2), (oracle, 3), (series, 0),
         (verify, 1),
     ],
 )
@@ -56,3 +57,18 @@ def test_readme_library_block():
     name, failures = next(values["verify.verification_checks(6)"])
     assert (name, failures) == ("closed forms k<=4 vs brute force", [])
     assert len(values) == 10
+
+
+def test_readme_cli_block(capsys):
+    # run each command line of the README's CLI block in process; the first
+    # one's output starts with the record its comment shows, up to the ...
+    text = README.read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("kommute ")]
+    outputs = []
+    for line in lines:
+        assert cli.main(shlex.split(line, comments=True)[1:]) == 0, line
+        outputs.append(capsys.readouterr().out)
+    assert len(lines) == 11
+    shown = block.split(lines[0] + "\n# ", 1)[1].split("...", 1)[0]
+    assert outputs[0].startswith(shown)

@@ -1,6 +1,10 @@
-"""Every module of the package and of its tests uses each name it imports."""
+"""
+Every module of the package and of its tests uses each name it imports, and
+something reads each name the package defines.
+"""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -89,3 +93,57 @@ def test_every_private_name_is_read():
     toy = {"a": "def _used(): ...\ndef _unused(): _used()\n_K, _L = 1, 2\nx = _K\n",
            "b": "from a import _L\n"}
     assert unread_private_names(toy) == {"a._unused"}
+
+
+def _reads(node: ast.AST, strings: bool = False) -> set[str]:
+    # the names ``node`` reads: loaded names, attributes and imports, and
+    # with ``strings`` every string constant too (perfbench's tracer names
+    # the functions it wraps in strings)
+    names = set()
+    for part in ast.walk(node):
+        if isinstance(part, ast.Name) and isinstance(part.ctx, ast.Load):
+            names.add(part.id)
+        elif isinstance(part, ast.Attribute):
+            names.add(part.attr)
+        elif isinstance(part, ast.ImportFrom):
+            names.update(a.name for a in part.names)
+        elif strings and isinstance(part, ast.Constant) and isinstance(part.value, str):
+            names.add(part.value)
+    return names
+
+
+def unread_public_names(sources: dict[str, str], readers: list[str], text: str) -> set[str]:
+    """
+    The top-level public functions and classes of the modules in
+    ``sources``, {module: source}, that nothing reads outside their own
+    body: no other statement of any of those modules, no source in
+    ``readers`` (strings included) and no word of ``text``.
+    """
+    statements = [(m, node) for m, source in sources.items() for node in ast.parse(source).body]
+    outside = set(re.findall(r"\w+", text)).union(
+        *(_reads(ast.parse(source), strings=True) for source in readers)
+    )
+    unread = set()
+    for module, node in statements:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if node.name[:1] == "_" or node.name in outside:
+            continue
+        if not any(node.name in _reads(other) for _, other in statements if other is not node):
+            unread.add(f"{module}.{node.name}")
+    return unread
+
+
+def test_every_public_name_is_read():
+    # a public function or class that neither the package, the README, the
+    # acceptance suite nor the benchmark reads is code nothing needs;
+    # blocks.is_block stays, the paper's block predicate that test_blocks tests
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    root = TESTS.parent
+    readers = [p.read_text() for p in [TESTS / "test_acceptance.py", *root.glob("perfbench/*.py")]]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    assert unread_public_names(sources, readers, readme) == {"blocks.is_block"}
+    toy = {"a": "def used(): ...\ndef unread(): unread()\nclass C: ...\ndef _p(): C(used())\n",
+           "b": "def wrapped(): ...\ndef told(): ...\n"}
+    readers = ["import b\nTRACED = ('wrapped',)\n"]
+    assert unread_public_names(toy, readers, "call `told()`") == {"a.unread"}

@@ -15,8 +15,7 @@ def per_pair_check_pairs(n_max, max_n):
     block_bad, census_bad = [], []
     for n, t, beta in verify._representatives(min(n_max, 6)):
         w = beta.word
-        frame = blocks._frame(w)
-        cycles = frame.cycles
+        cycles, host = blocks._frame(w)
         max_len = max(len(c) for c in cycles)
         bound = formulas.support_bound(t)
         for alpha in oracle.enumerate_sn(n, max_degree=max_n):
@@ -27,7 +26,8 @@ def per_pair_check_pairs(n_max, max_n):
                 touched = sorted(len(c) for c in cycles if not bp.isdisjoint(c))
                 if touched != sorted(len(c) for c in cycles if not images.isdisjoint(c)):
                     census_bad.append(f"image census: alpha={alpha} beta={beta}")
-            if not blocks._characterized(alpha.word, w, frame, bp, k):
+            verdicts = (blocks._cycle_verdict(alpha.word, c, bp, w, host) for c in cycles)
+            if not blocks._fold(verdicts, k):
                 block_bad.append(f"characterization fails: alpha={alpha} beta={beta}")
                 continue
             prof = blocks._profile(bp, cycles)
