@@ -3,9 +3,9 @@ Permutations of the points {1, ..., n}.
 
 A permutation is stored as a tuple in one-line notation; externally every
 point is 1-based, so ``p(i)`` is the image of point ``i``.  Values are
-immutable and hashable, and every operation is a pure function, so they can
-be shared freely between workers.  ``word_cycles`` walks the cycles of a
-zero-based word; ``cycles()``, ``cycle_type()`` and ``word_is_even`` use it.
+immutable and hashable, and every operation is a pure function.
+``word_cycles`` walks the cycles of a zero-based word; ``cycles()``,
+``cycle_type()`` and the other modules' kernels on raw words use it.
 
 The degree ``n`` is carried explicitly by each permutation and two
 permutations interact only when their degrees agree; mixing degrees raises
@@ -54,12 +54,15 @@ class Permutation:
     word: tuple[int, ...]
 
     def __init__(self, images: Sequence[int]):
+        images = tuple(images)
+        if not all(isinstance(x, int) for x in images):
+            raise ValueError(f"images {images} must be integers")
         w = tuple(x - 1 for x in images)
         n = len(w)
         if n < 1:
             raise ValueError("degree must be at least 1")
         if sorted(w) != list(range(n)):
-            raise ValueError(f"images {tuple(images)} are not a bijection of 1..{n}")
+            raise ValueError(f"images {images} are not a bijection of 1..{n}")
         self.word = w
 
     @classmethod
@@ -145,12 +148,6 @@ class Permutation:
         w = self.word
         return Permutation._from_word(tuple(w[x] for x in other.word))
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.word)
-        for i, x in enumerate(self.word):
-            inv[x] = i
-        return Permutation._from_word(tuple(inv))
-
     def conjugate_by(self, alpha: "Permutation") -> "Permutation":
         """Return alpha * self * alpha^-1 (relabels points by alpha)."""
         self._check_degree(alpha)
@@ -159,9 +156,6 @@ class Permutation:
         for i, x in enumerate(w):
             out[a[i]] = a[x]
         return Permutation._from_word(tuple(out))
-
-    def is_identity(self) -> bool:
-        return all(x == i for i, x in enumerate(self.word))
 
     # -- metric -----------------------------------------------------------
 
@@ -196,28 +190,11 @@ class Permutation:
     def cycle_type(self) -> "CycleType":
         return CycleType.from_parts(map(len, word_cycles(self.word)))
 
-    def parity(self) -> str:
-        """'even' or 'odd'; even iff n minus the number of cycles is even."""
-        return "even" if self.is_even() else "odd"
-
-    def is_even(self) -> bool:
-        return word_is_even(self.word)
-
-    def support(self) -> frozenset[int]:
-        """Points moved by the permutation."""
-        return frozenset(i + 1 for i, x in enumerate(self.word) if x != i)
-
-    def fixed_points(self) -> frozenset[int]:
-        return frozenset(i + 1 for i, x in enumerate(self.word) if x == i)
-
     # -- formatting --------------------------------------------------------
 
     def cycle_string(self) -> str:
         """Cycle notation, fixed points omitted; identity prints as '()'."""
         return word_cycle_string(self.word, cycle_pieces(len(self.word)))
-
-    def one_line_string(self) -> str:
-        return " ".join(map(str, self.images))
 
 
 class CycleType:
@@ -229,9 +206,12 @@ class CycleType:
 
     __slots__ = ("_counts",)
 
-    def __init__(self, counts: tuple[int, ...]):
+    def __init__(self, counts: Sequence[int]):
+        counts = tuple(counts)
         if len(counts) < 1:
             raise ValueError("cycle type must have positive degree")
+        if not all(isinstance(c, int) for c in counts):
+            raise ValueError(f"cycle counts {counts} must be integers")
         if any(c < 0 for c in counts):
             raise ValueError("cycle counts must be nonnegative")
         total = sum(i * c for i, c in enumerate(counts, start=1))
@@ -443,11 +423,6 @@ def word_cycles(word: Sequence[int]) -> tuple[tuple[int, ...], ...]:
                 j = word[j]
             out.append(tuple(cycle))
     return tuple(out)
-
-
-def word_is_even(word: Sequence[int]) -> bool:
-    """Whether the zero-based one-line ``word`` is even: n minus its cycle count is."""
-    return (len(word) - len(word_cycles(word))) % 2 == 0
 
 
 def lex_parities(n: int) -> bytes:

@@ -39,6 +39,10 @@ INPUT_ERRORS = [
                  "degree must be at least 1", id="parse_permutation('(1 2)', 0)"),
     pytest.param(lambda: Permutation([1, 1]), ValueError,
                  "images (1, 1) are not a bijection of 1..2", id="Permutation([1, 1])"),
+    pytest.param(lambda: Permutation([2.0, 1.0]), ValueError,
+                 "images (2.0, 1.0) must be integers", id="Permutation([2.0, 1.0])"),
+    pytest.param(lambda: CycleType((2.0, 0)), ValueError,
+                 "cycle counts (2.0, 0) must be integers", id="CycleType((2.0, 0))"),
     pytest.param(lambda: Permutation.from_cycles([(1, 4)], 3), ValueError,
                  "point 4 out of range 1..3", id="from_cycles([(1, 4)], 3)"),
     pytest.param(lambda: parse_permutation("(1 2) 3", 3), ParseError,
@@ -64,6 +68,13 @@ def test_input_error_message(call, error, message):
     with pytest.raises(error) as raised:
         call()
     assert type(raised.value) is error and str(raised.value) == message
+
+
+def test_cycle_type_from_a_list_is_a_value():
+    # the counts are kept as a tuple, so the value hashes and equals its twin
+    t = CycleType([0, 1])
+    assert t.counts == (0, 1)
+    assert t == CycleType((0, 1)) and hash(t) == hash(CycleType((0, 1)))
 
 
 def test_fpf_count_above_the_pairs_is_zero_at_once(monkeypatch):

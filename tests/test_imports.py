@@ -1,10 +1,12 @@
 """
-Every module of the package and of its tests uses each name it imports, and
-something reads each name the package defines.
+Every module of the package and of its tests uses each name it imports and
+binds each function or class name once in a scope, and something reads each
+name the package defines, class members included.
 """
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -95,55 +97,99 @@ def test_every_private_name_is_read():
     assert unread_private_names(toy) == {"a._unused"}
 
 
-def _reads(node: ast.AST, strings: bool = False) -> set[str]:
-    # the names ``node`` reads: loaded names, attributes and imports, and
-    # with ``strings`` every string constant too (perfbench's tracer names
-    # the functions it wraps in strings)
-    names = set()
+def _reads(node: ast.AST, strings: bool = False) -> Counter[str]:
+    # how often ``node`` reads each name: loaded names, attributes and
+    # imports, and with ``strings`` every string constant too (perfbench's
+    # tracer names the functions it wraps in strings)
+    names = Counter()
     for part in ast.walk(node):
         if isinstance(part, ast.Name) and isinstance(part.ctx, ast.Load):
-            names.add(part.id)
+            names[part.id] += 1
         elif isinstance(part, ast.Attribute):
-            names.add(part.attr)
+            names[part.attr] += 1
         elif isinstance(part, ast.ImportFrom):
             names.update(a.name for a in part.names)
         elif strings and isinstance(part, ast.Constant) and isinstance(part.value, str):
-            names.add(part.value)
+            names[part.value] += 1
     return names
 
 
 def unread_public_names(sources: dict[str, str], readers: list[str], text: str) -> set[str]:
     """
     The top-level public functions and classes of the modules in
-    ``sources``, {module: source}, that nothing reads outside their own
-    body: no other statement of any of those modules, no source in
+    ``sources``, {module: source}, and the public methods of those classes
+    (properties, classmethods and staticmethods too), that nothing reads
+    outside their own body: no other part of those modules, no source in
     ``readers`` (strings included) and no word of ``text``.
     """
-    statements = [(m, node) for m, source in sources.items() for node in ast.parse(source).body]
+    trees = {m: ast.parse(source) for m, source in sources.items()}
+    everywhere = sum(map(_reads, trees.values()), Counter())
     outside = set(re.findall(r"\w+", text)).union(
         *(_reads(ast.parse(source), strings=True) for source in readers)
     )
+    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     unread = set()
-    for module, node in statements:
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        if node.name[:1] == "_" or node.name in outside:
-            continue
-        if not any(node.name in _reads(other) for _, other in statements if other is not node):
-            unread.add(f"{module}.{node.name}")
+    for module, tree in trees.items():
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for scope, d in [(module, node), *((f"{module}.{node.name}", m) for m in members)]:
+                if not isinstance(d, definitions) or d.name[:1] == "_" or d.name in outside:
+                    continue
+                if everywhere[d.name] == _reads(d)[d.name]:
+                    unread.add(f"{scope}.{d.name}")
     return unread
 
 
 def test_every_public_name_is_read():
-    # a public function or class that neither the package, the README, the
-    # acceptance suite nor the benchmark reads is code nothing needs;
-    # blocks.is_block stays, the paper's block predicate that test_blocks tests
+    # a public function, class or method that neither the package, the
+    # README, the acceptance suite nor the benchmark reads is code nothing
+    # needs.  Two stay, each the paper's own notion, which the tests check:
+    # blocks.is_block, the block predicate, and Permutation.hamming, the
+    # distance H.  The check reads names, not owners, so a method shares
+    # the fate of any namesake: Permutation.parity went although
+    # verify._Walk's field of that name hides it here.
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     root = TESTS.parent
     readers = [p.read_text() for p in [TESTS / "test_acceptance.py", *root.glob("perfbench/*.py")]]
     readme = (root / "README.md").read_text(encoding="utf-8")
-    assert unread_public_names(sources, readers, readme) == {"blocks.is_block"}
+    assert unread_public_names(sources, readers, readme) == {
+        "blocks.is_block", "perm.Permutation.hamming"
+    }
     toy = {"a": "def used(): ...\ndef unread(): unread()\nclass C: ...\ndef _p(): C(used())\n",
            "b": "def wrapped(): ...\ndef told(): ...\n"}
     readers = ["import b\nTRACED = ('wrapped',)\n"]
     assert unread_public_names(toy, readers, "call `told()`") == {"a.unread"}
+    toy = {"a": "class C:\n    def read(self): ...\n    def unread(self): self.unread()\n"
+                "    @property\n    def told(self): ...\n    @staticmethod\n    def made(): ...\n"
+                "    def __len__(self): ...\n    def _p(self): self.read()\n"
+                "def _q(): C.made()\n"}
+    assert unread_public_names(toy, [], "`C.told`") == {"a.C.unread"}
+
+
+def names_bound_twice(source: str) -> set[str]:
+    """
+    The function and class names ``source`` defines twice in one scope, at
+    module level or in one class body, where the later hides the earlier.
+    """
+    tree = ast.parse(source)
+    scopes = [("", tree)] + [
+        (f"{node.name}.", node) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+    ]
+    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    twice = set()
+    for prefix, scope in scopes:
+        names = Counter(node.name for node in scope.body if isinstance(node, definitions))
+        twice.update(prefix + name for name, count in names.items() if count > 1)
+    return twice
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_name_is_bound_twice(path):
+    # a second test class of the same name keeps the first from running
+    assert names_bound_twice(path.read_text()) == set()
+
+
+def test_names_bound_twice_are_found():
+    source = "def f(): ...\nclass C:\n    def g(self): ...\n    def g(self): ...\nclass C: ...\n"
+    assert names_bound_twice(source) == {"C", "C.g"}
+    assert names_bound_twice("def f(): ...\nclass D:\n    def f(self): ...\n") == set()

@@ -3,7 +3,12 @@ from collections import Counter
 import pytest
 
 from kommute import blocks, construct, formulas, oracle, verify
-from kommute.perm import CycleType, word_is_even
+from kommute.perm import CycleType, word_cycles
+
+
+def word_is_even(word):
+    # even iff n minus the number of cycles is even
+    return (len(word) - len(word_cycles(word))) % 2 == 0
 
 
 def per_pair_check_pairs(n_max, max_n):
