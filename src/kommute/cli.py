@@ -20,11 +20,14 @@ gets exit 0 and nothing on stderr; ``verify`` then stops at the next
 verdict.  All counts in JSON are decimal strings, and CSV uses a
 header row and LF line endings.
 
-``enumerate`` reads the builders' word streams, keeps each witness only
-as its zero-based one-line word packed into n bytes of one bytearray per
-leading entry, sorts one such bucket at a time as bytes keys, which sort
-in the order of the one-line images, and writes every line straight from
-its key, so it holds about 17 to 22 bytes a witness.
+``enumerate`` reads the builders' per-lead streams: the construction's
+frames are built and checked first, then the witnesses come one leading
+entry alpha(1) - 1 at a time.  It keeps one lead's witnesses, each only as
+its zero-based one-line word packed into n bytes of one bytearray per
+second entry, sorts one such sub-bucket at a time as bytes keys, which
+sort in the order of the one-line images, and writes every line straight
+from its key.  So its first line comes once lead 0's witnesses are built,
+and it holds about 6 to 8 bytes a witness, frames included.
 
 Each runner imports the modules it uses when it runs, so a closed-form
 request loads neither the oracle nor the enumerators.  No subcommand loads
@@ -44,6 +47,7 @@ from __future__ import annotations
 import itertools
 import os
 import sys
+from collections import defaultdict
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -220,27 +224,30 @@ def run_enumerate(args) -> int:
     t = beta.cycle_type()
     # the witness count, where a closed form applies; the builders report bad input
     if args.mode == "single":
-        words = construct.single_cycle_words(beta, args.k)
+        leads, depth = construct.single_cycle_leads, args.k
         size = formulas.single_cycle_count(t, args.k) if args.k >= 3 else 0
     else:
         if args.k % 2:
             raise ValueError("fpf distances are even; got odd k")
-        words = construct.fpf_words(beta, args.k // 2)
+        leads, depth = construct.fpf_leads, args.k // 2
         fpf = formulas._is_fpf_involution(t) and args.k >= 0
         size = formulas.fpf_involution_count(args.k, args.n // 2) if fpf else 0
     if size > MAX_WITNESSES:
         raise ValueError(f"the witnesses outnumber the witness cap {MAX_WITNESSES}")
-    # the word streams are injective, so the witnesses are sorted without a set
-    lines = _witness_lines(_sorted_words(words, beta.degree), beta.word, args.json)
+    # every row and outer map is checked as the frames are built, before the
+    # first line; the word streams are injective, so no set is needed
+    lines = _witness_lines(_sorted_words(leads(beta, depth), beta.degree), beta.word, args.json)
     sys.stdout.writelines(lines)
     return EXIT_OK
 
 
-def _sorted_words(words: Iterable[tuple[int, ...]], n: int) -> Iterator[Sequence[int]]:
+def _sorted_words(leads: Iterable[Iterable[tuple[int, ...]]], n: int) -> Iterator[Sequence[int]]:
     # the zero-based words in the order of the one-line images (images =
-    # word + 1), held as n bytes each in one bytearray per leading entry; a
-    # bucket is cut into bytes keys and sorted only when its turn comes, so
-    # the keys of one bucket exist at a time, and bytes sort as the words do.
+    # word + 1), given one stream per leading entry, in increasing order.
+    # One lead's words at a time are held, as n bytes each in one bytearray
+    # per second entry; a sub-bucket is cut into bytes keys and sorted only
+    # when its turn comes, so the keys of one sub-bucket exist at a time,
+    # and bytes sort as the words do.
     # Entries fit a byte: for n >= 257 every nonzero witness count is above
     # MAX_WITNESSES = 10**6, so the stream is empty.  An fpf count has m >=
     # 129 couples, so it is at least 2**129.  A single-cycle count is at
@@ -249,14 +256,16 @@ def _sorted_words(words: Iterable[tuple[int, ...]], n: int) -> Iterator[Sequence
     # cover at least 248 points and |C(beta)| >= L**(248/L), above 2 * 10**8
     # for 4 <= L <= 50 and at least 2**83 for L = 3.  For L >= 51, either
     # k >= 11 and f(k) >= 1,214,673, or 3 <= k <= L - 3 and the count is at
-    # least L * C(L, 3).  A nonempty stream would still fail safe:
-    # bytearray.extend raises ValueError (exit 1) and prints no wrong bytes
-    buckets = [bytearray() for _ in range(n)]
-    for word in words:
-        buckets[word[0]].extend(word)
-    for lead in range(n):
-        data, buckets[lead] = bytes(buckets[lead]), bytearray()
-        yield from sorted([data[i : i + n] for i in range(0, len(data), n)])
+    # least L * C(L, 3).  A witness there would still fail safe: packing
+    # the frames, or a bucket here, raises ValueError (exit 1) before any
+    # line is written
+    buckets: defaultdict[int, bytearray] = defaultdict(bytearray)
+    for words in leads:
+        for word in words:
+            buckets[word[1]].extend(word)
+        for second in sorted(buckets):
+            data = bytes(buckets.pop(second))
+            yield from sorted([data[i : i + n] for i in range(0, len(data), n)])
 
 
 def _witness_lines(

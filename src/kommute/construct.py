@@ -16,18 +16,25 @@ number of choices equals the count given by the corresponding closed
 formula, and the generated set equals the brute-force filter at small
 degree (both facts are exercised by the test suite).
 
-Each construction is one loop kernel, which yields every choice tuple
-without its outer index together with the zero-based one-line words of the
-commuting outer maps, in outer-index order.  ``single_cycle_words`` and
-``fpf_words`` flatten it into the words that ``kommute enumerate`` and
-``kommute verify`` read; ``single_cycle_pairs`` and ``fpf_pairs`` add the
-outer index and build each ``Permutation``.  A word is a bijection because
-its image row (or fpf inner assignment) hits exactly the target points and
-its outer map exactly the other points; the kernel checks each row once
-and each outer map once per (source, target) pair, raising ``ValueError``
-(not an assert, so ``python -O`` keeps it) before any word of the group.
+Both constructions share one frame builder, ``_frames``.  A frame is one
+(source, target) choice: the gather from images to a one-line word, the
+image rows (or fpf inner assignments) and the rows of the commuting outer
+maps, each row checked and then packed as bytes.  A word is a bijection
+because its row hits exactly the target points and its outer row exactly
+the other points; ``_checked`` raises ``ValueError`` (not an assert, so
+``python -O`` keeps it) before any word of the frame is built.
 
-Indexing convention: the kernels work on zero-based points, read from
+Two walks read the frames.  One goes in construction order, one frame at
+a time: ``single_cycle_words`` and ``fpf_words`` give the zero-based
+one-line words, and ``single_cycle_pairs`` and ``fpf_pairs`` add the
+choice tuples and build each ``Permutation``.  ``single_cycle_leads`` and ``fpf_leads``, which
+``kommute enumerate`` and ``kommute verify`` read, build every frame first
+and then give the same words split by their leading entry, one lead at a
+time, each in construction order.  Packed entries must fit a byte, so a
+nonempty construction needs degree <= 256; above that the packing raises
+``ValueError: byte must be in range(0, 256)``.
+
+Indexing convention: the frames hold zero-based points, read from
 ``word_cycles`` of beta's word; ``single_cycle_pairs`` and ``fpf_pairs``
 lift each group's choice prefix to 1-based points once, at their edge.
 """
@@ -36,7 +43,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .blocks import _cut
 from .perm import Permutation, word_cycles
@@ -114,7 +121,7 @@ def _image_row(blocks: list[list[int]], order: Sequence[int]) -> list[int]:
     return [p for label in order for p in blocks[label - 1]]
 
 
-def _rotate(row: list[int], s: int) -> list[int]:
+def _rotate(row: bytes, s: int) -> bytes:
     # the images of the source cycle read from its first point, when row
     # holds them read from position s
     m = len(row)
@@ -131,32 +138,135 @@ def _checked(images: list[int], points: list[int]) -> list[int]:
     return images
 
 
-def _frame(
-    cycles: Sequence[tuple[int, ...]], sources: Sequence[int], targets: Sequence[int]
-) -> tuple[Callable[[list[int]], tuple[int, ...]], list[int], list[list[int]]]:
-    # for source and target cycles of the same lengths: the gather from the
-    # images of the source cycles' points (in cycle order) then an outer row
-    # to a one-line word, the sorted target points those images must hit, and
-    # the outer rows in outer-index order, each checked to hit the other points
-    domain = [p for i in sources for p in cycles[i]]
-    points, rows = _outer_rows(cycles, sources, targets)
-    slot = {p: i for i, p in enumerate(domain + points)}
-    # n >= 2 here, so the gather returns a tuple
-    gather = operator.itemgetter(*(slot[p] for p in range(len(slot))))
-    inside = {p for i in targets for p in cycles[i]}
-    others = [p for p in range(len(slot)) if p not in inside]
-    return gather, sorted(inside), [_checked(row, others) for row in rows]
+class _Frame(NamedTuple):
+    # one (source, target) choice, checked and packed: each word is
+    # gather(head + outer) for a head of ``rows`` and one of ``outers``, both
+    # packed as bytes rows of ``width`` and ``outer_width`` entries.  A
+    # single-cycle image row stands for one head per start, its rotations
+    # (``turns``); an fpf inner assignment is its own head.  Point 0's image
+    # is entry ``at`` of head + outer
+    gather: Callable[[bytes], tuple[int, ...]]
+    rows: bytes
+    width: int
+    turns: bool
+    outers: bytes
+    outer_width: int
+    at: int
 
 
-# a choice prefix (the choice tuple without its outer index) and the words
-# its outer maps give, in outer-index order
-_Groups = Iterator[tuple[tuple, Iterator[tuple[int, ...]]]]
+# the rows of one (sources, targets) choice: each row's choice (the choice
+# tuple without start and outer index) and the images of the source cycles'
+# points, in cycle order, given the targets and their sorted points
+_Rows = Callable[[Sequence[int], list[int]], Iterator[tuple[tuple, list[int]]]]
+# what the frame builder yields: each (sources, targets) pair, its rows'
+# choices and its frame
+_Framed = Iterator[tuple[tuple, Iterator[tuple], _Frame]]
 
 
-def _single_cycle_groups(beta: Permutation, k: int) -> _Groups:
-    # the construction's loops, one group per (source, target, points, tau,
-    # start); each row and each outer map is checked before any word of its
-    # group is built, so every word yielded is a bijection
+def _frames(
+    cycles: Sequence[tuple[int, ...]],
+    pairs: Iterable[tuple[Sequence[int], Sequence[int]]],
+    rows: _Rows,
+    turns: bool,
+) -> _Framed:
+    # each (sources, targets) pair that has a row, with its rows' choices
+    # (made again only as they are read) and its frame.  Every row is checked
+    # to hit exactly the target points and every outer row the other points
+    # before the frame is yielded; with no row, no outer row is built.  The
+    # rows depend only on the targets, so the frames of one targets share
+    # them, built and checked once
+    built: dict[Sequence[int], bytes | None] = {}
+    for sources, targets in pairs:
+        inner = sorted(p for i in targets for p in cycles[i])
+        if targets not in built:
+            packed, count = bytearray(), 0
+            for _, row in rows(targets, inner):
+                packed.extend(_checked(row, inner))
+                count += 1
+            built[targets] = bytes(packed) if count else None
+        row_bytes = built[targets]
+        if row_bytes is None:
+            continue
+        domain = [p for i in sources for p in cycles[i]]
+        points, outer_rows = _outer_rows(cycles, sources, targets)
+        slot = {p: i for i, p in enumerate(domain + points)}
+        inside = set(inner)
+        others = [p for p in range(len(slot)) if p not in inside]
+        outers = bytearray()
+        for row in outer_rows:
+            outers.extend(_checked(row, others))
+        # n >= 2 here, so the gather returns a tuple
+        gather = operator.itemgetter(*(slot[p] for p in range(len(slot))))
+        frame = _Frame(gather, row_bytes, len(inner), turns, bytes(outers), len(others), slot[0])
+        yield (sources, targets), (choice for choice, _ in rows(targets, inner)), frame
+
+
+def _unpack(data: bytes, width: int) -> Iterator[bytes]:
+    # the rows of ``width`` bytes packed in ``data``; width 0 holds one empty row
+    if not width:
+        return iter([b""])
+    return (data[i : i + width] for i in range(0, len(data), width))
+
+
+def _having(data: bytes, width: int, at: int, value: int) -> list[bytes]:
+    # the rows of ``width`` bytes packed in ``data`` whose entry ``at`` is
+    # ``value``, in order, found through the column of entries ``at``
+    column = data[at::width]
+    found = []
+    i = column.find(value)
+    while i >= 0:
+        found.append(data[i * width : i * width + width])
+        i = column.find(value, i + 1)
+    return found
+
+
+def _heads(f: _Frame, lead: int | None = None) -> Iterable[bytes]:
+    # the frame's heads in construction order or, for a lead among the target
+    # points when point 0 lies in a source cycle, those sending point 0 to it:
+    # one rotation of each image row, or the inner assignments that have it
+    if not f.turns:
+        return _unpack(f.rows, f.width) if lead is None else _having(f.rows, f.width, f.at, lead)
+    rows = _unpack(f.rows, f.width)
+    if lead is None:
+        return (_rotate(row, s) for row in rows for s in range(f.width))
+    return (_rotate(row, (f.at - row.index(lead)) % f.width) for row in rows)
+
+
+def _groups(f: _Frame) -> Iterator[Iterator[tuple[int, ...]]]:
+    # the words of each of the frame's heads, in construction order
+    outers = list(_unpack(f.outers, f.outer_width))
+    return (map(f.gather, map(head.__add__, outers)) for head in _heads(f))
+
+
+def _words(frames: _Framed) -> Iterator[tuple[int, ...]]:
+    return itertools.chain.from_iterable(words for _, _, f in frames for words in _groups(f))
+
+
+def _lead_words(frames: list[_Frame], lead: int) -> Iterator[tuple[int, ...]]:
+    # the words that send point 0 to ``lead``, frame by frame, each frame's
+    # in construction order: where point 0 lies in a source cycle, only the
+    # heads that send it there, with every outer row; elsewhere, every head
+    # with only the outer rows that send it there
+    for f in frames:
+        if f.at >= f.width:
+            heads, outers = _heads(f), _having(f.outers, f.outer_width, f.at - f.width, lead)
+        elif lead in f.rows[: f.width]:  # each row holds every target point
+            heads, outers = _heads(f, lead), list(_unpack(f.outers, f.outer_width))
+        else:
+            continue
+        if outers:
+            pairs = itertools.product(heads, outers)
+            yield from map(f.gather, itertools.starmap(operator.add, pairs))
+
+
+def _leads(frames: _Framed, n: int) -> Iterator[Iterator[tuple[int, ...]]]:
+    held = [f for _, _, f in frames]
+    return (_lead_words(held, lead) for lead in range(n))
+
+
+def _single_cycle_frames(beta: Permutation, k: int) -> _Framed:
+    # the construction's frames, one per (source, target) cycle pair of a
+    # length >= k; a row per (points, tau), in that order
     if k < 3:
         raise ValueError("the construction needs k >= 3")
     cycles = word_cycles(beta.word)
@@ -166,25 +276,26 @@ def _single_cycle_groups(beta: Permutation, k: int) -> _Groups:
     taus = list(successor_free_kcycles(k)) if any(len(c) >= k for c in cycles) else []
     # the order in which each tau arranges the blocks: its cycle read from k
     orders = [c[c.index(k) :] + c[: c.index(k)] for c in (t.cycles()[0] for t in taus)]
-    for source, cycle_from in enumerate(cycles):
-        m = len(cycle_from)
-        if m < k:
-            continue
-        for target, cycle_to in enumerate(cycles):
-            if len(cycle_to) != m:
-                continue
-            gather, inner, outers = _frame(cycles, (source,), (target,))
-            for points in itertools.combinations(sorted(cycle_to), k):
-                # cut the target cycle into k blocks, each ending at a
-                # selected point, with the cutter the characterization uses
-                # on alpha's images; ending the improper block at the
-                # largest selected point makes each witness come once
-                blocks = _cut(cycle_to, set(points), cycle_to.index(points[-1]) + 1)
-                for tau, order in zip(taus, orders):
-                    row = _checked(_image_row(blocks, order), inner)
-                    for s, start in enumerate(cycle_from):
-                        words = map(gather, map(_rotate(row, s).__add__, outers))
-                        yield (source, target, points, tau, start), words
+
+    def rows(targets, inner):
+        cycle_to = cycles[targets[0]]
+        for points in itertools.combinations(inner, k):
+            # cut the target cycle into k blocks, each ending at a selected
+            # point, with the cutter the characterization uses on alpha's
+            # images; ending the improper block at the largest selected
+            # point makes each witness come once
+            blocks = _cut(cycle_to, set(points), cycle_to.index(points[-1]) + 1)
+            for tau, order in zip(taus, orders):
+                yield (points, tau), _image_row(blocks, order)
+
+    pairs = (
+        ((source,), (target,))
+        for source, cycle_from in enumerate(cycles)
+        if len(cycle_from) >= k
+        for target, cycle_to in enumerate(cycles)
+        if len(cycle_to) == len(cycle_from)
+    )
+    return _frames(cycles, pairs, rows, True)
 
 
 def single_cycle_words(beta: Permutation, k: int) -> Iterator[tuple[int, ...]]:
@@ -192,7 +303,16 @@ def single_cycle_words(beta: Permutation, k: int) -> Iterator[tuple[int, ...]]:
     The zero-based one-line words of the single-cycle witnesses at
     distance k, in the order of ``single_cycle_pairs``.
     """
-    return itertools.chain.from_iterable(words for _, words in _single_cycle_groups(beta, k))
+    return _words(_single_cycle_frames(beta, k))
+
+
+def single_cycle_leads(beta: Permutation, k: int) -> Iterator[Iterator[tuple[int, ...]]]:
+    """
+    The words of ``single_cycle_words`` by leading entry: for i = 0 .. n-1,
+    an iterator of those whose first entry is i, in the same order.  Every
+    row and outer map is checked before this returns.
+    """
+    return _leads(_single_cycle_frames(beta, k), beta.degree)
 
 
 def single_cycle_pairs(
@@ -203,10 +323,13 @@ def single_cycle_pairs(
     choice -> permutation is injective, so consuming this stream counts
     the construction.
     """
-    for (source, target, points, tau, start), words in _single_cycle_groups(beta, k):
-        prefix = (source, target, tuple(p + 1 for p in points), tau, start + 1)
-        for oi, word in enumerate(words):
-            yield SingleCycleChoice(*prefix, oi), Permutation._from_word(word)
+    cycles = word_cycles(beta.word)
+    for ((source,), (target,)), choices, frame in _single_cycle_frames(beta, k):
+        heads = ((points, tau, start) for points, tau in choices for start in cycles[source])
+        for (points, tau, start), words in zip(heads, _groups(frame)):
+            prefix = (source, target, tuple(p + 1 for p in points), tau, start + 1)
+            for oi, word in enumerate(words):
+                yield SingleCycleChoice(*prefix, oi), Permutation._from_word(word)
 
 
 def enumerate_single_cycle(beta: Permutation, k: int) -> set[Permutation]:
@@ -237,34 +360,34 @@ def perfect_matchings(
             yield ((first, partner),) + sub
 
 
-def _fpf_groups(beta: Permutation, j: int) -> _Groups:
-    # the construction's loops, one group per (sources, targets, matching,
-    # assigned, orient); each inner assignment and each outer map is
-    # checked before any word of its group is built
+def _fpf_frames(beta: Permutation, j: int) -> _Framed:
+    # the construction's frames, one per (sources, targets) choice of j
+    # couples each; a row per (matching, assigned, orient), in that order
     cycles = word_cycles(beta.word)
     if any(len(c) != 2 for c in cycles):
         raise ValueError("beta must be a fixed-point-free involution")
     m = len(cycles)
     if not 0 <= j <= m:
         raise ValueError(f"j={j} out of range 0..{m}")
-    for sources in itertools.combinations(range(m), j):
-        for targets in itertools.combinations(range(m), j):
-            target_couples = {cycles[i] for i in targets}
-            gather, inner_points, outers = _frame(cycles, sources, targets)
-            for matching in perfect_matchings(inner_points):
-                if any(pair in target_couples for pair in matching):
-                    continue
-                for assigned in itertools.permutations(matching):
-                    for orient in itertools.product((0, 1), repeat=j):
-                        # source couple (x, y) goes to (u, v), or to (v, u)
-                        # when flipped
-                        inner = [
-                            p
-                            for (u, v), flip in zip(assigned, orient)
-                            for p in ((v, u) if flip else (u, v))
-                        ]
-                        words = map(gather, map(_checked(inner, inner_points).__add__, outers))
-                        yield (sources, targets, matching, assigned, orient), words
+
+    def rows(targets, inner):
+        target_couples = {cycles[i] for i in targets}
+        for matching in perfect_matchings(inner):
+            if any(pair in target_couples for pair in matching):
+                continue
+            for assigned in itertools.permutations(matching):
+                for orient in itertools.product((0, 1), repeat=j):
+                    # source couple (x, y) goes to (u, v), or to (v, u)
+                    # when flipped
+                    row = [
+                        p
+                        for (u, v), flip in zip(assigned, orient)
+                        for p in ((v, u) if flip else (u, v))
+                    ]
+                    yield (matching, assigned, orient), row
+
+    pairs = itertools.product(itertools.combinations(range(m), j), repeat=2)
+    return _frames(cycles, pairs, rows, False)
 
 
 def fpf_words(beta: Permutation, j: int) -> Iterator[tuple[int, ...]]:
@@ -272,7 +395,15 @@ def fpf_words(beta: Permutation, j: int) -> Iterator[tuple[int, ...]]:
     The zero-based one-line words of the witnesses at distance 2j from the
     fixed-point-free involution beta, in the order of ``fpf_pairs``.
     """
-    return itertools.chain.from_iterable(words for _, words in _fpf_groups(beta, j))
+    return _words(_fpf_frames(beta, j))
+
+
+def fpf_leads(beta: Permutation, j: int) -> Iterator[Iterator[tuple[int, ...]]]:
+    """
+    The words of ``fpf_words`` by leading entry, as ``single_cycle_leads``
+    gives those of ``single_cycle_words``.
+    """
+    return _leads(_fpf_frames(beta, j), beta.degree)
 
 
 def fpf_pairs(beta: Permutation, j: int) -> Iterator[tuple[tuple, Permutation]]:
@@ -282,12 +413,13 @@ def fpf_pairs(beta: Permutation, j: int) -> Iterator[tuple[tuple, Permutation]]:
     the source couples onto a matching of the target points that avoids
     every target couple, and extend by a commuting bijection elsewhere.
     """
-    for (sources, targets, matching, assigned, orient), words in _fpf_groups(beta, j):
-        lifted_matching = tuple((u + 1, v + 1) for u, v in matching)
-        lifted = tuple((u + 1, v + 1) for u, v in assigned)
-        prefix = (sources, targets, lifted_matching, lifted, orient)
-        for oi, word in enumerate(words):
-            yield (*prefix, oi), Permutation._from_word(word)
+    for (sources, targets), choices, frame in _fpf_frames(beta, j):
+        for (matching, assigned, orient), words in zip(choices, _groups(frame)):
+            lifted_matching = tuple((u + 1, v + 1) for u, v in matching)
+            lifted = tuple((u + 1, v + 1) for u, v in assigned)
+            prefix = (sources, targets, lifted_matching, lifted, orient)
+            for oi, word in enumerate(words):
+                yield (*prefix, oi), Permutation._from_word(word)
 
 
 def enumerate_fpf(beta: Permutation, j: int) -> set[Permutation]:

@@ -293,6 +293,8 @@ def count(t: CycleType, k: int) -> FormulaResult:
     type); the exhaustive counter in :mod:`kommute.oracle` always works at
     small degree.
     """
+    if not isinstance(k, int):
+        raise ValueError(f"k {k!r} must be an integer")
     if k < 0:
         raise ValueError("k must be nonnegative")
     n = t.degree

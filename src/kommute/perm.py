@@ -243,7 +243,9 @@ class CycleType:
         >>> CycleType.from_parts([3, 1, 1]).counts
         (2, 0, 1, 0, 0)
         """
-        parts = list(parts)
+        parts = tuple(parts)
+        if not all(isinstance(p, int) for p in parts):
+            raise ValueError(f"cycle lengths {parts} must be integers")
         if any(p < 1 for p in parts):
             raise ValueError("cycle lengths must be positive")
         n = sum(parts)

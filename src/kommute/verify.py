@@ -6,7 +6,7 @@ small degree.
 Two exhaustive sources serve the checks, each memoised for one run.
 ``oracle.distribution`` gives each distinct beta's histogram and profile
 counts from its conjugacy class; the enumerator checks compare these with
-``construct``'s word streams, which ``kommute enumerate`` prints.
+``construct``'s per-lead word streams, which ``kommute enumerate`` prints.
 ``_walk`` walks S_n once per beta over ``oracle._scan``'s zero-based words
 and serves everything that needs each alpha: the block characterization
 and its profile invariants, the image cycle census and the even/odd split
@@ -21,6 +21,7 @@ its check finishes and stop early without running the rest.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import random
@@ -280,7 +281,8 @@ def _check_single_cycle_enumerator(hist, max_n) -> list[str]:
     for beta in [beta for beta in cases if beta.degree <= bound]:
         profiles = hist(beta).profiles
         for k in (3, 4, 5):
-            got = Counter(map(Permutation._from_word, construct.single_cycle_words(beta, k)))
+            words = itertools.chain.from_iterable(construct.single_cycle_leads(beta, k))
+            got = Counter(map(Permutation._from_word, words))
             if got.total() != len(got):
                 bad.append(f"duplicate choices: beta={beta} k={k}")
             if len(got) != profiles[(k,)] or any(
@@ -300,7 +302,8 @@ def _check_fpf_enumerator(hist, max_n) -> list[str]:
         beta = CycleType.from_parts([2] * m).representative()
         dist = hist(beta)
         for j in range(m + 1):
-            got = Counter(map(Permutation._from_word, construct.fpf_words(beta, j)))
+            words = itertools.chain.from_iterable(construct.fpf_leads(beta, j))
+            got = Counter(map(Permutation._from_word, words))
             if got.total() != len(got):
                 bad.append(f"duplicate choices: m={m} j={j}")
             if len(got) != dist[2 * j] or any(

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -299,16 +300,80 @@ class TestWitnessPrinter:
         # raises before any word is yielded, so no wrong line is printed
         word = tuple(range(257))[::-1]
         with pytest.raises(ValueError, match=r"^byte must be in range\(0, 256\)$"):
-            next(cli._sorted_words(iter([word]), 257))
-        monkeypatch.setattr(construct, "single_cycle_words", lambda beta, k: iter([word]))
+            next(cli._sorted_words(iter([iter([word])]), 257))
+        monkeypatch.setattr(construct, "single_cycle_leads", lambda beta, k: iter([iter([word])]))
         argv = ["enumerate", "--beta", "(1 2 3)", "--n", "257", "--k", "4"]
         assert run_cli(capsys, *argv) == (1, "", "kommute: error: byte must be in range(0, 256)\n")
+
+    # every row and outer map of every frame is checked before the first
+    # line, so a fault in a frame after the first leaves stdout empty
+    def assert_fails_before_any_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, "enumerate", *argv.split())
+        assert (code, out) == (1, "")
+        assert re.fullmatch(r"kommute: error: images \(.*\) are not a bijection onto \(.*\)\n", err), err
+
+    def test_a_colliding_outer_map_prints_no_line(self, capsys, monkeypatch):
+        real, frames = construct._outer_rows, []
+
+        def outer_rows(cycles, sources, targets):
+            # from the second frame on, the second outer row sends two
+            # points to one image
+            points, rows = real(cycles, sources, targets)
+            frames.append(targets)
+            rows = list(rows)
+            if len(frames) > 1:
+                rows[1][0] = rows[1][1]
+            return points, iter(rows)
+
+        monkeypatch.setattr(construct, "_outer_rows", outer_rows)
+        self.assert_fails_before_any_line(capsys, "--beta (1,2,3)(4,5,6) --n 8 --k 3")
+        assert len(frames) == 2
+
+    def test_a_colliding_inner_assignment_prints_no_line(self, capsys, monkeypatch):
+        real, frames = construct.perfect_matchings, []
+
+        def matchings(points):
+            # from the second frame on, a first matching of the four target
+            # points that uses a point twice
+            if len(points) == 4:
+                frames.append(points)
+                if len(frames) > 1:
+                    yield ((points[0], points[2]), (points[0], points[3]))
+            yield from real(points)
+
+        monkeypatch.setattr(construct, "perfect_matchings", matchings)
+        self.assert_fails_before_any_line(capsys, "--beta (1,2)(3,4)(5,6) --n 6 --k 4 --mode fpf")
+        assert len(frames) == 2
+
+    def test_lead_0_is_written_before_lead_1_is_built(self, capsys, monkeypatch):
+        # the lines of alpha(1) = 1 come out before any word of alpha(1) = 2
+        argv = "enumerate --beta (1,2,3,4,5) --n 5 --k 3".split()
+        code, whole, _ = run_cli(capsys, *argv)
+        beta = parse_permutation("(1 2 3 4 5)", 5)
+        first = sum(1 for _ in next(construct.single_cycle_leads(beta, 3)))
+        assert code == 0 and 0 < first < len(whole.splitlines())
+        real = construct.single_cycle_leads
+
+        def refused():
+            raise ValueError("lead 1 advanced")
+            yield
+
+        def leads(beta, k):
+            streams = real(beta, k)
+            yield next(streams)
+            yield refused()
+
+        monkeypatch.setattr(construct, "single_cycle_leads", leads)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (1, "kommute: error: lead 1 advanced\n")
+        assert out.splitlines() == whole.splitlines()[:first]
 
     def test_bytes_and_tuple_keys_sort_alike(self):
         beta = parse_permutation("(1 2 3 4 5 6)", 6)
         witnesses = list(all_permutations(6))
         random.Random(3).shuffle(witnesses)
-        words = list(cli._sorted_words((p.word for p in witnesses), 6))
+        leads = [[p.word for p in witnesses if p.word[0] == lead] for lead in range(6)]
+        words = list(cli._sorted_words(leads, 6))
         assert all(type(w) is bytes for w in words)
         assert [tuple(w) for w in words] == [p.word for p in all_permutations(6)]
         for as_json in (False, True):
@@ -316,10 +381,12 @@ class TestWitnessPrinter:
             assert got == reference_enumerate_output(beta, witnesses, as_json)
 
     def test_memory_per_witness(self):
-        # the fpf request with m = 4, j = 3: 12,288 witnesses, each held as
-        # 8 bytes in its leading entry's bucket until printed (about 22 B a
-        # witness with the keys of one bucket); bytes keys held whole took
-        # about 57 B, and sorting Permutations about 154 B
+        # the fpf request with m = 4, j = 3: 12,288 witnesses.  Only one
+        # leading entry's witnesses are held, as 8 bytes each in one bucket
+        # per second entry, next to the packed frames: about 10 B a witness.
+        # Holding every witness in one bucket per leading entry took about
+        # 19.5 B, bytes keys held whole about 57 B, and sorting Permutations
+        # about 154 B
         argv = "enumerate --beta (1,2)(3,4)(5,6)(7,8) --n 8 --k 6 --mode fpf".split()
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
             assert cli.main(argv) == 0  # warm-up: imports and first-call caches
@@ -330,7 +397,7 @@ class TestWitnessPrinter:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert (peak - base) / 12_288 < 30
+        assert (peak - base) / 12_288 < 14
 
 
 class TestVerify:
@@ -575,8 +642,8 @@ class TestVerify:
         assert (code, out.splitlines()[-1]) == (0, "13/13 checks passed (n_max=4)")
 
     def test_repeating_fpf_stream_fails_verify(self, monkeypatch):
-        words = construct.fpf_words
-        monkeypatch.setattr(construct, "fpf_words", lambda beta, j: [*words(beta, j)] * 2)
+        leads = construct.fpf_leads
+        monkeypatch.setattr(construct, "fpf_leads", lambda beta, j: [*map(list, leads(beta, j))] * 2)
         assert "duplicate choices: m=2 j=2" in verify._check_fpf_enumerator(oracle.distribution, None)
 
 
@@ -1008,7 +1075,7 @@ class TestSubprocess:
         missing = self.run(*"count --beta (1,2,3)(4,5,6,7) --n 7 --k 5".split())
         assert missing.returncode == 2
 
-    def test_brute_with_pool_is_byte_identical(self):
+    def test_jobs_changes_no_byte(self):
         argv = "count --beta (1,2,3,4,5,6) --n 6 --k 4 --method brute".split()
         one = self.run(*argv, "--jobs", "1")
         two = self.run(*argv, "--jobs", "3")
@@ -1177,7 +1244,7 @@ class TestColdStart:
             assert "kommute.cli" in loaded
             assert not loaded & POOL_MODULES, argv
 
-    def test_jobs_start_no_pool_below_the_class_threshold(self):
+    def test_jobs_loads_no_pool_module(self):
         # --jobs is ignored and no class threshold is left: every histogram
         # runs in this process, also the (11,1,1) class of S_13, 2.8e8 elements
         for argv in [

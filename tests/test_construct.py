@@ -125,12 +125,18 @@ class TestBuildSingleCycle:
         assert seen == 577
 
 
+def one_row_frame(cycles, row, turns=False):
+    # the frame of source = target = cycle 0 with the one image row ``row``
+    [(_, _, frame)] = construct._frames(cycles, [((0,), (0,))], lambda t, inner: [((), row)], turns)
+    return frame
+
+
 class TestBijectionCheck:
     # an outer map that sends two points to the same image
     CHECK = (
         "from kommute import construct\n"
-        "gather, inner, outers = construct._frame(((0, 1), (2, 3)), (0,), (0,))\n"
-        "assert (inner, outers) == ([0, 1], [[2, 3], [3, 2]])\n"
+        "[(_, _, f)] = construct._frames(((0, 1), (2, 3)), [((0,), (0,))], lambda t, i: [((), i)], False)\n"
+        "assert (f.rows, [*construct._unpack(f.outers, 2)]) == (bytes([0, 1]), [bytes([2, 3]), bytes([3, 2])])\n"
         "try:\n"
         "    construct._checked([2, 2], [2, 3])\n"
         "except ValueError as e:\n"
@@ -138,12 +144,14 @@ class TestBijectionCheck:
     )
 
     def test_collision_raises(self):
-        gather, _, _ = construct._frame(((0, 1), (2, 3)), (0,), (0,))
-        core = construct._checked([1, 0], [0, 1])
-        word = gather(core + construct._checked([3, 2], [2, 3]))
+        frame = one_row_frame(((0, 1), (2, 3)), [1, 0])
+        outers = list(construct._unpack(frame.outers, frame.outer_width))
+        word = frame.gather(frame.rows + outers[1])
         assert Permutation._from_word(word) == Permutation([2, 1, 4, 3])
         with pytest.raises(ValueError, match="not a bijection"):
             construct._checked([2, 2], [2, 3])
+        with pytest.raises(ValueError, match=r"^images \(1, 1\) are not a bijection onto \(1, 2\)$"):
+            one_row_frame(((0, 1), (2, 3)), [0, 0])
 
     def test_collision_raises_under_optimize(self):
         # python -O strips assert statements; the check must survive it
@@ -279,16 +287,17 @@ class TestEndpointCanonicalization:
         k = 3
         taus = construct.successor_free_kcycles(k)
         orders = [c[c.index(k) :] + c[: c.index(k)] for c in (t.cycles()[0] for t in taus)]
-        gather, _, outers = construct._frame(word_cycles(beta.word), (0,), (0,))
+        frame = one_row_frame(word_cycles(beta.word), list(range(5)), True)
+        outers = list(construct._unpack(frame.outers, frame.outer_width))
         hits: Counter = Counter()
         for points in itertools.combinations(sorted(cycle), k):
             for endpoint in points:
                 cut = blocks._cut(cycle, set(points), cycle.index(endpoint) + 1)
                 for order in orders:
-                    row = construct._image_row([[p - 1 for p in b] for b in cut], order)
+                    row = bytes(construct._image_row([[p - 1 for p in b] for b in cut], order))
                     for s in range(len(cycle)):
                         for outer in outers:
-                            word = gather(construct._rotate(row, s) + outer)
+                            word = frame.gather(construct._rotate(row, s) + outer)
                             hits[Permutation([x + 1 for x in word])] += 1
         canonical = construct.enumerate_single_cycle(beta, k)
         assert set(hits) == canonical
@@ -311,6 +320,18 @@ class TestEnumerateFpf:
     def test_one_pair_impossible(self):
         beta = parse_permutation("(1 2)(3 4)", 4)
         assert construct.enumerate_fpf(beta, 1) == set()
+
+    def test_one_pair_builds_no_outer_map(self, monkeypatch):
+        # at j = 1 no matching avoids the target couple, so no frame has a
+        # row and no outer map is built: with 8 couples that is 64 frames of
+        # 645,120 maps each (234 s and 390 MB when they were built)
+        def refused(cycles, sources, targets):
+            raise AssertionError("an outer map was built")
+
+        monkeypatch.setattr(construct, "_outer_rows", refused)
+        beta = CycleType.from_parts([2] * 8).representative()
+        assert [list(words) for words in construct.fpf_leads(beta, 1)] == [[]] * 16
+        assert list(construct.fpf_words(beta, 1)) == []
 
     def test_all_j_against_oracle_m3(self):
         beta = parse_permutation("(1 2)(3 4)(5 6)", 6)
@@ -425,6 +446,36 @@ class TestWordStreams:
         words = list(construct.fpf_words(beta, j))
         assert words == [alpha.word for _, alpha in construct.fpf_pairs(beta, j)]
         assert len(words) == formulas.fpf_involution_count(2 * j, n // 2)
+
+
+class TestLeadStreams:
+    # the per-lead streams that enumerate and verify read are the word
+    # streams split by leading entry, each lead in construction order: on
+    # every cycle type of degree n <= 8 at every k >= 3, and on the
+    # fixed-point-free involutions with m <= 5 couples at every j (up to
+    # 2,088,960 words, packed as bytes)
+    @staticmethod
+    def assert_split(words, leads, n):
+        want = [bytearray() for _ in range(n)]
+        for word in words:
+            want[word[0]].extend(word)
+        got = [bytes(itertools.chain.from_iterable(stream)) for stream in leads]
+        assert got == want
+        assert all(set(data[::n]) <= {lead} for lead, data in enumerate(got))
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_single_cycle_leads_split_the_words(self, n):
+        for t in CycleType.all_types(n):
+            beta = t.representative()
+            for k in range(3, n + 1):
+                words = construct.single_cycle_words(beta, k)
+                self.assert_split(words, construct.single_cycle_leads(beta, k), n)
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_fpf_leads_split_the_words(self, m):
+        beta = CycleType.from_parts([2] * m).representative()
+        for j in range(m + 1):
+            self.assert_split(construct.fpf_words(beta, j), construct.fpf_leads(beta, j), 2 * m)
 
 
 def _collision_outcomes():

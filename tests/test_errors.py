@@ -43,6 +43,12 @@ INPUT_ERRORS = [
                  "images (2.0, 1.0) must be integers", id="Permutation([2.0, 1.0])"),
     pytest.param(lambda: CycleType((2.0, 0)), ValueError,
                  "cycle counts (2.0, 0) must be integers", id="CycleType((2.0, 0))"),
+    pytest.param(lambda: formulas.count(CycleType.from_parts([2, 1, 1]), 4.0), ValueError,
+                 "k 4.0 must be an integer", id="count((2, 1, 1), 4.0)"),
+    pytest.param(lambda: formulas.count(CycleType.from_parts([3]), 3.0), ValueError,
+                 "k 3.0 must be an integer", id="count((3,), 3.0)"),
+    pytest.param(lambda: CycleType.from_parts([2.0]), ValueError,
+                 "cycle lengths (2.0,) must be integers", id="from_parts([2.0])"),
     pytest.param(lambda: Permutation.from_cycles([(1, 4)], 3), ValueError,
                  "point 4 out of range 1..3", id="from_cycles([(1, 4)], 3)"),
     pytest.param(lambda: parse_permutation("(1 2) 3", 3), ParseError,

@@ -196,13 +196,14 @@ class TestEnumeratorChecks:
         assert not scans
 
     def test_verify_reads_no_pair_stream(self, monkeypatch):
-        # the checks read the word streams that enumerate prints; the pair
-        # streams are the paper's parameterization for library callers
+        # the checks read the per-lead streams that enumerate prints; the
+        # pair streams are the paper's parameterization for library callers,
+        # and the word streams give the same words in construction order
         def refused(beta, k):
-            raise AssertionError("verify read a pair stream")
+            raise AssertionError("verify read a pair stream or a word stream")
 
-        monkeypatch.setattr(construct, "single_cycle_pairs", refused)
-        monkeypatch.setattr(construct, "fpf_pairs", refused)
+        for name in ("single_cycle_pairs", "fpf_pairs", "single_cycle_words", "fpf_words"):
+            monkeypatch.setattr(construct, name, refused)
         results = list(verify.verification_checks(6, max_n=6))
         assert len(results) == 13 and not any(failures for _, failures in results)
 
@@ -222,15 +223,16 @@ class TestEnumeratorChecks:
     def test_a_foreign_alpha_is_reported(self, monkeypatch):
         # as many alphas as the bucket holds, no repeats, but one of another
         # profile: the set differs though the counts agree
-        words = construct.single_cycle_words
+        leads = construct.single_cycle_leads
 
         def swapping(beta, k):
-            found = list(words(beta, k))
+            # verify reads every lead alike, so the words come as one lead
+            found = [word for words in leads(beta, k) for word in words]
             if k == 4 and found:
                 found[0] = tuple(range(beta.degree))
-            return found
+            return [found]
 
-        monkeypatch.setattr(construct, "single_cycle_words", swapping)
+        monkeypatch.setattr(construct, "single_cycle_leads", swapping)
         failures = verify._check_single_cycle_enumerator(oracle.distribution, None)
         assert failures == [
             "single-cycle set mismatch: beta=(1 2 3 4 5 6) k=4",
@@ -239,15 +241,15 @@ class TestEnumeratorChecks:
         ]
 
     def test_an_fpf_alpha_at_another_distance_is_reported(self, monkeypatch):
-        words = construct.fpf_words
+        leads = construct.fpf_leads
 
         def swapping(beta, j):
-            found = list(words(beta, j))
+            found = [word for words in leads(beta, j) for word in words]
             if j == 2:
                 found[0] = tuple(range(beta.degree))
-            return found
+            return [found]
 
-        monkeypatch.setattr(construct, "fpf_words", swapping)
+        monkeypatch.setattr(construct, "fpf_leads", swapping)
         failures = verify._check_fpf_enumerator(oracle.distribution, None)
         assert failures == ["fpf set mismatch: m=2 j=2", "fpf set mismatch: m=3 j=2"]
 
@@ -353,12 +355,14 @@ def parts_plus_one():
 
 
 def first_twice(module, name):
-    # the patch making the stream ``module.name`` yield its first item twice
+    # the patch making the per-lead stream ``module.name`` yield its first
+    # word twice, in the first lead
     exact = getattr(module, name)
 
     def twice(*args):
-        items = list(exact(*args))
-        return items[:1] + items
+        leads = [list(words) for words in exact(*args)]
+        leads[0] = leads[0][:1] + leads[0]
+        return leads
 
     return module, name, twice
 
@@ -428,7 +432,7 @@ FAILURE_LINES = [
         None, lambda: verify._check_parity_split(4, uneven_walk, HIST),
         "parity split n=2 type=(2,) k=0: 2/1", id="parity"),
     pytest.param(
-        first_twice(construct, "single_cycle_words"),
+        first_twice(construct, "single_cycle_leads"),
         lambda: verify._check_single_cycle_enumerator(HIST, None),
         "duplicate choices: beta=(1 2 3 4 5 6) k=3", id="single-cycle-duplicate"),
     pytest.param(
@@ -436,7 +440,7 @@ FAILURE_LINES = [
         lambda: verify._check_single_cycle_enumerator(HIST, None),
         "single-cycle count mismatch: beta=(1 2 3 4 5 6) k=3", id="single-cycle-count"),
     pytest.param(
-        first_twice(construct, "fpf_words"), lambda: verify._check_fpf_enumerator(HIST, None),
+        first_twice(construct, "fpf_leads"), lambda: verify._check_fpf_enumerator(HIST, None),
         "duplicate choices: m=2 j=0", id="fpf-duplicate"),
     pytest.param(
         plus_one(formulas, "fpf_involution_count"),
