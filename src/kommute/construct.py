@@ -24,19 +24,19 @@ because its row hits exactly the target points and its outer row exactly
 the other points; ``_checked`` raises ``ValueError`` (not an assert, so
 ``python -O`` keeps it) before any word of the frame is built.
 
-Two walks read the frames.  One goes in construction order, one frame at
-a time: ``single_cycle_words`` and ``fpf_words`` give the zero-based
-one-line words, and ``single_cycle_pairs`` and ``fpf_pairs`` add the
-choice tuples and build each ``Permutation``.  ``single_cycle_leads`` and ``fpf_leads``, which
-``kommute enumerate`` and ``kommute verify`` read, build every frame first
-and then give the same words split by their leading entry, one lead at a
-time, each in construction order.  Packed entries must fit a byte, so a
-nonempty construction needs degree <= 256; above that the packing raises
+One expander, ``_expand``, gives a frame's words in construction order,
+or only those that send point 0 to a given lead; two walks read it.
+``single_cycle_pairs`` and ``fpf_pairs`` add the choice tuples, one frame
+at a time, and build each ``Permutation``.  ``single_cycle_leads`` and
+``fpf_leads``, which ``kommute enumerate`` and ``kommute verify`` read,
+build every frame first, then give the zero-based one-line words one
+leading entry at a time.  Packed entries must fit a byte, so a nonempty
+construction needs degree <= 256; above that the packing raises
 ``ValueError: byte must be in range(0, 256)``.
 
 Indexing convention: the frames hold zero-based points, read from
 ``word_cycles`` of beta's word; ``single_cycle_pairs`` and ``fpf_pairs``
-lift each group's choice prefix to 1-based points once, at their edge.
+lift each head's choice prefix to 1-based points once, at their edge.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ def _rotate(row: bytes, s: int) -> bytes:
     return row[m - s :] + row[: m - s]
 
 
-def _checked(images: list[int], points: list[int]) -> list[int]:
+def _checked(images: Sequence[int], points: list[int]) -> Sequence[int]:
     # the bijection check of Permutation.__init__, made once for a whole row
     # or outer map: its zero-based images must be exactly the sorted points
     if sorted(images) != points:
@@ -157,7 +157,7 @@ class _Frame(NamedTuple):
 # the rows of one (sources, targets) choice: each row's choice (the choice
 # tuple without start and outer index) and the images of the source cycles'
 # points, in cycle order, given the targets and their sorted points
-_Rows = Callable[[Sequence[int], list[int]], Iterator[tuple[tuple, list[int]]]]
+_Rows = Callable[[Sequence[int], list[int]], Iterator[tuple[tuple, Sequence[int]]]]
 # what the frame builder yields: each (sources, targets) pair, its rows'
 # choices and its frame
 _Framed = Iterator[tuple[tuple, Iterator[tuple], _Frame]]
@@ -220,48 +220,40 @@ def _having(data: bytes, width: int, at: int, value: int) -> list[bytes]:
     return found
 
 
-def _heads(f: _Frame, lead: int | None = None) -> Iterable[bytes]:
-    # the frame's heads in construction order or, for a lead among the target
-    # points when point 0 lies in a source cycle, those sending point 0 to it:
-    # one rotation of each image row, or the inner assignments that have it
-    if not f.turns:
-        return _unpack(f.rows, f.width) if lead is None else _having(f.rows, f.width, f.at, lead)
+def _expand(f: _Frame, lead: int | None = None) -> tuple[Iterable[bytes], list[bytes]]:
+    # the heads and outer rows whose words, gather(head + outer) for each
+    # head with each outer row in turn, are all the frame's words in
+    # construction order or, given a lead, those that send point 0 to it:
+    # every head with the outer rows that do, where point 0 lies in an outer
+    # row; else the inner assignments, or each image row's rotation, that do
+    outers = _unpack(f.outers, f.outer_width)
+    if lead is not None and f.at >= f.width:
+        outers, lead = _having(f.outers, f.outer_width, f.at - f.width, lead), None
+        if not outers:
+            return (), []
+    elif lead is not None and lead not in f.rows[: f.width]:  # each row holds every target point
+        return (), []
     rows = _unpack(f.rows, f.width)
-    if lead is None:
-        return (_rotate(row, s) for row in rows for s in range(f.width))
-    return (_rotate(row, (f.at - row.index(lead)) % f.width) for row in rows)
-
-
-def _groups(f: _Frame) -> Iterator[Iterator[tuple[int, ...]]]:
-    # the words of each of the frame's heads, in construction order
-    outers = list(_unpack(f.outers, f.outer_width))
-    return (map(f.gather, map(head.__add__, outers)) for head in _heads(f))
-
-
-def _words(frames: _Framed) -> Iterator[tuple[int, ...]]:
-    return itertools.chain.from_iterable(words for _, _, f in frames for words in _groups(f))
-
-
-def _lead_words(frames: list[_Frame], lead: int) -> Iterator[tuple[int, ...]]:
-    # the words that send point 0 to ``lead``, frame by frame, each frame's
-    # in construction order: where point 0 lies in a source cycle, only the
-    # heads that send it there, with every outer row; elsewhere, every head
-    # with only the outer rows that send it there
-    for f in frames:
-        if f.at >= f.width:
-            heads, outers = _heads(f), _having(f.outers, f.outer_width, f.at - f.width, lead)
-        elif lead in f.rows[: f.width]:  # each row holds every target point
-            heads, outers = _heads(f, lead), list(_unpack(f.outers, f.outer_width))
-        else:
-            continue
-        if outers:
-            pairs = itertools.product(heads, outers)
-            yield from map(f.gather, itertools.starmap(operator.add, pairs))
+    if not f.turns:
+        heads = rows if lead is None else _having(f.rows, f.width, f.at, lead)
+    elif lead is None:
+        heads = (_rotate(row, s) for row in rows for s in range(f.width))
+    else:
+        heads = (_rotate(row, (f.at - row.index(lead)) % f.width) for row in rows)
+    return heads, list(outers)
 
 
 def _leads(frames: _Framed, n: int) -> Iterator[Iterator[tuple[int, ...]]]:
+    # every frame built and checked first; then, for each lead, the words
+    # that send point 0 to it, frame by frame
     held = [f for _, _, f in frames]
-    return (_lead_words(held, lead) for lead in range(n))
+
+    def words(lead: int) -> Iterator[tuple[int, ...]]:
+        for f in held:
+            pairs = itertools.product(*_expand(f, lead))
+            yield from map(f.gather, itertools.starmap(operator.add, pairs))
+
+    return map(words, range(n))
 
 
 def _single_cycle_frames(beta: Permutation, k: int) -> _Framed:
@@ -298,18 +290,11 @@ def _single_cycle_frames(beta: Permutation, k: int) -> _Framed:
     return _frames(cycles, pairs, rows, True)
 
 
-def single_cycle_words(beta: Permutation, k: int) -> Iterator[tuple[int, ...]]:
-    """
-    The zero-based one-line words of the single-cycle witnesses at
-    distance k, in the order of ``single_cycle_pairs``.
-    """
-    return _words(_single_cycle_frames(beta, k))
-
-
 def single_cycle_leads(beta: Permutation, k: int) -> Iterator[Iterator[tuple[int, ...]]]:
     """
-    The words of ``single_cycle_words`` by leading entry: for i = 0 .. n-1,
-    an iterator of those whose first entry is i, in the same order.  Every
+    The zero-based one-line words of the single-cycle witnesses at
+    distance k by leading entry: for i = 0 .. n-1, an iterator of those
+    whose first entry is i, in the order of ``single_cycle_pairs``.  Every
     row and outer map is checked before this returns.
     """
     return _leads(_single_cycle_frames(beta, k), beta.degree)
@@ -324,12 +309,13 @@ def single_cycle_pairs(
     the construction.
     """
     cycles = word_cycles(beta.word)
-    for ((source,), (target,)), choices, frame in _single_cycle_frames(beta, k):
-        heads = ((points, tau, start) for points, tau in choices for start in cycles[source])
-        for (points, tau, start), words in zip(heads, _groups(frame)):
+    for ((source,), (target,)), choices, f in _single_cycle_frames(beta, k):
+        heads, outers = _expand(f)
+        starts = ((points, tau, start) for points, tau in choices for start in cycles[source])
+        for (points, tau, start), head in zip(starts, heads):
             prefix = (source, target, tuple(p + 1 for p in points), tau, start + 1)
-            for oi, word in enumerate(words):
-                yield SingleCycleChoice(*prefix, oi), Permutation._from_word(word)
+            for oi, outer in enumerate(outers):
+                yield SingleCycleChoice(*prefix, oi), Permutation._from_word(f.gather(head + outer))
 
 
 def enumerate_single_cycle(beta: Permutation, k: int) -> set[Permutation]:
@@ -337,7 +323,7 @@ def enumerate_single_cycle(beta: Permutation, k: int) -> set[Permutation]:
     The exact set of permutations at distance k from beta whose bad points
     all lie in a single cycle of beta.
     """
-    return set(map(Permutation._from_word, single_cycle_words(beta, k)))
+    return set(map(Permutation._from_word, itertools.chain(*single_cycle_leads(beta, k))))
 
 
 # -- fixed-point-free involutions ---------------------------------------------
@@ -362,7 +348,7 @@ def perfect_matchings(
 
 def _fpf_frames(beta: Permutation, j: int) -> _Framed:
     # the construction's frames, one per (sources, targets) choice of j
-    # couples each; a row per (matching, assigned, orient), in that order
+    # couples each; a row per (matching, assigned, oriented pairs), in that order
     cycles = word_cycles(beta.word)
     if any(len(c) != 2 for c in cycles):
         raise ValueError("beta must be a fixed-point-free involution")
@@ -376,32 +362,19 @@ def _fpf_frames(beta: Permutation, j: int) -> _Framed:
             if any(pair in target_couples for pair in matching):
                 continue
             for assigned in itertools.permutations(matching):
-                for orient in itertools.product((0, 1), repeat=j):
-                    # source couple (x, y) goes to (u, v), or to (v, u)
-                    # when flipped
-                    row = [
-                        p
-                        for (u, v), flip in zip(assigned, orient)
-                        for p in ((v, u) if flip else (u, v))
-                    ]
-                    yield (matching, assigned, orient), row
+                # source couple (x, y) goes to (u, v) or, flipped, to (v, u)
+                for oriented in itertools.product(*[(pair, pair[::-1]) for pair in assigned]):
+                    yield (matching, assigned, oriented), sum(oriented, ())
 
     pairs = itertools.product(itertools.combinations(range(m), j), repeat=2)
     return _frames(cycles, pairs, rows, False)
 
 
-def fpf_words(beta: Permutation, j: int) -> Iterator[tuple[int, ...]]:
-    """
-    The zero-based one-line words of the witnesses at distance 2j from the
-    fixed-point-free involution beta, in the order of ``fpf_pairs``.
-    """
-    return _words(_fpf_frames(beta, j))
-
-
 def fpf_leads(beta: Permutation, j: int) -> Iterator[Iterator[tuple[int, ...]]]:
     """
-    The words of ``fpf_words`` by leading entry, as ``single_cycle_leads``
-    gives those of ``single_cycle_words``.
+    The zero-based one-line words of the witnesses at distance 2j from the
+    fixed-point-free involution beta by leading entry, as
+    ``single_cycle_leads`` gives them, in the order of ``fpf_pairs``.
     """
     return _leads(_fpf_frames(beta, j), beta.degree)
 
@@ -413,13 +386,15 @@ def fpf_pairs(beta: Permutation, j: int) -> Iterator[tuple[tuple, Permutation]]:
     the source couples onto a matching of the target points that avoids
     every target couple, and extend by a commuting bijection elsewhere.
     """
-    for (sources, targets), choices, frame in _fpf_frames(beta, j):
-        for (matching, assigned, orient), words in zip(choices, _groups(frame)):
+    for (sources, targets), choices, f in _fpf_frames(beta, j):
+        heads, outers = _expand(f)
+        for (matching, assigned, oriented), head in zip(choices, heads):
             lifted_matching = tuple((u + 1, v + 1) for u, v in matching)
             lifted = tuple((u + 1, v + 1) for u, v in assigned)
+            orient = tuple(int(pair != to) for pair, to in zip(assigned, oriented))  # 1: flipped
             prefix = (sources, targets, lifted_matching, lifted, orient)
-            for oi, word in enumerate(words):
-                yield (*prefix, oi), Permutation._from_word(word)
+            for oi, outer in enumerate(outers):
+                yield (*prefix, oi), Permutation._from_word(f.gather(head + outer))
 
 
 def enumerate_fpf(beta: Permutation, j: int) -> set[Permutation]:
@@ -427,4 +402,4 @@ def enumerate_fpf(beta: Permutation, j: int) -> set[Permutation]:
     The exact set of permutations at distance 2j from the fixed-point-free
     involution beta.
     """
-    return set(map(Permutation._from_word, fpf_words(beta, j)))
+    return set(map(Permutation._from_word, itertools.chain(*fpf_leads(beta, j))))

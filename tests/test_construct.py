@@ -268,7 +268,7 @@ class TestEnumerateSingleCycle:
 
         monkeypatch.setattr(construct, "successor_free_kcycles", walk)
         beta = parse_permutation("(1 2 3)", 20)
-        assert list(construct.single_cycle_words(beta, 15)) == []
+        assert [list(words) for words in construct.single_cycle_leads(beta, 15)] == [[]] * 20
 
     def test_k_below_three(self):
         beta = parse_permutation("(1 2 3)", 3)
@@ -331,7 +331,7 @@ class TestEnumerateFpf:
         monkeypatch.setattr(construct, "_outer_rows", refused)
         beta = CycleType.from_parts([2] * 8).representative()
         assert [list(words) for words in construct.fpf_leads(beta, 1)] == [[]] * 16
-        assert list(construct.fpf_words(beta, 1)) == []
+        assert list(construct.fpf_pairs(beta, 1)) == []
 
     def test_all_j_against_oracle_m3(self):
         beta = parse_permutation("(1 2)(3 4)(5 6)", 6)
@@ -418,9 +418,15 @@ def _deck(parts):
     return CycleType.from_parts(parts).representative().cycle_string(), sum(parts)
 
 
-class TestWordStreams:
-    # the pair-order cases, then the shapes perfbench's enumerate_stream
-    # deck requests (single: cycle type and k; fpf: m pairs and j)
+class TestLeadStreams:
+    # the per-lead streams that enumerate and verify read are the words in
+    # construction order split by leading entry.  Against the pair streams'
+    # words, with the closed-form count: at the pair-order cases and at the
+    # shapes perfbench's enumerate_stream deck requests (single: cycle type
+    # and k; fpf: m pairs and j).  Against the frames' words, read from the
+    # expander: on every cycle type of degree n <= 8 at every k >= 3, and on
+    # the fixed-point-free involutions with m <= 5 couples at every j (up to
+    # 2,088,960 words)
     SINGLE = [*TestPairStreamOrder.SINGLE] + [
         (*_deck(parts), k)
         for parts, k in [
@@ -433,29 +439,10 @@ class TestWordStreams:
         (*_deck((2,) * m), j) for m, j in [(4, 2), (4, 3), (4, 4), (5, 2)]
     ]
 
-    @pytest.mark.parametrize("text,n,k", SINGLE)
-    def test_single_cycle_words_are_the_pairs_words(self, text, n, k):
-        beta = parse_permutation(text, n)
-        words = list(construct.single_cycle_words(beta, k))
-        assert words == [alpha.word for _, alpha in construct.single_cycle_pairs(beta, k)]
-        assert len(words) == formulas.single_cycle_count(beta.cycle_type(), k)
-
-    @pytest.mark.parametrize("text,n,j", FPF)
-    def test_fpf_words_are_the_pairs_words(self, text, n, j):
-        beta = parse_permutation(text, n)
-        words = list(construct.fpf_words(beta, j))
-        assert words == [alpha.word for _, alpha in construct.fpf_pairs(beta, j)]
-        assert len(words) == formulas.fpf_involution_count(2 * j, n // 2)
-
-
-class TestLeadStreams:
-    # the per-lead streams that enumerate and verify read are the word
-    # streams split by leading entry, each lead in construction order: on
-    # every cycle type of degree n <= 8 at every k >= 3, and on the
-    # fixed-point-free involutions with m <= 5 couples at every j (up to
-    # 2,088,960 words, packed as bytes)
     @staticmethod
     def assert_split(words, leads, n):
+        # each lead's stream gives the words with that lead, in the order
+        # of ``words``, and only those, compared as packed bytes
         want = [bytearray() for _ in range(n)]
         for word in words:
             want[word[0]].extend(word)
@@ -463,26 +450,50 @@ class TestLeadStreams:
         assert got == want
         assert all(set(data[::n]) <= {lead} for lead, data in enumerate(got))
 
+    @staticmethod
+    def frame_words(frames):
+        # the frames' words in construction order, read from the expander
+        for _, _, f in frames:
+            heads, outers = construct._expand(f)
+            for head in heads:
+                yield from map(f.gather, map(head.__add__, outers))
+
+    @pytest.mark.parametrize("text,n,k", SINGLE)
+    def test_single_cycle_leads_are_the_pairs_words(self, text, n, k):
+        beta = parse_permutation(text, n)
+        words = [alpha.word for _, alpha in construct.single_cycle_pairs(beta, k)]
+        self.assert_split(words, construct.single_cycle_leads(beta, k), n)
+        assert len(words) == formulas.single_cycle_count(beta.cycle_type(), k)
+
+    @pytest.mark.parametrize("text,n,j", FPF)
+    def test_fpf_leads_are_the_pairs_words(self, text, n, j):
+        beta = parse_permutation(text, n)
+        words = [alpha.word for _, alpha in construct.fpf_pairs(beta, j)]
+        self.assert_split(words, construct.fpf_leads(beta, j), n)
+        assert len(words) == formulas.fpf_involution_count(2 * j, n // 2)
+
     @pytest.mark.parametrize("n", range(3, 9))
     def test_single_cycle_leads_split_the_words(self, n):
         for t in CycleType.all_types(n):
             beta = t.representative()
             for k in range(3, n + 1):
-                words = construct.single_cycle_words(beta, k)
+                words = self.frame_words(construct._single_cycle_frames(beta, k))
                 self.assert_split(words, construct.single_cycle_leads(beta, k), n)
 
     @pytest.mark.parametrize("m", range(1, 6))
     def test_fpf_leads_split_the_words(self, m):
         beta = CycleType.from_parts([2] * m).representative()
         for j in range(m + 1):
-            self.assert_split(construct.fpf_words(beta, j), construct.fpf_leads(beta, j), 2 * m)
+            words = self.frame_words(construct._fpf_frames(beta, j))
+            self.assert_split(words, construct.fpf_leads(beta, j), 2 * m)
 
 
 def _collision_outcomes():
     # each stream under one injected fault: a colliding outer map (the
-    # second map of every group), a colliding image row, or a colliding
+    # second map of every frame), a colliding image row, or a colliding
     # fpf inner assignment (a matching that uses a point twice).  The
-    # outcome is the first thing the stream gives: an error or a word
+    # outcome is the first thing the stream gives: an error, a lead's
+    # stream or a (choice, witness) pair
     real_outers, real_row = construct._outer_rows, construct._image_row
     real_matchings = construct.perfect_matchings
 
@@ -504,15 +515,15 @@ def _collision_outcomes():
     single = (parse_permutation("(1 2 3)(4 5)(6 7)", 7), 3)
     fpf = (parse_permutation("(1 2)(3 4)(5 6)", 6), 2)
     streams = {
-        "single_cycle_words": (construct.single_cycle_words, single),
+        "single_cycle_leads": (construct.single_cycle_leads, single),
         "single_cycle_pairs": (construct.single_cycle_pairs, single),
-        "fpf_words": (construct.fpf_words, fpf),
+        "fpf_leads": (construct.fpf_leads, fpf),
         "fpf_pairs": (construct.fpf_pairs, fpf),
     }
     faults = {
         "outer map": ("_outer_rows", colliding_outers, list(streams)),
-        "row": ("_image_row", colliding_row, ["single_cycle_words", "single_cycle_pairs"]),
-        "inner assignment": ("perfect_matchings", colliding_matchings, ["fpf_words", "fpf_pairs"]),
+        "row": ("_image_row", colliding_row, ["single_cycle_leads", "single_cycle_pairs"]),
+        "inner assignment": ("perfect_matchings", colliding_matchings, ["fpf_leads", "fpf_pairs"]),
     }
     outcomes = []
     for fault, (name, fake, names) in faults.items():
@@ -529,7 +540,7 @@ def _collision_outcomes():
 
 class TestGroupBijectionChecks:
     # a row, an fpf inner assignment and each outer map are checked once,
-    # before any word of their group is built; a per-word check would let
+    # before any word of their frame is built; a per-word check would let
     # the words before the faulty one through
     def test_collision_raises_before_any_word(self):
         outcomes = _collision_outcomes()

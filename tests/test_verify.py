@@ -197,12 +197,11 @@ class TestEnumeratorChecks:
 
     def test_verify_reads_no_pair_stream(self, monkeypatch):
         # the checks read the per-lead streams that enumerate prints; the
-        # pair streams are the paper's parameterization for library callers,
-        # and the word streams give the same words in construction order
+        # pair streams are the paper's parameterization for library callers
         def refused(beta, k):
-            raise AssertionError("verify read a pair stream or a word stream")
+            raise AssertionError("verify read a pair stream")
 
-        for name in ("single_cycle_pairs", "fpf_pairs", "single_cycle_words", "fpf_words"):
+        for name in ("single_cycle_pairs", "fpf_pairs"):
             monkeypatch.setattr(construct, name, refused)
         results = list(verify.verification_checks(6, max_n=6))
         assert len(results) == 13 and not any(failures for _, failures in results)
