@@ -316,7 +316,7 @@ def _check_fpf_enumerator(hist, max_n) -> list[str]:
 
 
 def _check_egfs(n_max, tkn) -> list[str]:
-    # the last check, so series and fractions load after every other verdict
+    # the last check, so series loads after every other verdict
     from . import series
 
     bad = []

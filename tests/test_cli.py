@@ -1231,6 +1231,14 @@ class TestColdStart:
             loaded = self.loaded(argv)
             assert not loaded & (POOL_MODULES | HEAVY_MODULES), argv
 
+    def test_series_requests_load_no_fractions_decimal_or_numbers(self):
+        # the series computes in integers; fractions, with decimal and
+        # numbers, would add about 0.5 MB to each of these requests
+        for argv in ["gf --kind fpf --n-max 10", "gf --kind tkn --n-max 20", "verify --n-max 4"]:
+            loaded = self.loaded(argv)
+            assert "kommute.series" in loaded, argv
+            assert not loaded & {"fractions", "decimal", "numbers"}, argv
+
     def test_no_serial_request_loads_the_worker_pool(self):
         for argv in [
             "count --beta (1,2,3)(4,5) --n 5 --k 3 --method brute --jobs 1",

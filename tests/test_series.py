@@ -8,7 +8,7 @@ from kommute import formulas, series
 from kommute.series import BivariateSeries, monomial, one
 
 
-def random_series(rng, nz=4, nu=3, with_constant=False):
+def random_coeffs(rng, nz=4, nu=3, with_constant=False):
     coeffs = {}
     for i in range(nz + 1):
         for j in range(nu + 1):
@@ -16,7 +16,11 @@ def random_series(rng, nz=4, nu=3, with_constant=False):
                 continue
             if rng.random() < 0.5:
                 coeffs[(i, j)] = Fraction(rng.randint(-4, 4), rng.randint(1, 5))
-    return BivariateSeries(nz, nu, coeffs)
+    return coeffs
+
+
+def random_series(rng, nz=4, nu=3, with_constant=False):
+    return BivariateSeries(nz, nu, random_coeffs(rng, nz, nu, with_constant))
 
 
 class TestRingOperations:
@@ -61,6 +65,101 @@ class TestRingOperations:
         z = monomial(1, 0, 2, 0)
         cube = z * z * z  # degree 3 falls off the order-2 box
         assert cube.is_zero()
+
+
+class FractionSeries:
+    # the slow path the integer form is held to: a dict of Fractions,
+    # truncated at (nz, nu), zeros included
+
+    def __init__(self, nz, nu, coeffs=None):
+        self.nz, self.nu = nz, nu
+        self.c = {(i, j): Fraction(0) for i in range(nz + 1) for j in range(nu + 1)}
+        self.c.update(coeffs or {})
+
+    def __add__(self, other):
+        return FractionSeries(self.nz, self.nu, {k: v + other.c[k] for k, v in self.c.items()})
+
+    def scale(self, q):
+        return FractionSeries(self.nz, self.nu, {k: v * q for k, v in self.c.items()})
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def __mul__(self, other):
+        out = FractionSeries(self.nz, self.nu)
+        for (i1, j1), v1 in self.c.items():
+            for (i2, j2), v2 in other.c.items():
+                if (i1 + i2, j1 + j2) in out.c:
+                    out.c[(i1 + i2, j1 + j2)] += v1 * v2
+        return out
+
+    def power_sum(self, first, coeff):
+        # first + sum coeff(r) * self**r over r = 1 .. nz + nu, past which
+        # a series with no constant term truncates to zero
+        out = FractionSeries(self.nz, self.nu, {(0, 0): Fraction(first)})
+        power = self
+        for r in range(1, self.nz + self.nu + 1):
+            out, power = out + power.scale(coeff(r)), power * self
+        return out
+
+
+def half_choose(r):
+    # C(1/2, r) as the falling product (1/2)(1/2 - 1)...(1/2 - r + 1) / r!
+    return math.prod((Fraction(1, 2) - i for i in range(r)), start=Fraction(1)) / math.factorial(r)
+
+
+REFERENCE_KERNELS = [
+    (series.exp, 1, lambda r: Fraction(1, math.factorial(r))),
+    (series.log_one_plus, 0, lambda r: Fraction((-1) ** (r + 1), r)),
+    (series.inv_one_minus, 1, lambda r: Fraction(1)),
+    (series.sqrt_one_plus, 1, half_choose),
+]
+
+
+class TestFractionReference:
+    # each operation equals the Fraction dicts' result coefficient by
+    # coefficient, and equal values are equal, with one hash
+
+    @staticmethod
+    def assert_matches(got, want):
+        assert [got.coeff(*k) for k in want.c] == list(want.c.values())
+        rebuilt = BivariateSeries(want.nz, want.nu, want.c)
+        assert got == rebuilt
+        assert hash(got) == hash(rebuilt)
+
+    def test_ring_operations(self):
+        rng = random.Random(17)
+        for _ in range(10):
+            a, b = (random_coeffs(rng, with_constant=True) for _ in range(2))
+            s, t = BivariateSeries(4, 3, a), BivariateSeries(4, 3, b)
+            f, g = FractionSeries(4, 3, a), FractionSeries(4, 3, b)
+            self.assert_matches(s + t, f + g)
+            self.assert_matches(s - t, f - g)
+            self.assert_matches(s * t, f * g)
+            for q in (3, -2, 0, Fraction(-1, 2), Fraction(7, 3)):
+                self.assert_matches(s.scale(q), f.scale(q))
+                self.assert_matches(s * q, f.scale(q))
+
+    def test_kernels(self):
+        rng = random.Random(19)
+        for _ in range(6):
+            coeffs = random_coeffs(rng, nz=3, nu=2)
+            s, f = BivariateSeries(3, 2, coeffs), FractionSeries(3, 2, coeffs)
+            for op, first, coeff in REFERENCE_KERNELS:
+                self.assert_matches(op(s), f.power_sum(first, coeff))
+
+    def test_negative_power_sum_denominators(self):
+        # sqrt_one_plus's coefficients C(2r, r) / ((-4)**r (1 - 2r)) have
+        # denominators of either sign; the series stores a positive one
+        z = monomial(1, 0, 3, 0)
+        assert z._scale(1, -2) == z.scale(Fraction(-1, 2))
+        assert hash(z._scale(1, -2)) == hash(z.scale(Fraction(-1, 2)))
+        root = series.sqrt_one_plus(z)
+        want = BivariateSeries(3, 0, {(r, 0): half_choose(r) for r in range(4)})
+        assert root == want and hash(root) == hash(want)
+        assert root.coeff(1, 0) == Fraction(1, 2) and root.coeff(2, 0) == Fraction(-1, 8)
+        assert series.sqrt_one_plus(z.scale(-4)) - one(3, 0) + z.scale(2) == (
+            z * z).scale(-2) + (z * z * z).scale(-4)
 
 
 class TestTranscendentalKernels:
@@ -148,6 +247,24 @@ class TestFpfInvolutionEgf:
             w = zu * series.inv_one_minus(z.scale(2))
             denom = (one(o, o) - z.scale(2)) * series.sqrt_one_plus(w.scale(-4))
             assert series.fpf_involution_egf(o) * denom * series.exp(w.scale(2)) == one(o, o)
+
+
+class TestIntegralityGuard:
+    # a coefficient whose scaled value is not an integer is refused, not
+    # truncated
+    def test_ncycle_coefficient(self):
+        s = BivariateSeries(3, 3, {(2, 1): Fraction(1, 3), (2, 2): Fraction(1, 2)})
+        assert series.ncycle_egf_coeff(s, 2, 2) == 1
+        with pytest.raises(ArithmeticError, match=r"^coefficient \(2, 1\) is not integral: 2/3$"):
+            series.ncycle_egf_coeff(s, 2, 1)
+
+    def test_fpf_coefficient(self):
+        s = BivariateSeries(3, 3, {(2, 1): Fraction(1, 3), (3, 2): Fraction(-5, 6)})
+        assert series.fpf_involution_egf_coeff(s, 3, 2) == -10
+        with pytest.raises(ArithmeticError, match=r"^coefficient \(2, 1\) is not integral: 2/3$"):
+            series.fpf_involution_egf_coeff(s, 2, 1)
+        with pytest.raises(ValueError, match="beyond truncation"):
+            series.fpf_involution_egf_coeff(s, 4, 1)
 
 
 class TestMatchingEgfIdentity:
