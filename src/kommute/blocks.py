@@ -18,10 +18,10 @@ a bug, not a property of the input.
 The characterization is decided per cycle: the verdict on a cycle of beta
 reads only alpha's images of that cycle's points and which of them are
 bad.  ``_cycle_verdict`` decides one cycle into its bad count and a
-bitmask of its image points, and ``_fold`` joins the cycles' verdicts
-into the pair's (image masks disjoint, bad counts adding up to the
-distance), so a caller checking many pairs against one beta can decide
-each distinct cycle once.
+bitmask of its image points, in one pass over the runs of ``_cut``, and
+``_fold`` joins the cycles' verdicts into the pair's (image masks
+disjoint, bad counts adding up to the distance), so a caller checking
+many pairs against one beta can decide each distinct cycle once.
 
 Indexing convention: the private kernels work on zero-based points, as
 the permutations' words do; the public functions take and return 1-based
@@ -92,12 +92,6 @@ def as_profile(parts: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(parts, reverse=True))
 
 
-def _is_block(points: list[int], word: tuple[int, ...], host: tuple[int, ...]) -> bool:
-    # a nonempty list, each point followed by its beta-image and no longer
-    # than the host cycle; such a string cannot repeat a point
-    return len(points) <= host[points[0]] and [word[a] for a in points[:-1]] == points[1:]
-
-
 def is_block(points: Sequence[int], beta: Permutation) -> bool:
     """
     True iff the points are consecutive inside a single cycle of beta and
@@ -114,7 +108,8 @@ def is_block(points: Sequence[int], beta: Permutation) -> bool:
     """
     points = [p - 1 for p in points]
     if points and all(0 <= p < beta.degree for p in points):
-        return _is_block(points, beta.word, _frame(beta.word).host)
+        # the points are their own images under the identity
+        return bool(_image_mask(range(beta.degree), points, beta.word, _frame(beta.word).host))
     return False
 
 
@@ -234,25 +229,48 @@ def _cycle_verdict(
         runs = _cut(cycle, bad, ends[-1] + 1) if ends else [cycle]
     except ValueError:
         return None
-    images = [[a[p] for p in run] for run in runs]
-    # every image run is a block, and a lone one is improper exactly when
-    # the cycle has no bad point
-    if not all(_is_block(b, w, host) for b in images):
-        return None
-    if len(images) == 1 and (len(images[0]) == host[images[0][0]]) == bool(ends):
-        return None
-    # x and y are blocks, so x + y is one iff beta takes the end of x to
-    # the start of y and x + y fits in the host cycle; a lone block, proper
-    # or whole, never merges with itself
-    for x, y in zip(images[-1:] + images[:-1], images):
-        if w[x[-1]] == y[0] and len(x) + len(y) <= host[x[0]]:
+    # one pass: each image run is a block, and merges with none before it
+    # (cyclically).  Blocks x and y merge iff beta takes the end of x to the
+    # start of y and x + y fits in the host cycle; the check against the
+    # last run, not yet known to be a block, errs only where its own fails
+    k = len(runs)
+    used = size = 0
+    end, length = a[runs[-1][-1]], len(runs[-1])
+    for run in runs:
+        mask = _image_mask(a, run, w, host)
+        if not mask:
             return None
+        start = a[run[0]]
+        if k > 1 and w[end] == start and length + len(run) <= host[start]:
+            return None
+        end, length = a[run[-1]], len(run)
+        used |= mask
+        size += length
+    # a lone run, which never merges with itself, is improper exactly when
+    # the cycle has no bad point
+    if k == 1 and (length == host[start]) == bool(ends):
+        return None
     if not ends:
         return 0, 0
-    # a sum of distinct powers of two has one bit per term: fewer bits
-    # mean a repeated point
-    points = [p for b in images for p in b]
-    mask = sum([1 << p for p in points])
-    if mask.bit_count() != len(points):
+    # fewer bits than points mean a repeated point
+    if used.bit_count() != size:
         return None
-    return len(runs), mask
+    return k, used
+
+
+def _image_mask(
+    a: tuple[int, ...], run: Sequence[int], w: tuple[int, ...], host: tuple[int, ...]
+) -> int:
+    # the bitmask of alpha's image of a nonempty run when that image is a
+    # block of beta, each point followed by its beta-image and no longer
+    # than the host cycle (so no point repeats); else 0
+    x = a[run[0]]
+    if len(run) > host[x]:
+        return 0
+    mask = 0
+    for p in run:
+        if a[p] != x:
+            return 0
+        mask |= 1 << x
+        x = w[x]
+    return mask

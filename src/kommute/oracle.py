@@ -20,7 +20,10 @@ over the n!/|C(beta)| elements of the class, which depend only on how the
 cycles of gamma weigh.  ``_cycle_weights`` counts, for each point set whose
 size is a cycle length of beta, the cycles of gamma on it at each weight (a
 Held-Karp table); a census memoised on (lengths left, points left) then
-picks the cycle through the lowest point left, so no gamma is built.
+picks the cycle through the lowest point left, so no gamma is built.  The
+census works on plain dicts and sorts each grown profile once per weight;
+``distribution`` builds the one ``Counter`` it returns.  A long cycle's
+cost is its Held-Karp table, not the census.
 Degrees above ``HISTOGRAM_MAX_DEGREE`` are refused whatever the cap.
 
 The filters need the actual alpha, so each is one pass over ``_scan``,
@@ -42,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from collections import Counter, defaultdict
+from collections import Counter
 from typing import Iterator, NamedTuple, Sequence
 
 from .blocks import _profile, as_profile
@@ -115,7 +118,7 @@ def _census(beta_word: tuple[int, ...]) -> Counter:
     return Counter(bad for bad, _ in _scan(beta_word))
 
 
-def _cycle_weights(b: tuple[int, ...], sizes: set[int]) -> dict[int, Counter]:
+def _cycle_weights(b: tuple[int, ...], sizes: set[int]) -> dict[int, dict[int, int]]:
     """
     {S: {w: #cycles}} for each point set S, a bitmask, whose size is in
     ``sizes``: how many cycles of gamma on S have w = |D(gamma) & S|, for
@@ -124,12 +127,12 @@ def _cycle_weights(b: tuple[int, ...], sizes: set[int]) -> dict[int, Counter]:
     cycle has one path; a step y -> z weighs 1 when z != b[y].
 
     >>> sorted(_cycle_weights((1, 0, 2), {2}).items())
-    [(3, Counter({0: 1})), (5, Counter({2: 1})), (6, Counter({2: 1}))]
+    [(3, {0: 1}), (5, {2: 1}), (6, {2: 1})]
     >>> _cycle_weights((0, 1, 2, 3, 4), {5})[0b11111]
-    Counter({5: 24})
+    {5: 24}
     """
     n = len(b)
-    table: dict[int, Counter] = defaultdict(Counter)
+    table: dict[int, dict[int, int]] = {}
     for s in range(n):
         paths = {(1 << s, s, 0): 1}
         for size in range(1, min(max(sizes), n - s) + 1):
@@ -143,7 +146,11 @@ def _cycle_weights(b: tuple[int, ...], sizes: set[int]) -> dict[int, Counter]:
                 paths = grown
             if size in sizes:
                 for (seen, y, w), c in paths.items():
-                    table[seen][w + (s != b[y])] += c
+                    row = table.get(seen)
+                    if row is None:
+                        row = table[seen] = {}
+                    weight = w + (s != b[y])
+                    row[weight] = row.get(weight, 0) + c
     return table
 
 
@@ -158,23 +165,31 @@ def _first_cycles(lengths: tuple[int, ...], left: int) -> Iterator[tuple[tuple[i
             yield lengths[:i] + lengths[i + 1 :], sum([1 << p for p in tail], 1 << low)
 
 
-def _profile_census(lengths: tuple[int, ...], left: int, weights: dict, memo: dict) -> Counter:
+def _profile_census(
+    lengths: tuple[int, ...], left: int, weights: dict, memo: dict, grown: dict
+) -> dict[tuple[int, ...], int]:
     # how many permutations of the points ``left`` with cycle lengths
     # ``lengths`` have each profile.  ``memo`` maps (lengths, left) to a
-    # whole census; passed down as a plain dict, it forms no reference cycle
-    # that keeps the tables after the call
+    # whole census, and ``grown`` maps w to {profile: the profile with a
+    # part w added, none for w = 0}, so each profile is sorted once per
+    # weight.  Passed down as plain dicts, they form no reference cycle that
+    # keeps the tables after the call
     if not left:
-        return Counter({(): 1})
-    out: Counter = Counter()
+        return {(): 1}
+    out: dict[tuple[int, ...], int] = {}
+    get = out.get
     for others, cycle in _first_cycles(lengths, left):
         key = others, left & ~cycle
-        if key not in memo:
-            memo[key] = _profile_census(*key, weights, memo)
+        sub = memo.get(key)
+        if sub is None:
+            sub = memo[key] = _profile_census(*key, weights, memo, grown)
         for w, c in weights[cycle].items():
-            for prof, m in memo[key].items():
-                if w:
-                    prof = tuple(sorted(prof + (w,), reverse=True))
-                out[prof] += c * m
+            by = grown.setdefault(w, {})
+            for prof, m in sub.items():
+                g = by.get(prof)
+                if g is None:
+                    g = by[prof] = tuple(sorted(prof + (w,), reverse=True)) if w else prof
+                out[g] = get(g, 0) + c * m
     return out
 
 
@@ -223,7 +238,7 @@ def distribution(
     lengths = ctype.parts()
     order = ctype.centralizer_order()
     weights = _cycle_weights(beta.word, set(lengths))
-    census = _profile_census(lengths, (1 << n) - 1, weights, {})
+    census = _profile_census(lengths, (1 << n) - 1, weights, {}, {})
     counts = dict.fromkeys(range(n + 1), 0)
     profiles: Counter = Counter()
     for prof, c in census.items():

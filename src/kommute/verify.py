@@ -34,8 +34,13 @@ from .perm import CycleType, Permutation, lex_parities
 
 def _representatives(n_max: int) -> Iterable[tuple[int, CycleType, Permutation]]:
     for n in range(2, n_max + 1):
-        for t in CycleType.all_types(n):
-            yield n, t, t.representative()
+        yield from _degree_representatives(n)
+
+
+@functools.lru_cache(maxsize=None)
+def _degree_representatives(n: int) -> tuple[tuple[int, CycleType, Permutation], ...]:
+    # built once and shared by every check that reads degree n
+    return tuple((n, t, t.representative()) for t in CycleType.all_types(n))
 
 
 def _check_formula_matrix(n_max, hist) -> list[str]:

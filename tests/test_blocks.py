@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -55,6 +56,38 @@ def naive_characterization(alpha, beta, bad=None):
         for r in runs:
             images.extend(r)
     return len(images) == len(set(images)) and total == distance
+
+
+def reference_cycle_verdict(a, cycle, bad, w, host):
+    """
+    ``blocks._cycle_verdict`` as it was before its one-pass kernel: the
+    image runs built as lists, each tested with ``is_block`` below, then the
+    lone-run rule, the merges and the image popcount, each in its own pass.
+    """
+
+    def is_block(points):
+        return len(points) <= host[points[0]] and [w[p] for p in points[:-1]] == points[1:]
+
+    ends = [i for i, p in enumerate(cycle) if p in bad]
+    try:
+        runs = blocks._cut(cycle, bad, ends[-1] + 1) if ends else [cycle]
+    except ValueError:
+        return None
+    images = [[a[p] for p in run] for run in runs]
+    if not all(map(is_block, images)):
+        return None
+    if len(images) == 1 and (len(images[0]) == host[images[0][0]]) == bool(ends):
+        return None
+    for x, y in zip(images[-1:] + images[:-1], images):
+        if w[x[-1]] == y[0] and len(x) + len(y) <= host[x[0]]:
+            return None
+    if not ends:
+        return 0, 0
+    points = [p for b in images for p in b]
+    mask = sum([1 << p for p in points])
+    if mask.bit_count() != len(points):
+        return None
+    return len(runs), mask
 
 
 class TestBadPoints:
@@ -253,6 +286,28 @@ class TestVerifyCharacterization:
                         )
                         assert not blocks._fold(verdicts, len(bad) + 1), (a, b, p)
         assert cases == 18830
+
+    def test_cycle_verdict_equals_the_reference_kernel(self):
+        # every cycle of every pair with n <= 5, under every subset of the
+        # cycle's points as the bad set: a wrong bad set is how a mutated
+        # scan reaches the kernel
+        cases = 0
+        for n in range(1, 6):
+            perms = list(all_permutations(n))
+            for b in perms:
+                w = b.word
+                cycles, host = blocks._frame(w)
+                for a in perms:
+                    for cycle in cycles:
+                        for r in range(len(cycle) + 1):
+                            for chosen in itertools.combinations(cycle, r):
+                                bad = frozenset(chosen)
+                                cases += 1
+                                assert blocks._cycle_verdict(
+                                    a.word, cycle, bad, w, host
+                                ) == reference_cycle_verdict(a.word, cycle, bad, w, host), (
+                                    a, b, cycle, bad)
+        assert cases == 252_162
 
     def test_cycle_verdict_is_local_to_the_cycle(self):
         # alpha's images off the cycle and bad points off it change nothing:

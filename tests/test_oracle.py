@@ -3,12 +3,12 @@ import itertools
 import json
 import math
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
 
-from kommute import blocks, formulas, oracle
+from kommute import blocks, cli, formulas, oracle
 from kommute.perm import CycleType, Permutation, all_permutations, parse_permutation
 
 # brute-force histograms computed without kommute, read-only here
@@ -24,6 +24,59 @@ def sn_reduction(beta):
         counts[len(bad)] += c
         profiles[blocks._profile(bad, cycles)] += c
     return counts, profiles
+
+
+def reference_census(beta):
+    """
+    The profile census as ``oracle`` computed it before its plain-dict
+    census: ``Counter`` tables throughout, and each grown profile sorted
+    afresh for every (first cycle, weight, sub-profile) triple.
+    """
+    b, n = beta.word, beta.degree
+    lengths = beta.cycle_type().parts()
+    weights: dict = defaultdict(Counter)
+    for s in range(n):
+        paths = {(1 << s, s, 0): 1}
+        for size in range(1, min(max(lengths), n - s) + 1):
+            if size > 1:
+                grown: dict = {}
+                for (seen, y, w), c in paths.items():
+                    for z in range(s + 1, n):
+                        if not seen >> z & 1:
+                            key = (seen | 1 << z, z, w + (z != b[y]))
+                            grown[key] = grown.get(key, 0) + c
+                paths = grown
+            if size in lengths:
+                for (seen, y, w), c in paths.items():
+                    weights[seen][w + (s != b[y])] += c
+
+    def census(lengths, left, memo):
+        if not left:
+            return Counter({(): 1})
+        out: Counter = Counter()
+        for others, cycle in oracle._first_cycles(lengths, left):
+            key = others, left & ~cycle
+            if key not in memo:
+                memo[key] = census(*key, memo)
+            for w, c in weights[cycle].items():
+                for prof, m in memo[key].items():
+                    if w:
+                        prof = tuple(sorted(prof + (w,), reverse=True))
+                    out[prof] += c * m
+        return out
+
+    return census(lengths, (1 << n) - 1, {})
+
+
+# ``count --method brute`` as it printed before the plain-dict census:
+# (beta, n) -> the counts printed for k = 0, 4, 5 and n
+COUNT_BRUTE_UP_TO_12 = {
+    ("(1 2 3)(4 5)", 6): ("6", "90", "288", "264"),
+    ("(1 2 3 4)(5 6)(7 8)", 9): ("32", "1632", "8320", "145408"),
+    ("(1 2 3 4 5)(6 7 8)(9 10)", 11): ("30", "4200", "26880", "14809260"),
+    ("(1 2 3)(4 5 6)(7 8 9)(10 11 12)", 12): ("1944", "104976", "209952", "155348928"),
+    ("(1 2 3 4 5 6 7)(8 9)", 12): ("84", "17892", "145824", "112911876"),
+}
 
 
 class TestEnumerateSn:
@@ -120,6 +173,30 @@ class TestDistribution:
     def test_twelve_cycle_matches_the_closed_form(self):
         d = oracle.distribution(parse_permutation("(1 2 3 4 5 6 7 8 9 10 11 12)", 12), max_degree=12)
         assert d.counts == {k: formulas.count_for_ncycle(k, 12) for k in range(13)}
+
+    def test_census_equals_the_reference_census(self):
+        # every cycle type with n <= 10, and seeded types of S_11 and S_12:
+        # the same profiles with the same counts, in the same order
+        rng = random.Random(36)
+        types = [t for n in range(1, 11) for t in CycleType.all_types(n)]
+        for n in (11, 12):
+            types += rng.sample(list(CycleType.all_types(n)), 3)
+        for t in types:
+            beta = t.representative()
+            n, lengths = beta.degree, t.parts()
+            weights = oracle._cycle_weights(beta.word, set(lengths))
+            got = oracle._profile_census(lengths, (1 << n) - 1, weights, {}, {})
+            assert list(got.items()) == list(reference_census(beta).items()), lengths
+
+    def test_count_brute_prints_what_it_printed(self, capsys):
+        for (beta, n), counts in COUNT_BRUTE_UP_TO_12.items():
+            for k, count in zip((0, 4, 5, n), counts):
+                argv = ["count", "--beta", beta, "--n", str(n), "--k", str(k),
+                        "--method", "brute", "--max-brute-n", str(n)]
+                assert cli.main(argv) == 0
+                assert capsys.readouterr() == (
+                    f'{{"beta": "{beta}", "count": "{count}", "k": {k}, "method": "brute", '
+                    f'"n": {n}, "provenance": "exhaustive"}}\n', ""), (beta, k)
 
     def test_bound(self):
         with pytest.raises(ValueError, match="exhaustive bound"):

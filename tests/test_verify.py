@@ -113,9 +113,10 @@ def truncate_profile(monkeypatch):
 
 
 def reject_two_strings(monkeypatch):
-    exact = blocks._is_block
+    # the kernel's per-run block test: 0 is its "not a block"
+    exact = blocks._image_mask
     monkeypatch.setattr(
-        blocks, "_is_block", lambda points, word, host: len(points) != 2 and exact(points, word, host)
+        blocks, "_image_mask", lambda a, run, w, host: len(run) != 2 and exact(a, run, w, host)
     )
 
 
