@@ -293,8 +293,8 @@ def _witness_lines(
 def run_verify(args) -> int:
     from . import verify
 
-    verify._check_n_max(args.n_max, args.max_brute_n, "--n-max", "--max-brute-n")
-    results = verify.verification_checks(args.n_max, args.max_brute_n, args.corrupt_f)
+    bound = verify._check_n_max(args.n_max, args.max_brute_n, "--n-max", "--max-brute-n")
+    results = verify._run_checks(args.n_max, bound, args.corrupt_f)
     checks = failed = 0
     # each verdict is flushed as its check finishes, so a reader sees it at
     # once, and one that has closed the pipe ends the run at the next flush

@@ -12,10 +12,10 @@ and serves everything that needs each alpha: the block characterization
 and its profile invariants, the image cycle census and the even/odd split
 at each distance.  The walk builds no Permutation unless a pair fails.
 
-``verification_checks`` checks its arguments when called and returns a
-lazy stream of (name, failures) pairs: each check runs only when the
-stream is advanced to it, so a caller can report each verdict as soon as
-its check finishes and stop early without running the rest.
+``verification_checks`` checks its arguments and fixes the brute-force
+cap when called, and returns a lazy stream of (name, failures) pairs: each
+check runs only when the stream is advanced to it, so a caller can report
+each verdict as soon as its check finishes and stop early.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import math
 import operator
 import random
 from collections import Counter
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from . import blocks, construct, formulas, oracle
 from .perm import CycleType, Permutation, lex_parities
@@ -125,16 +125,7 @@ class _Walk(NamedTuple):
     parity: list[tuple[int, int]]  # (even, odd) alphas at each distance 0..n
 
 
-def _walks(max_n: int | None) -> Callable[[Permutation], _Walk]:
-    # ``_walk`` memoised for one run, as ``hist`` is
-    @functools.lru_cache(maxsize=None)
-    def walk(beta: Permutation) -> _Walk:
-        return _walk(beta, max_n)
-
-    return walk
-
-
-def _walk(beta: Permutation, max_n: int | None) -> _Walk:
+def _walk(beta: Permutation) -> _Walk:
     # One scan of S_n, in oracle._scan's zero-based words, for every check
     # that needs each alpha; a Permutation is built only for a failure.
     # Each alpha's bad points come from the scan, and its distance k =
@@ -148,13 +139,14 @@ def _walk(beta: Permutation, max_n: int | None) -> _Walk:
     # pair with n <= 5, with no memo (one saved nothing): the cycles holding
     # a bad point and those holding an image of one have equal lengths
     n = beta.degree
-    oracle._check_degree(n, max_n, "max_n")
     w = beta.word
     cycles, host = blocks._frame(w)
     points = [frozenset(cycle) for cycle in cycles]
     gets = [operator.itemgetter(*cycle) for cycle in cycles]
     # alpha's images of n - 1 points fix alpha, so a cycle that long never
-    # repeats a key: it is decided directly, with no memo
+    # repeats a key: it is decided directly, with no memo (a memo there took
+    # the same time and raised the peak RSS of ``verify --n-max 8
+    # --max-brute-n 8`` from 14.11 to 14.23 MB, medians of 9 processes)
     memos = [None if len(cycle) >= n - 1 else {} for cycle in cycles]
     max_len = max(map(len, cycles))
     bound = formulas.support_bound(beta.cycle_type())
@@ -271,52 +263,54 @@ def _check_parity_split(n_max, walk, hist) -> list[str]:
     return bad
 
 
-def _check_single_cycle_enumerator(hist, max_n) -> list[str]:
-    # the cases within the brute-force cap.  The constructed set equals the
-    # exhaustive bucket when it has no repeats, each alpha in it has the
-    # bucket's profile, and it is as large as the histogram's count of it
-    bound = oracle.exhaustive_bound(max_n)
-    bad = []
+def _check_single_cycle_enumerator(hist, bound) -> list[str]:
+    # the cases within the brute-force cap, by profile (k,)
     cases = [
         Permutation.from_cycles([(1, 2, 3, 4, 5, 6)], 6),
         Permutation.from_cycles([(1, 2, 3), (4, 5, 6)], 6),
         Permutation.from_cycles([(1, 2, 3, 4, 5)], 5),
         Permutation.from_cycles([(1, 2, 3, 4)], 4),
     ]
+    bad = []
     for beta in [beta for beta in cases if beta.degree <= bound]:
         profiles = hist(beta).profiles
         for k in (3, 4, 5):
-            words = itertools.chain.from_iterable(construct.single_cycle_leads(beta, k))
-            got = Counter(map(Permutation._from_word, words))
-            if got.total() != len(got):
-                bad.append(f"duplicate choices: beta={beta} k={k}")
-            if len(got) != profiles[(k,)] or any(
-                blocks.profile(alpha, beta) != (k,) for alpha in got
-            ):
-                bad.append(f"single-cycle set mismatch: beta={beta} k={k}")
-            if len(got) != formulas.single_cycle_count(beta.cycle_type(), k):
-                bad.append(f"single-cycle count mismatch: beta={beta} k={k}")
+            bad += _enumerator_failures(
+                "single-cycle", f"beta={beta} k={k}", construct.single_cycle_leads(beta, k),
+                profiles[(k,)], lambda alpha: blocks.profile(alpha, beta) == (k,),
+                formulas.single_cycle_count(beta.cycle_type(), k),
+            )
     return bad
 
 
-def _check_fpf_enumerator(hist, max_n) -> list[str]:
-    # m = 2 and 3, within the brute-force cap; the sets compared as in
-    # ``_check_single_cycle_enumerator``, by distance
+def _check_fpf_enumerator(hist, bound) -> list[str]:
+    # m = 2 and 3, within the brute-force cap, by distance 2j
     bad = []
-    for m in range(2, min(3, oracle.exhaustive_bound(max_n) // 2) + 1):
+    for m in range(2, min(3, bound // 2) + 1):
         beta = CycleType.from_parts([2] * m).representative()
         dist = hist(beta)
         for j in range(m + 1):
-            words = itertools.chain.from_iterable(construct.fpf_leads(beta, j))
-            got = Counter(map(Permutation._from_word, words))
-            if got.total() != len(got):
-                bad.append(f"duplicate choices: m={m} j={j}")
-            if len(got) != dist[2 * j] or any(
-                alpha.commute_distance(beta) != 2 * j for alpha in got
-            ):
-                bad.append(f"fpf set mismatch: m={m} j={j}")
-            if len(got) != formulas.fpf_involution_count(2 * j, m):
-                bad.append(f"fpf count mismatch: m={m} j={j}")
+            bad += _enumerator_failures(
+                "fpf", f"m={m} j={j}", construct.fpf_leads(beta, j),
+                dist[2 * j], lambda alpha: alpha.commute_distance(beta) == 2 * j,
+                formulas.fpf_involution_count(2 * j, m),
+            )
+    return bad
+
+
+def _enumerator_failures(kind, case, leads, size, belongs, count) -> list[str]:
+    # One case's per-lead words against its exhaustive bucket, of ``size``
+    # alphas that ``belongs`` picks, and its closed form ``count``: the
+    # constructed set equals the bucket when it has no repeats, each alpha
+    # in it belongs, and it is as large as the bucket
+    got = Counter(map(Permutation._from_word, itertools.chain.from_iterable(leads)))
+    bad = []
+    if got.total() != len(got):
+        bad.append(f"duplicate choices: {case}")
+    if len(got) != size or not all(map(belongs, got)):
+        bad.append(f"{kind} set mismatch: {case}")
+    if len(got) != count:
+        bad.append(f"{kind} count mismatch: {case}")
     return bad
 
 
@@ -346,9 +340,9 @@ def _check_egfs(n_max, tkn) -> list[str]:
     return bad
 
 
-def _check_n_max(n_max: int, max_n: int | None, name: str = "n_max", knob: str = "max_n") -> None:
-    # ``name`` and ``knob`` name the degree and the cap as the caller's user
-    # sets them: parameters, or flags
+def _check_n_max(n_max: int, max_n: int | None, name: str = "n_max", knob: str = "max_n") -> int:
+    # the cap in force, once ``n_max`` is checked against it; ``name`` and
+    # ``knob`` name the degree and the cap as the caller's user sets them
     bound = oracle.exhaustive_bound(max_n)
     if n_max < 2:
         raise ValueError(f"{name} must be between 2 and {bound}")
@@ -358,6 +352,7 @@ def _check_n_max(n_max: int, max_n: int | None, name: str = "n_max", knob: str =
             f"raise it with {knob} or {oracle.ENV_MAX_DEGREE}"
         )
     oracle._check_histogram_degree(n_max)
+    return bound
 
 
 def verification_checks(
@@ -368,26 +363,30 @@ def verification_checks(
     in a fixed order.  ``n_max`` must lie in [2, the exhaustive bound]
     (``max_n``, else KOMMUTE_MAX_BRUTE_N, else 8) and not exceed the
     histogram's ceiling ``oracle.HISTOGRAM_MAX_DEGREE``, else ``ValueError``
-    at call time; the checks themselves run one at a time as the returned
-    iterator is advanced.  ``corrupt_f`` is a negative control: T(5, n) is
-    computed with f(5) + 1 successor-free 5-cycles, so the checks reading it
-    fail.
+    at call time.  The bound is fixed then, so a later change to
+    KOMMUTE_MAX_BRUTE_N reaches no check; the checks themselves run one at
+    a time as the returned iterator is advanced.  ``corrupt_f`` is a
+    negative control: T(5, n) is computed with f(5) + 1 successor-free
+    5-cycles, so the checks reading it fail.
 
     >>> [name for name, failures in verification_checks(3) if failures]
     []
     """
-    _check_n_max(n_max, max_n)
-    return _run_checks(n_max, max_n, corrupt_f)
+    return _run_checks(n_max, _check_n_max(n_max, max_n), corrupt_f)
 
 
-def _run_checks(n_max, max_n, corrupt_f) -> Iterator[tuple[str, list[str]]]:
-    # one exhaustive scan per distinct beta, shared by every histogram check
+def _run_checks(n_max, bound, corrupt_f) -> Iterator[tuple[str, list[str]]]:
+    # ``n_max`` checked against the cap ``bound``.  One exhaustive scan per
+    # distinct beta, shared by every histogram check
     @functools.lru_cache(maxsize=None)
     def hist(beta: Permutation) -> oracle.KDistribution:
-        return oracle.distribution(beta, max_degree=max_n)
+        return oracle.distribution(beta, max_degree=bound)
 
-    # one walk of S_n per beta, shared by the pair and parity checks
-    walk = _walks(max_n)
+    # one walk of S_n per beta of degree min(n_max, 6) or less, shared by
+    # the pair and parity checks
+    @functools.lru_cache(maxsize=None)
+    def walk(beta: Permutation) -> _Walk:
+        return _walk(beta)
 
     def tkn(k: int, n: int) -> int:
         if corrupt_f and k == 5:
@@ -403,6 +402,6 @@ def _run_checks(n_max, max_n, corrupt_f) -> Iterator[tuple[str, list[str]]]:
     yield "counts divisible by centralizer order", _check_centralizer_divisibility(n_max, hist)
     yield "conjugation invariance of counts", _check_conjugation_invariance(n_max, hist)
     yield "even/odd split", _check_parity_split(n_max, walk, hist)
-    yield "single-cycle enumerator vs brute filter", _check_single_cycle_enumerator(hist, max_n)
-    yield "fpf enumerator vs brute filter", _check_fpf_enumerator(hist, max_n)
+    yield "single-cycle enumerator vs brute filter", _check_single_cycle_enumerator(hist, bound)
+    yield "fpf enumerator vs brute filter", _check_fpf_enumerator(hist, bound)
     yield "generating function coefficients", _check_egfs(n_max, tkn)

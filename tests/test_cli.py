@@ -520,7 +520,7 @@ class TestVerify:
 
         monkeypatch.setattr(oracle, "_scan", counting)
         hist = functools.lru_cache(maxsize=None)(oracle.distribution)
-        assert verify._check_parity_split(7, verify._walks(7), hist) == []
+        assert verify._check_parity_split(7, verify._walk, hist) == []
         assert scans and set(scans.values()) == {1}
 
     def test_one_sn_walk_per_beta(self, monkeypatch):
@@ -644,7 +644,7 @@ class TestVerify:
     def test_repeating_fpf_stream_fails_verify(self, monkeypatch):
         leads = construct.fpf_leads
         monkeypatch.setattr(construct, "fpf_leads", lambda beta, j: [*map(list, leads(beta, j))] * 2)
-        assert "duplicate choices: m=2 j=2" in verify._check_fpf_enumerator(oracle.distribution, None)
+        assert "duplicate choices: m=2 j=2" in verify._check_fpf_enumerator(oracle.distribution, 8)
 
 
 VERIFY_6 = """\

@@ -127,7 +127,7 @@ MUTATIONS = [drop_bad_point, add_bad_point, step_bad_points, reverse_runs, break
 class TestCheckPairs:
     def test_matches_per_pair_reference(self):
         for n_max in (2, 5, 6):
-            got = verify._check_pairs(n_max, verify._walks(n_max))
+            got = verify._check_pairs(n_max, verify._walk)
             assert got == per_pair_check_pairs(n_max, n_max)
             assert not any(failures for _, failures in got)
 
@@ -135,13 +135,13 @@ class TestCheckPairs:
     def test_mutations_fail_as_the_reference(self, monkeypatch, mutate):
         # the shared verdicts report the same failures, in the same order
         mutate(monkeypatch)
-        got = verify._check_pairs(5, verify._walks(5))
+        got = verify._check_pairs(5, verify._walk)
         assert got == per_pair_check_pairs(5, 5)
         assert got[0][1]
 
     def test_mutation_at_degree_six_fails_as_the_reference(self, monkeypatch):
         reverse_runs(monkeypatch)
-        got = verify._check_pairs(6, verify._walks(6))
+        got = verify._check_pairs(6, verify._walk)
         assert got == per_pair_check_pairs(6, 6)
         assert any(f.endswith("beta=(1 2 3 4 5 6)") for f in got[0][1])
 
@@ -170,7 +170,7 @@ class TestCheckPairs:
             return exact(bad, cycles)
 
         monkeypatch.setattr(blocks, "_profile", counting)
-        assert not any(failures for _, failures in verify._check_pairs(6, verify._walks(6)))
+        assert not any(failures for _, failures in verify._check_pairs(6, verify._walk))
         assert seen and set(seen.values()) == {1}
 
 
@@ -188,12 +188,12 @@ class TestEnumeratorChecks:
 
     def test_the_single_cycle_cases_scan_sn_zero_times(self, monkeypatch):
         scans = self.scans(monkeypatch)
-        assert verify._check_single_cycle_enumerator(oracle.distribution, None) == []
+        assert verify._check_single_cycle_enumerator(oracle.distribution, 8) == []
         assert not scans
 
     def test_the_fpf_cases_scan_sn_zero_times(self, monkeypatch):
         scans = self.scans(monkeypatch)
-        assert verify._check_fpf_enumerator(oracle.distribution, None) == []
+        assert verify._check_fpf_enumerator(oracle.distribution, 8) == []
         assert not scans
 
     def test_verify_reads_no_pair_stream(self, monkeypatch):
@@ -216,7 +216,7 @@ class TestEnumeratorChecks:
             profiles[(3,)] -= 1
             return dist._replace(profiles=profiles)
 
-        failures = verify._check_single_cycle_enumerator(short, None)
+        failures = verify._check_single_cycle_enumerator(short, 8)
         assert len(failures) == 4
         assert all(f.startswith("single-cycle set mismatch") and f.endswith("k=3") for f in failures)
 
@@ -233,7 +233,7 @@ class TestEnumeratorChecks:
             return [found]
 
         monkeypatch.setattr(construct, "single_cycle_leads", swapping)
-        failures = verify._check_single_cycle_enumerator(oracle.distribution, None)
+        failures = verify._check_single_cycle_enumerator(oracle.distribution, 8)
         assert failures == [
             "single-cycle set mismatch: beta=(1 2 3 4 5 6) k=4",
             "single-cycle set mismatch: beta=(1 2 3 4 5) k=4",
@@ -250,7 +250,7 @@ class TestEnumeratorChecks:
             return [found]
 
         monkeypatch.setattr(construct, "fpf_leads", swapping)
-        failures = verify._check_fpf_enumerator(oracle.distribution, None)
+        failures = verify._check_fpf_enumerator(oracle.distribution, 8)
         assert failures == ["fpf set mismatch: m=2 j=2", "fpf set mismatch: m=3 j=2"]
 
 
@@ -258,7 +258,7 @@ class TestWalk:
     # the walk's tallies against the oracle's own routes, on every cycle
     # type with n <= 6
     def test_parity_tallies_match_parity_split(self):
-        walk = verify._walks(6)
+        walk = verify._walk
         for n in range(2, 7):
             for t in CycleType.all_types(n):
                 beta = t.representative()
@@ -284,29 +284,35 @@ class TestWalk:
         # the walk counts each k from alpha*beta and beta*alpha, so the bad
         # counts adding up to k is a check of the scanned bad points
         betas = [t.representative() for n in range(2, 6) for t in CycleType.all_types(n)]
-        want = [verify._walk(beta, 5).parity for beta in betas]
+        want = [verify._walk(beta).parity for beta in betas]
         drop_bad_point(monkeypatch)
-        assert [verify._walk(beta, 5).parity for beta in betas] == want
+        assert [verify._walk(beta).parity for beta in betas] == want
 
-    def test_walks_are_memoised_per_run(self, monkeypatch):
-        calls: Counter = Counter()
-        exact = verify._walk
+    def test_walks_and_histograms_are_memoised_per_run(self, monkeypatch):
+        # one run walks each representative with n <= 6 once, for the pair
+        # and parity checks, and builds each distinct beta's histogram once
+        walks: Counter = Counter()
+        exact_walk = verify._walk
 
-        def counting(beta, max_n):
-            calls[beta] += 1
-            return exact(beta, max_n)
+        def counting_walk(beta):
+            walks[beta] += 1
+            return exact_walk(beta)
 
-        monkeypatch.setattr(verify, "_walk", counting)
-        walk = verify._walks(6)
-        beta = CycleType.from_parts([3, 3]).representative()
-        assert walk(beta) is walk(beta)
-        assert calls == {beta: 1}
-        assert verify._walks(6)(beta) is not walk(beta)
+        hists: Counter = Counter()
+        exact_hist = oracle.distribution
 
-    def test_degree_cap(self):
-        beta = CycleType.from_parts([3, 3]).representative()
-        with pytest.raises(ValueError, match="exceeds the exhaustive bound 5"):
-            verify._walks(5)(beta)
+        def counting_hist(beta, *args, **kwargs):
+            hists[beta] += 1
+            return exact_hist(beta, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "_walk", counting_walk)
+        monkeypatch.setattr(oracle, "distribution", counting_hist)
+        assert not any(failures for _, failures in verify.verification_checks(6, max_n=6))
+        representatives = {beta for _, _, beta in verify._representatives(6)}
+        assert set(walks) == representatives and set(walks.values()) == {1}
+        assert hists and set(hists.values()) == {1}
+        assert not any(failures for _, failures in verify.verification_checks(6, max_n=6))
+        assert set(walks) == representatives and set(walks.values()) == {2}
 
 
 LATER_CHECKS = [
@@ -323,6 +329,15 @@ class TestLazyChecks:
         for n_max in (9, 1, 0, -3):
             with pytest.raises(ValueError):
                 verify.verification_checks(n_max)
+
+    def test_the_cap_is_fixed_at_call_time(self, monkeypatch):
+        # a cap lowered after the call reaches no check: the stream runs to
+        # its end within the cap the call was checked against
+        monkeypatch.setenv(oracle.ENV_MAX_DEGREE, "6")
+        checks = verify.verification_checks(6)
+        monkeypatch.setenv(oracle.ENV_MAX_DEGREE, "4")
+        results = list(checks)
+        assert len(results) == 13 and not any(failures for _, failures in results)
 
     def test_histogram_ceiling_is_checked_at_call_time(self):
         # the stream is never advanced: no histogram is built before the refusal
@@ -384,7 +399,7 @@ def relabeled(beta):
 
 def uneven_walk(beta):
     # the exact walk, with one more even alpha at each distance
-    w = verify._walk(beta, None)
+    w = verify._walk(beta)
     return w._replace(parity=[(even + 1, odd) for even, odd in w.parity])
 
 
@@ -433,18 +448,18 @@ FAILURE_LINES = [
         "parity split n=2 type=(2,) k=0: 2/1", id="parity"),
     pytest.param(
         first_twice(construct, "single_cycle_leads"),
-        lambda: verify._check_single_cycle_enumerator(HIST, None),
+        lambda: verify._check_single_cycle_enumerator(HIST, 8),
         "duplicate choices: beta=(1 2 3 4 5 6) k=3", id="single-cycle-duplicate"),
     pytest.param(
         plus_one(formulas, "single_cycle_count"),
-        lambda: verify._check_single_cycle_enumerator(HIST, None),
+        lambda: verify._check_single_cycle_enumerator(HIST, 8),
         "single-cycle count mismatch: beta=(1 2 3 4 5 6) k=3", id="single-cycle-count"),
     pytest.param(
-        first_twice(construct, "fpf_leads"), lambda: verify._check_fpf_enumerator(HIST, None),
+        first_twice(construct, "fpf_leads"), lambda: verify._check_fpf_enumerator(HIST, 8),
         "duplicate choices: m=2 j=0", id="fpf-duplicate"),
     pytest.param(
         plus_one(formulas, "fpf_involution_count"),
-        lambda: verify._check_fpf_enumerator(HIST, None),
+        lambda: verify._check_fpf_enumerator(HIST, 8),
         "fpf count mismatch: m=2 j=0", id="fpf-count"),
     pytest.param(
         plus_one(formulas, "fpf_involution_count"), lambda: verify._check_egfs(4, TKN),
