@@ -202,8 +202,8 @@ def run_count(args) -> int:
     else:
         from . import oracle
 
-        oracle._check_degree(args.n, args.max_brute_n, "--max-brute-n")
-        dist = oracle.distribution(beta, max_degree=args.max_brute_n)
+        bound = oracle._check_degree(args.n, args.max_brute_n, "--max-brute-n")
+        dist = oracle.distribution(beta, max_degree=bound)
         value, provenance = dist[args.k], "exhaustive"
     # the record json.dumps(..., sort_keys=True) prints: cycle notation, the
     # methods and the provenance tags hold no character JSON escapes

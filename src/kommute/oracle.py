@@ -37,8 +37,9 @@ the histogram.
 
 Degrees are capped (default 8, so 40320 permutations per reference
 permutation) to keep full verification in the seconds range; raise the cap
-with the KOMMUTE_MAX_BRUTE_N environment variable or the ``max_degree``
-arguments when you can wait.
+with the KOMMUTE_MAX_BRUTE_N environment variable when you can wait, or
+with the ``max_degree`` argument of ``distribution``, ``enumerate_sn`` and
+``parity_split``, the three that take one.
 """
 
 from __future__ import annotations
@@ -74,14 +75,16 @@ def exhaustive_bound(max_degree: int | None = None) -> int:
         raise ValueError(f"{ENV_MAX_DEGREE} must be an integer, got {env!r}") from None
 
 
-def _check_degree(n: int, max_degree: int | None, knob: str = "max_degree") -> None:
-    # ``knob`` names the cap as the caller's user sets it: a parameter, or a flag
+def _check_degree(n: int, max_degree: int | None, knob: str = "max_degree") -> int:
+    # the cap in force, once n is checked against it; ``knob`` names the cap
+    # as the caller's user sets it: a parameter, or a flag
     bound = exhaustive_bound(max_degree)
     if n > bound:
         raise ValueError(
             f"degree {n} exceeds the exhaustive bound {bound}; "
             f"raise it with {knob} or {ENV_MAX_DEGREE}"
         )
+    return bound
 
 
 def _check_histogram_degree(n: int) -> None:
@@ -247,22 +250,18 @@ def distribution(
     return KDistribution(n, beta, counts, profiles)
 
 
-def count_by_profile(
-    beta: Permutation, k: int, max_degree: int | None = None
-) -> dict[tuple[int, ...], int]:
+def count_by_profile(beta: Permutation, k: int) -> dict[tuple[int, ...], int]:
     """
     Exhaustive counts at distance k, split by the multiset of per-cycle
     bad-point counts (keys are decreasing tuples summing to k).
     """
-    profiles = distribution(beta, max_degree=max_degree).profiles
+    profiles = distribution(beta).profiles
     return {p: c for p, c in profiles.items() if sum(p) == k}
 
 
-def filter_by_profile(
-    beta: Permutation, profile: Sequence[int], max_degree: int | None = None
-) -> set[Permutation]:
+def filter_by_profile(beta: Permutation, profile: Sequence[int]) -> set[Permutation]:
     """All alpha whose per-cycle bad-point multiset equals ``profile``."""
-    _check_degree(beta.degree, max_degree)
+    _check_degree(beta.degree, None)
     want = as_profile(profile)
     cycles = word_cycles(beta.word)
     return {
@@ -270,11 +269,9 @@ def filter_by_profile(
     }
 
 
-def filter_by_distance(
-    beta: Permutation, k: int, max_degree: int | None = None
-) -> set[Permutation]:
+def filter_by_distance(beta: Permutation, k: int) -> set[Permutation]:
     """All alpha at commutation distance exactly k from beta."""
-    _check_degree(beta.degree, max_degree)
+    _check_degree(beta.degree, None)
     return {Permutation._from_word(a) for bad, a in _scan(beta.word) if len(bad) == k}
 
 
@@ -293,11 +290,9 @@ def parity_split(
     return {k: (tally[2 * k], tally[2 * k + 1]) for k in range(n + 1)}
 
 
-def even_odd_split(
-    beta: Permutation, k: int, max_degree: int | None = None
-) -> tuple[int, int]:
+def even_odd_split(beta: Permutation, k: int) -> tuple[int, int]:
     """(even, odd) counts among the permutations at distance k from beta."""
-    return parity_split(beta, max_degree).get(k, (0, 0))
+    return parity_split(beta).get(k, (0, 0))
 
 
 # -- auxiliary sequences, by direct enumeration -------------------------------

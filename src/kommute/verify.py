@@ -221,14 +221,14 @@ def _broken_invariants(prof, bad, k, cycles, max_len, bound) -> list[str]:
     return broken
 
 
-def _check_centralizer_divisibility(n_max, hist) -> list[str]:
-    bad = []
-    for n, t, beta in _representatives(n_max):
-        order = t.centralizer_order()
-        for k, c in hist(beta).counts.items():
-            if c % order:
-                bad.append(f"count not divisible n={n} type={t.parts()} k={k}")
-    return bad
+def _check_centralizer_divisibility(n_max, walk) -> list[str]:
+    # the walk's totals: the histogram's are multiples of |C(beta)| by construction
+    return [
+        f"count not divisible n={n} type={t.parts()} k={k}"
+        for n, t, beta in _representatives(min(n_max, 6))
+        for k, (even, odd) in enumerate(walk(beta).parity)
+        if (even + odd) % t.centralizer_order()
+    ]
 
 
 _CONJUGATION_TAUS, _CONJUGATION_SEED = 5, 2024  # random relabelings per beta, their seed
@@ -341,9 +341,12 @@ def _check_egfs(n_max, tkn) -> list[str]:
 
 
 def _check_n_max(n_max: int, max_n: int | None, name: str = "n_max", knob: str = "max_n") -> int:
-    # the cap in force, once ``n_max`` is checked against it; ``name`` and
+    # the cap in force, once it and ``n_max`` are checked; ``name`` and
     # ``knob`` name the degree and the cap as the caller's user sets them
     bound = oracle.exhaustive_bound(max_n)
+    if bound < 2:
+        source = oracle.ENV_MAX_DEGREE if max_n is None else knob
+        raise ValueError(f"{source} must be at least 2, got {bound}")
     if n_max < 2:
         raise ValueError(f"{name} must be between 2 and {bound}")
     if n_max > bound:
@@ -355,24 +358,19 @@ def _check_n_max(n_max: int, max_n: int | None, name: str = "n_max", knob: str =
     return bound
 
 
-def verification_checks(
-    n_max: int, max_n: int | None = None, corrupt_f: bool = False
-) -> Iterator[tuple[str, list[str]]]:
+def verification_checks(n_max: int, max_n: int | None = None) -> Iterator[tuple[str, list[str]]]:
     """
     All identity checks as (name, failures) pairs, empty failures = pass,
-    in a fixed order.  ``n_max`` must lie in [2, the exhaustive bound]
-    (``max_n``, else KOMMUTE_MAX_BRUTE_N, else 8) and not exceed the
-    histogram's ceiling ``oracle.HISTOGRAM_MAX_DEGREE``, else ``ValueError``
-    at call time.  The bound is fixed then, so a later change to
-    KOMMUTE_MAX_BRUTE_N reaches no check; the checks themselves run one at
-    a time as the returned iterator is advanced.  ``corrupt_f`` is a
-    negative control: T(5, n) is computed with f(5) + 1 successor-free
-    5-cycles, so the checks reading it fail.
+    in a fixed order.  The cap (``max_n``, else KOMMUTE_MAX_BRUTE_N, else 8)
+    must be at least 2, ``n_max`` in [2, the cap] and at most the histogram's
+    ceiling ``oracle.HISTOGRAM_MAX_DEGREE``, else ``ValueError``.  Both are
+    checked and the cap fixed at call time; each check runs when the returned
+    iterator reaches it.  The CLI's ``verify --corrupt-f`` is the negative control.
 
     >>> [name for name, failures in verification_checks(3) if failures]
     []
     """
-    return _run_checks(n_max, _check_n_max(n_max, max_n), corrupt_f)
+    return _run_checks(n_max, _check_n_max(n_max, max_n), False)
 
 
 def _run_checks(n_max, bound, corrupt_f) -> Iterator[tuple[str, list[str]]]:
@@ -383,7 +381,7 @@ def _run_checks(n_max, bound, corrupt_f) -> Iterator[tuple[str, list[str]]]:
         return oracle.distribution(beta, max_degree=bound)
 
     # one walk of S_n per beta of degree min(n_max, 6) or less, shared by
-    # the pair and parity checks
+    # the pair, divisibility and parity checks
     @functools.lru_cache(maxsize=None)
     def walk(beta: Permutation) -> _Walk:
         return _walk(beta)
@@ -399,7 +397,7 @@ def _run_checks(n_max, bound, corrupt_f) -> Iterator[tuple[str, list[str]]]:
     yield "transposition counts vs brute force", _check_transposition(n_max, hist)
     yield "fixed-point-free involution counts vs brute force", _check_fpf(n_max, hist)
     yield from _check_pairs(n_max, walk)
-    yield "counts divisible by centralizer order", _check_centralizer_divisibility(n_max, hist)
+    yield "counts divisible by centralizer order", _check_centralizer_divisibility(n_max, walk)
     yield "conjugation invariance of counts", _check_conjugation_invariance(n_max, hist)
     yield "even/odd split", _check_parity_split(n_max, walk, hist)
     yield "single-cycle enumerator vs brute filter", _check_single_cycle_enumerator(hist, bound)

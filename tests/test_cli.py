@@ -103,6 +103,28 @@ class TestCount:
         assert (code, out) == (1, "")
         assert err == "kommute: error: KOMMUTE_MAX_BRUTE_N must be an integer, got 'abc'\n"
 
+    def test_brute_reads_the_cap_once(self, capsys, monkeypatch):
+        # the cap run_count checked is the one distribution is given, so
+        # the environment is read once per request
+        calls = []
+        exact = oracle.exhaustive_bound
+
+        def counting(max_degree=None):
+            calls.append(max_degree)
+            return exact(max_degree)
+
+        monkeypatch.delenv(oracle.ENV_MAX_DEGREE, raising=False)
+        monkeypatch.setattr(oracle, "exhaustive_bound", counting)
+        argv = ["count", "--beta", "(1 2)(3 4 5)", "--n", "6", "--k", "5", "--method", "brute"]
+        assert run_cli(capsys, *argv)[0] == 0
+        assert calls.count(None) == 1
+
+    def test_brute_cap_of_one_is_valid(self, capsys):
+        # count has a degree to check at n = 1, unlike verify
+        argv = ["count", "--beta", "()", "--n", "1", "--k", "0", "--method", "brute"]
+        code, out, err = run_cli(capsys, *argv, "--max-brute-n", "1")
+        assert (code, json.loads(out)["count"], err) == (0, "1", "")
+
     def test_jobs_do_not_change_output(self, capsys):
         argv = "count --beta (1,2,3)(4,5) --n 5 --k 3 --method brute".split()
         _, out1, _ = run_cli(capsys, *argv, "--jobs", "1")
@@ -461,6 +483,24 @@ class TestVerify:
             with pytest.raises(ValueError) as raised:
                 verify.verification_checks(int(n_max))
             assert str(raised.value) == "n_max must be between 2 and 8"
+
+    def test_cap_below_two_rejected(self, capsys, monkeypatch):
+        # a cap below 2 leaves no degree to check: it is refused before
+        # --n-max is read, naming the flag when given, else the variable
+        monkeypatch.delenv(oracle.ENV_MAX_DEGREE, raising=False)
+        for argv, want in [
+            (["--n-max", "1", "--max-brute-n", "1"], "--max-brute-n must be at least 2, got 1"),
+            (["--n-max", "2", "--max-brute-n", "1"], "--max-brute-n must be at least 2, got 1"),
+            (["--n-max", "2", "--max-brute-n", "-3"], "--max-brute-n must be at least 2, got -3"),
+        ]:
+            assert run_cli(capsys, "verify", *argv) == (1, "", f"kommute: error: {want}\n")
+        for env in ("1", "-3"):
+            monkeypatch.setenv(oracle.ENV_MAX_DEGREE, env)
+            assert run_cli(capsys, "verify", "--n-max", "2") == (
+                1, "", f"kommute: error: KOMMUTE_MAX_BRUTE_N must be at least 2, got {env}\n"
+            )
+        code, out, _ = run_cli(capsys, "verify", "--n-max", "2", "--max-brute-n", "2")
+        assert (code, out.splitlines()[-1]) == (0, "13/13 checks passed (n_max=2)")
 
     def test_internal_error_after_printed_verdicts(self, capsys, monkeypatch):
         # the first verdict is already out when the second check breaks

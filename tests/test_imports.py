@@ -1,7 +1,8 @@
 """
 Every module of the package and of its tests uses each name it imports and
-binds each function or class name once in a scope, and something reads each
-name the package defines, class members included.
+binds each function or class name once in a scope, something reads each
+name the package defines, class members included, and some call sets each
+defaulted parameter of the package's functions and methods.
 """
 
 import ast
@@ -164,6 +165,62 @@ def test_every_public_name_is_read():
                 "    def __len__(self): ...\n    def _p(self): self.read()\n"
                 "def _q(): C.made()\n"}
     assert unread_public_names(toy, [], "`C.told`") == {"a.C.unread"}
+
+
+def unset_defaults(sources: dict[str, str], callers: list[str]) -> set[str]:
+    """
+    The defaulted parameters of the top-level functions and class methods
+    of the modules in ``sources``, {module: source}, that no call in
+    ``callers`` sets, by keyword or by position.  Calls match by name, not
+    owner.  A method's ``self`` (or ``cls``) shifts the positions by one,
+    ``__init__`` counts the calls made through its class's name, and a
+    call with ``*`` or ``**`` sets every parameter.
+    """
+    calls: dict[str, list[tuple[int, set, bool]]] = {}  # name -> (positions, keywords, starred)
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                keys = {k.arg for k in node.keywords}
+                starred = None in keys or any(isinstance(a, ast.Starred) for a in node.args)
+                calls.setdefault(name, []).append((len(node.args), keys, starred))
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    unset = set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            for d in filter(lambda m: isinstance(m, functions), members):
+                method = d is not node
+                static = "staticmethod" in map(ast.unparse, d.decorator_list)
+                shift = 1 if method and not static else 0
+                name = node.name if d.name == "__init__" else d.name
+                scope = f"{module}.{node.name}" + (f".{d.name}" if method else "")
+                positional = d.args.posonlyargs + d.args.args
+                first = len(positional) - len(d.args.defaults)
+                wanted = [(i - shift, p.arg) for i, p in enumerate(positional) if i >= first]
+                wanted += [(None, p.arg) for p, default in
+                           zip(d.args.kwonlyargs, d.args.kw_defaults) if default is not None]
+                for i, arg in wanted:
+                    if not any(starred or arg in keys or (i is not None and i < npos)
+                               for npos, keys, starred in calls.get(name, [])):
+                        unset.add(f"{scope}.{arg}")
+    return unset
+
+
+def test_every_default_is_set_by_some_call():
+    # a defaulted parameter that no call sets is a knob nothing turns.  One
+    # stays: oracle.distribution's ``jobs``, which only the JOBS_PROBE code
+    # string in perfbench/run.py sets; it goes with that probe (ROADMAP item 5)
+    root = TESTS.parent
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    paths = [*SRC.glob("*.py"), *TESTS.glob("*.py"), *root.glob("perfbench/*.py")]
+    assert unset_defaults(sources, [p.read_text() for p in paths]) == {"oracle.distribution.jobs"}
+    toy = {"a": "def f(x, y=1, z=2): ...\ndef g(x=0): ...\ndef h(*, w=3): ...\n"
+                "class C:\n    def __init__(self, u=1, v=2): ...\n"
+                "    def m(self, p=1, q=2): ...\n"
+                "    @staticmethod\n    def s(r=1, t=2): ...\n"}
+    callers = ["f(0, 1)\ng(*args)\nh()\nC(5)\nC(v=6).m(1)\nC.s(2)\nf(0, z=1)\n"]
+    assert unset_defaults(toy, callers) == {"a.h.w", "a.C.m.q", "a.C.s.t"}
 
 
 def names_bound_twice(source: str) -> set[str]:

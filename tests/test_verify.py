@@ -289,8 +289,9 @@ class TestWalk:
         assert [verify._walk(beta).parity for beta in betas] == want
 
     def test_walks_and_histograms_are_memoised_per_run(self, monkeypatch):
-        # one run walks each representative with n <= 6 once, for the pair
-        # and parity checks, and builds each distinct beta's histogram once
+        # one run walks each representative with n <= 6 once, for the pair,
+        # divisibility and parity checks, and builds each distinct beta's
+        # histogram once
         walks: Counter = Counter()
         exact_walk = verify._walk
 
@@ -313,6 +314,27 @@ class TestWalk:
         assert hists and set(hists.values()) == {1}
         assert not any(failures for _, failures in verify.verification_checks(6, max_n=6))
         assert set(walks) == representatives and set(walks.values()) == {2}
+
+    def test_a_skewed_walk_fails_only_the_divisibility_check(self, monkeypatch):
+        # one alpha of the 5-cycle's walk moved from k = 3 to k = 4: the
+        # parity check skips a type with distinct odd parts, so only the
+        # divisibility check, which reads the walk's totals, can see it
+        exact = verify._walk
+
+        def skewed(beta):
+            w = exact(beta)
+            if beta.cycle_type().parts() != (5,):
+                return w
+            parity = list(w.parity)
+            (e3, o3), (e4, o4) = parity[3], parity[4]
+            parity[3:5] = [(e3 - 1, o3), (e4 + 1, o4)]
+            return w._replace(parity=parity)
+
+        monkeypatch.setattr(verify, "_walk", skewed)
+        failed = {name: f for name, f in verify.verification_checks(6, max_n=6) if f}
+        assert failed == {"counts divisible by centralizer order": [
+            "count not divisible n=5 type=(5,) k=3", "count not divisible n=5 type=(5,) k=4",
+        ]}
 
 
 LATER_CHECKS = [
@@ -338,6 +360,21 @@ class TestLazyChecks:
         monkeypatch.setenv(oracle.ENV_MAX_DEGREE, "4")
         results = list(checks)
         assert len(results) == 13 and not any(failures for _, failures in results)
+
+    def test_a_cap_below_two_is_refused_by_its_source(self, monkeypatch):
+        # no degree is left to check, so the cap is refused before n_max is
+        # read, naming the parameter when given, else the variable
+        monkeypatch.setenv(oracle.ENV_MAX_DEGREE, "-3")
+        for n_max, max_n, want in [
+            (1, 1, "max_n must be at least 2, got 1"),
+            (2, -3, "max_n must be at least 2, got -3"),
+            (2, None, "KOMMUTE_MAX_BRUTE_N must be at least 2, got -3"),
+        ]:
+            with pytest.raises(ValueError) as raised:
+                verify.verification_checks(n_max, max_n)
+            assert str(raised.value) == want
+        # an explicit cap does not read the variable
+        assert verify._check_n_max(2, 2) == 2
 
     def test_histogram_ceiling_is_checked_at_call_time(self):
         # the stream is never advanced: no histogram is built before the refusal
@@ -438,7 +475,7 @@ FAILURE_LINES = [
         plus_one(formulas, "fpf_involution_count"), lambda: verify._check_fpf(4, HIST),
         "fpf m=2 k=0: 9 != 8", id="fpf"),
     pytest.param(
-        None, lambda: verify._check_centralizer_divisibility(4, one_more_alpha(0)),
+        None, lambda: verify._check_centralizer_divisibility(4, uneven_walk),
         "count not divisible n=2 type=(2,) k=0", id="centralizer"),
     pytest.param(
         None, lambda: verify._check_conjugation_invariance(4, one_more_alpha(0, relabeled)),
